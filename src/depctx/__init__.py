@@ -48,7 +48,6 @@ from .sgns import (
     build_vocab,
     load_embeddings,
     save_embeddings,
-    subsample,
     train,
 )
 
@@ -92,7 +91,6 @@ __all__ = [
     "save_embeddings",
     "spearman",
     "split_folds",
-    "subsample",
     "toefl_evaluate",
     "train",
     "write_bag_files",

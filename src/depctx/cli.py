@@ -10,7 +10,7 @@ import logging
 import sys
 from pathlib import Path
 
-from . import evaluation, pipeline, search, sgns
+from . import evaluation, extraction, pipeline, search, sgns
 
 logger = logging.getLogger("depctx")
 
@@ -106,14 +106,10 @@ def cmd_extract(args) -> int:
 def cmd_train(args) -> int:
     exp = _experiment(args)
     if args.bags in ("bow", "posit"):
-        path = exp.bag_dir / f"{args.bags}.pairs"
+        path = exp.bag_dir / f"{args.bags}{extraction.PAIR_FILE_SUFFIX}"
         if not path.exists():
             exp.extract_window_pairs(args.bags)
-        pairs = []
-        with open(path, encoding="utf-8") as f:
-            for line in f:
-                word, _, context = line.rstrip("\n").partition("\t")
-                pairs.append((word, context))
+        pairs = list(extraction.read_pairs(path))
         store = sgns.train(pairs, exp.cfg.trainer_config())
     else:
         exp.extract()

@@ -353,6 +353,14 @@ def write_bag_files(
     return manifest
 
 
+def read_pairs(path: str | Path) -> Iterator[tuple[str, str]]:
+    """Yield the (word, context) pairs of one "word<TAB>context" pair file."""
+    with open(path, encoding="utf-8") as f:
+        for line in f:
+            word, _, context = line.rstrip("\n").partition("\t")
+            yield (word, context)
+
+
 class PairStream:
     """Re-iterable (word, context) stream over the union of member bag files.
 
@@ -377,11 +385,7 @@ class PairStream:
 
     def __iter__(self) -> Iterator[tuple[str, str]]:
         for bag in self.bags:
-            path = self.bag_dir / f"{bag}{PAIR_FILE_SUFFIX}"
-            with open(path, encoding="utf-8") as f:
-                for line in f:
-                    word, _, context = line.rstrip("\n").partition("\t")
-                    yield (word, context)
+            yield from read_pairs(self.bag_dir / f"{bag}{PAIR_FILE_SUFFIX}")
 
 
 def compose_configuration(

@@ -14,7 +14,7 @@ import hashlib
 import logging
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -57,7 +57,6 @@ class ExperimentConfig:
     min_count: int = 100
     unigram_power: float = 0.75
     seed: int = 1
-    workers: int = 1
     dataset: str = ""
     toefl: str = ""
     classes: tuple[str, ...] = ("A", "V", "N")
@@ -87,7 +86,6 @@ class ExperimentConfig:
             min_count=self.min_count,
             unigram_power=self.unigram_power,
             seed=self.seed,
-            workers=self.workers,
         )
 
 
@@ -254,14 +252,7 @@ class Experiment:
         return _short_hash(parts, list(self.cfg.corpus))
 
     def trainer_fingerprint(self) -> str:
-        tc = self.cfg.trainer_config()
-        parts = ["trainer"] + [
-            str(v)
-            for v in (
-                tc.dim, tc.negatives, tc.initial_lr, tc.subsample, tc.subsample_context,
-                tc.epochs, tc.min_count, tc.unigram_power, tc.seed, tc.workers,
-            )
-        ]
+        parts = ["trainer"] + [str(v) for v in astuple(self.cfg.trainer_config())]
         return _short_hash(parts)
 
     def model_scope(self) -> str:

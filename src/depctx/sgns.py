@@ -3,14 +3,15 @@
 Replicates the word2vecf training semantics: per-pair sigmoid-loss SGD with
 negatives drawn from the context unigram distribution raised to a power,
 linear learning-rate decay, frequent-word subsampling on the word side, and
-uniform/zero initialization. Matrices are float32; the gradient-check helper
-runs at whatever precision its inputs carry.
+uniform/zero initialization. Training is one single-threaded pass over one
+seeded random stream, so a model is a pure function of the pair stream and
+the configuration. Matrices are float32; the gradient-check helper runs at
+whatever precision its inputs carry.
 """
 
 from __future__ import annotations
 
 import logging
-import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -63,14 +64,11 @@ class Vocabulary:
     def n_contexts(self) -> int:
         return len(self.contexts)
 
-    def word_frequency(self, word: str) -> float:
-        """Word-side corpus frequency f(w) over retained words."""
-        total = self.word_counts.sum()
-        return float(self.word_counts[self.word_index[word]]) / float(total)
-
 
 @dataclass
 class TrainerConfig:
+    """SGNS hyperparameters; every field is part of a model's identity."""
+
     dim: int = 300
     negatives: int = 15
     initial_lr: float = 0.025
@@ -82,7 +80,6 @@ class TrainerConfig:
     min_count: int = 100
     unigram_power: float = 0.75
     seed: int = 1
-    workers: int = 1
 
     def __post_init__(self):
         if self.dim < 1:
@@ -95,8 +92,6 @@ class TrainerConfig:
             raise ValueError("epochs must be >= 1")
         if self.subsample <= 0:
             raise ValueError("subsample must be positive (use 1.0 to disable)")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 @dataclass
@@ -150,38 +145,10 @@ def build_vocab(pair_stream: Iterable[tuple[str, str]], min_count: int = 100) ->
     )
 
 
-def keep_probabilities(vocab: Vocabulary, t: float) -> np.ndarray:
-    """Per-word-id keep probability min(1, sqrt(t / f(w)))."""
-    freqs = vocab.word_counts / vocab.word_counts.sum()
+def keep_probabilities(counts: np.ndarray, t: float) -> np.ndarray:
+    """Per-id keep probability min(1, sqrt(t / f)), f = count / total count."""
+    freqs = counts / counts.sum()
     return np.minimum(1.0, np.sqrt(t / freqs))
-
-
-def context_keep_probabilities(vocab: Vocabulary, t: float) -> np.ndarray:
-    """Same keep rule over context-side frequencies."""
-    freqs = vocab.context_counts / vocab.context_counts.sum()
-    return np.minimum(1.0, np.sqrt(t / freqs))
-
-
-def subsample(
-    pair_stream: Iterable[tuple[str, str]],
-    vocab: Vocabulary,
-    t: float,
-    seed: int,
-) -> Iterable[tuple[str, str]]:
-    """Randomly drop pairs of frequent words.
-
-    Each pair is discarded with probability max(0, 1 - sqrt(t / f(w))) where
-    f(w) is the word-side corpus frequency. Words outside the vocabulary have
-    no frequency estimate and pass through; filtering them is the trainer's
-    job, not the subsampler's.
-    """
-    keep = keep_probabilities(vocab, t)
-    rng = np.random.default_rng(seed)
-    for word, context in pair_stream:
-        idx = vocab.word_index.get(word)
-        if idx is not None and keep[idx] < 1.0 and rng.random() >= keep[idx]:
-            continue
-        yield (word, context)
 
 
 def build_unigram_table(
@@ -260,7 +227,7 @@ def _encode_pairs(
     return (np.array(word_ids, dtype=np.int32), np.array(ctx_ids, dtype=np.int32))
 
 
-def _sgd_worker(
+def _sgd(
     W: np.ndarray,
     C: np.ndarray,
     word_ids: np.ndarray,
@@ -269,30 +236,25 @@ def _sgd_worker(
     keep_prob: np.ndarray,
     ctx_keep_prob: np.ndarray | None,
     config: TrainerConfig,
-    seed_key: tuple,
-    out_losses: np.ndarray,
-    out_counts: np.ndarray,
-    diverged: threading.Event,
-) -> None:
-    """Run all epochs of SGD over one shard of pairs.
+) -> list[float]:
+    """Run all epochs of SGD in place on W and C; return per-epoch mean losses.
 
-    The learning rate decays linearly over epochs * shard pairs, counting
-    every consumed pair (subsampled-away ones included) so the schedule does
-    not depend on the subsampling draws. Overflow in a single update is not
-    an error by itself; finiteness of the matrices is checked per epoch and
-    training stops early once they go bad.
+    The learning rate decays linearly over epochs * pairs, counting every
+    consumed pair (subsampled-away ones included) so the schedule does not
+    depend on the subsampling draws. Overflow in a single update is not an
+    error by itself; finiteness of the matrices is checked after each epoch.
     """
-    rng = np.random.default_rng(seed_key)
+    # keyed apart from the initialisation stream default_rng(seed)
+    rng = np.random.default_rng((config.seed, 0))
     n = len(word_ids)
     negatives = config.negatives
     total = config.epochs * n
     initial_lr = config.initial_lr
     consumed = 0
     table_len = len(table)
+    epoch_losses: list[float] = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(config.epochs):
-            if diverged.is_set():
-                return
+        for _ in range(config.epochs):
             loss_sum = 0.0
             n_updates = 0
             for start in range(0, n, _CHUNK):
@@ -329,11 +291,13 @@ def _sgd_worker(
                     np.add.at(C, rows, np.outer(g, w_vec))
                     W[w] += grad_w
                     n_updates += 1
-            out_losses[epoch] += loss_sum
-            out_counts[epoch] += n_updates
             if not (np.isfinite(W).all() and np.isfinite(C).all()):
-                diverged.set()
-                return
+                raise TrainingDivergedError(
+                    f"non-finite parameters during training (initial_lr={config.initial_lr}); "
+                    "lower the learning rate"
+                )
+            epoch_losses.append(float(loss_sum) / n_updates if n_updates else 0.0)
+    return epoch_losses
 
 
 def train(
@@ -343,10 +307,9 @@ def train(
 ) -> EmbeddingStore:
     """Train SGNS embeddings from a re-iterable (word, context) pair stream.
 
-    With workers=1 the result is a deterministic function of the stream and
-    the seed. With more workers the shards update the shared matrices without
-    locks; interleavings may perturb values but never produce non-finite
-    entries (checked after every epoch set).
+    The result is a deterministic function of the stream and the config:
+    the same inputs give bit-identical matrices and epoch losses. Raises
+    TrainingDivergedError once the matrices go non-finite.
     """
     if vocab is None:
         vocab = build_vocab(pair_stream, config.min_count)
@@ -359,44 +322,13 @@ def train(
     W = ((rng.random((vocab.n_words, d)) - 0.5) / d).astype(np.float32)
     C = np.zeros((vocab.n_contexts, d), dtype=np.float32)
     table = build_unigram_table(vocab.context_counts, config.unigram_power)
-    keep_prob = keep_probabilities(vocab, config.subsample)
+    keep_prob = keep_probabilities(vocab.word_counts, config.subsample)
     ctx_keep_prob = (
-        context_keep_probabilities(vocab, config.subsample) if config.subsample_context else None
+        keep_probabilities(vocab.context_counts, config.subsample)
+        if config.subsample_context
+        else None
     )
-
-    losses = np.zeros(config.epochs, dtype=np.float64)
-    counts = np.zeros(config.epochs, dtype=np.int64)
-    diverged = threading.Event()
-    if config.workers == 1:
-        _sgd_worker(
-            W, C, word_ids, ctx_ids, table, keep_prob, ctx_keep_prob, config,
-            (config.seed, 0), losses, counts, diverged,
-        )
-    else:
-        shards = np.array_split(np.arange(len(word_ids)), config.workers)
-        threads = []
-        for worker_id, shard in enumerate(shards):
-            if len(shard) == 0:
-                continue
-            args = (
-                W, C, word_ids[shard], ctx_ids[shard], table, keep_prob, ctx_keep_prob,
-                config, (config.seed, worker_id), losses, counts, diverged,
-            )
-            thread = threading.Thread(target=_sgd_worker, args=args, daemon=True)
-            threads.append(thread)
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-
-    if diverged.is_set() or not (np.isfinite(W).all() and np.isfinite(C).all()):
-        raise TrainingDivergedError(
-            f"non-finite parameters during training (initial_lr={config.initial_lr}); "
-            "lower the learning rate"
-        )
-    epoch_losses = [
-        float(losses[e] / counts[e]) if counts[e] else 0.0 for e in range(config.epochs)
-    ]
+    epoch_losses = _sgd(W, C, word_ids, ctx_ids, table, keep_prob, ctx_keep_prob, config)
     logger.info(
         "trained %d words x %dd from %d pairs (%d epochs)",
         vocab.n_words, d, len(word_ids), config.epochs,

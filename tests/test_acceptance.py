@@ -223,7 +223,7 @@ def test_sgns_planted_cluster_separation():
             assert len(pairs) >= 50_000
             cfg = TrainerConfig(
                 dim=50, negatives=5, epochs=3, min_count=1,
-                subsample=1.0, seed=seed, workers=1,
+                subsample=1.0, seed=seed,
             )
             store = train(pairs, cfg)
 
@@ -267,7 +267,7 @@ def test_end_to_end_smoke_and_cache_soundness(tmp_path, monkeypatch, capsys):
         capsys.readouterr()
         assert (out_dir / "search_report.tsv").read_bytes() == report
 
-        # deleting the cache forces recomputation; workers=1 determinism must
+        # deleting the cache forces recomputation; deterministic training must
         # reproduce every byte
         shutil.rmtree(tmp_path / "cache")
         assert cli.main(["search", "-c", str(config)]) == 0

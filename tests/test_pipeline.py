@@ -1,5 +1,6 @@
 import logging
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from depctx.pipeline import (
     load_experiment_config,
     render_report,
 )
+from depctx.sgns import TrainerConfig
 
 TREEBANK = bundled_path("fixture_treebank.conllu")
 SIMILARITY = bundled_path("toy_similarity.tsv")
@@ -36,7 +38,6 @@ def write_config(tmp_path, **overrides) -> Path:
         "epochs": 4,
         "min_count": 1,
         "seed": 1,
-        "workers": 1,
         "classes": "A,V,N",
         "strategy": "alg1",
         "threshold": 0.2,
@@ -139,6 +140,27 @@ def test_extract_config_change_invalidates_cache(tmp_path):
     assert exp_b.bag_dir != exp_a.bag_dir
     manifest = exp_b.extract()
     assert "conjll" not in manifest.counts
+
+
+def test_trainer_keys_scope_models_but_not_bags(tmp_path):
+    changed = {
+        "dim": 17,
+        "negatives": 6,
+        "learning_rate": 0.05,
+        "subsample": 1e-3,
+        "subsample_context": "true",
+        "epochs": 5,
+        "min_count": 2,
+        "unigram_power": 0.5,
+        "seed": 2,
+    }
+    assert len(changed) == len(fields(TrainerConfig))
+    base = Experiment(load_experiment_config(write_config(tmp_path)))
+    for key, value in changed.items():
+        exp = Experiment(load_experiment_config(write_config(tmp_path, **{key: value})))
+        assert exp.bag_dir == base.bag_dir, key
+        assert exp.model_scope() != base.model_scope(), key
+        assert exp.fitness_scope() != base.fitness_scope(), key
 
 
 def test_partial_extraction_is_redone(tmp_path):
