@@ -22,8 +22,8 @@ from .extraction import (
     DependencyPair,
     ExtractionConfig,
     Manifest,
+    PairStream,
     collapse_prepositions,
-    compose_configuration,
     extract_bow_pairs,
     extract_conj_pairs,
     extract_deps_pairs,
@@ -65,6 +65,7 @@ __all__ = [
     "FitnessCache",
     "FoldSplit",
     "Manifest",
+    "PairStream",
     "SearchTrace",
     "Sentence",
     "Token",
@@ -75,7 +76,6 @@ __all__ = [
     "build_pool",
     "build_vocab",
     "collapse_prepositions",
-    "compose_configuration",
     "cosine",
     "count_space",
     "evaluate",

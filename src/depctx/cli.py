@@ -37,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_extract = sub.add_parser("extract", help="extract context pairs into per-bag files")
     _add_config_arg(p_extract)
     p_extract.add_argument(
-        "--context-type", choices=("deps", "bow", "posit"), default="deps",
+        "--context-type", choices=("deps", *extraction.WINDOW_EXTRACTORS), default="deps",
         help="dependency bags (default) or window baselines",
     )
     p_extract.add_argument("--force", action="store_true", help="ignore the extraction cache")
@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser("search", help="run the best-configuration search per class")
     _add_config_arg(p_search)
     p_search.add_argument(
-        "--strategy", choices=("alg1", "greedy", "exhaustive"), default=None,
+        "--strategy", choices=search.STRATEGIES, default=None,
         help="override the strategy from the config file",
     )
 
@@ -105,7 +105,7 @@ def cmd_extract(args) -> int:
 
 def cmd_train(args) -> int:
     exp = _experiment(args)
-    if args.bags in ("bow", "posit"):
+    if args.bags in extraction.WINDOW_EXTRACTORS:
         path = exp.bag_dir / f"{args.bags}{extraction.PAIR_FILE_SUFFIX}"
         if not path.exists():
             exp.extract_window_pairs(args.bags)
@@ -114,7 +114,7 @@ def cmd_train(args) -> int:
     else:
         exp.extract()
         config = search.Configuration.from_string(args.bags)
-        stream = exp.pair_stream(sorted(config.bags))
+        stream = exp.pair_stream(config.bags)
         store = sgns.train(stream, exp.cfg.trainer_config())
     sgns.save_embeddings(store, args.out, include_context=args.save_context)
     print(f"trained {store.vocab.n_words} words ({store.dim}d) -> {args.out}")
@@ -127,9 +127,8 @@ def cmd_eval(args) -> int:
     classes = args.classes.split(",") if args.classes else list(exp.cfg.classes)
     print("class\trho\tscored\ttotal")
     for cls in classes:
-        class_filter = None if cls == "ALL" else cls
         try:
-            result = evaluation.evaluate(store, exp.dataset, class_filter)
+            result = evaluation.evaluate(store, exp.dataset, cls)
         except evaluation.UndefinedCorrelationError as exc:
             print(f"{cls}\tundefined\t-\t-\t({exc})")
             continue
@@ -145,10 +144,14 @@ def cmd_search(args) -> int:
     report_path = Path(exp.cfg.out_dir) / pipeline.SEARCH_REPORT_NAME
     print(report_path.read_text(encoding="utf-8"), end="")
     for res in results:
-        if res.infeasible:
-            print(f"# class {res.word_class}: pool infeasible; per-bag fitness:")
-            for bag, rho in sorted(res.per_bag_fitness.items()):
-                print(f"#   {bag}\t{pipeline.format_float(rho)}")
+        for run in res.runs:
+            if run["best"] is None:
+                print(
+                    f"# class {res.word_class} dev fold {run['dev']}: "
+                    "pool infeasible; per-bag fitness:"
+                )
+                for bag, rho in sorted(run["per_bag_fitness"].items()):
+                    print(f"#   {bag}\t{pipeline.format_float(rho)}")
     print(f"# report: {report_path}")
     return EXIT_OK
 

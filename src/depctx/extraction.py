@@ -145,11 +145,6 @@ def _base_label(deprel: str) -> str:
     return deprel.split(":", 1)[0]
 
 
-def map_label(deprel: str, table: BagMappingTable) -> str:
-    """Deterministic deprel -> bag-label (or DISCARD) lookup."""
-    return table.map_label(deprel)
-
-
 def collapse_prepositions(
     sentence: Sentence, targets: tuple[str, ...] = ("nmod",)
 ) -> Sentence:
@@ -255,6 +250,29 @@ def extract_posit_pairs(sentence: Sentence, window: int = 2) -> Iterator[tuple[s
                 yield (forms[i], f"{forms[j]}_{j - i:+d}")
 
 
+WINDOW_EXTRACTORS = {"bow": extract_bow_pairs, "posit": extract_posit_pairs}
+
+
+def write_window_pairs(
+    corpus: Iterable[Sentence], kind: str, window: int, out_dir: str | Path
+) -> Path:
+    """Write the BOW or POSIT baseline pairs of a corpus to ``<kind>.pairs`` in out_dir."""
+    if kind not in WINDOW_EXTRACTORS:
+        raise ValueError(f"kind must be one of {tuple(WINDOW_EXTRACTORS)}")
+    extract = WINDOW_EXTRACTORS[kind]
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / f"{kind}{PAIR_FILE_SUFFIX}"
+    n = 0
+    with open(path, "w", encoding="utf-8") as f:
+        for sentence in corpus:
+            for word, context in extract(sentence, window):
+                f.write(f"{word}\t{context}\n")
+                n += 1
+    logger.info("wrote %d %s pairs to %s", n, kind, path)
+    return path
+
+
 def effective_bags(table: BagMappingTable, config: ExtractionConfig) -> tuple[str, ...]:
     """Bag labels actually produced under the given config, sorted."""
     labels = set(table.bag_labels)
@@ -267,7 +285,7 @@ def effective_bags(table: BagMappingTable, config: ExtractionConfig) -> tuple[st
 
 @dataclass
 class Manifest:
-    """Per-bag pair counts plus the extraction parameters that produced them."""
+    """Per-bag pair counts plus the fingerprint of the extraction that produced them."""
 
     counts: dict[str, int]
     meta: dict[str, str] = field(default_factory=dict)
@@ -338,16 +356,7 @@ def write_bag_files(
         for h in handles.values():
             h.close()
 
-    manifest = Manifest(
-        counts=counts,
-        meta={
-            "config_hash": config_hash,
-            "window": str(config.window),
-            "conj_variant": config.conj_variant,
-            "collapse_prepositions": str(config.collapse_prepositions).lower(),
-            "collapse_targets": ",".join(config.collapse_targets),
-        },
-    )
+    manifest = Manifest(counts=counts, meta={"config_hash": config_hash})
     manifest.save(out)
     marker.unlink()
     return manifest
@@ -362,11 +371,11 @@ def read_pairs(path: str | Path) -> Iterator[tuple[str, str]]:
 
 
 class PairStream:
-    """Re-iterable (word, context) stream over the union of member bag files.
+    """Re-iterable (word, context) stream over the multiset union of member bag files.
 
     Iteration order is deterministic: member bags in sorted order, each file
     start to end. Length comes from the manifest, so it is known without a
-    scan.
+    scan; a bag the manifest does not list raises KeyError.
     """
 
     def __init__(self, bag_dir: str | Path, bags: Iterable[str], manifest: Manifest):
@@ -387,11 +396,3 @@ class PairStream:
         for bag in self.bags:
             yield from read_pairs(self.bag_dir / f"{bag}{PAIR_FILE_SUFFIX}")
 
-
-def compose_configuration(
-    bags: Iterable[str], manifest: Manifest, bag_dir: str | Path
-) -> PairStream:
-    """Multiset union of the member bag files as a lazy, re-iterable stream."""
-    bags = tuple(bags)
-    manifest.total(bags)  # raises on unknown labels
-    return PairStream(bag_dir, bags, manifest)

@@ -44,19 +44,19 @@ class ExperimentConfig:
 
     corpus: tuple[str, ...] = ()
     bag_table: str = "default"
-    window: int = 2
-    conj_variant: str = "both"
-    collapse_prepositions: bool = True
-    collapse_targets: tuple[str, ...] = ("nmod",)
-    dim: int = 300
-    negatives: int = 15
-    learning_rate: float = 0.025
-    subsample: float = 1e-4
-    subsample_context: bool = False
-    epochs: int = 15
-    min_count: int = 100
-    unigram_power: float = 0.75
-    seed: int = 1
+    window: int = extraction.ExtractionConfig.window
+    conj_variant: str = extraction.ExtractionConfig.conj_variant
+    collapse_prepositions: bool = extraction.ExtractionConfig.collapse_prepositions
+    collapse_targets: tuple[str, ...] = extraction.ExtractionConfig.collapse_targets
+    dim: int = sgns.TrainerConfig.dim
+    negatives: int = sgns.TrainerConfig.negatives
+    learning_rate: float = sgns.TrainerConfig.learning_rate
+    subsample: float = sgns.TrainerConfig.subsample
+    subsample_context: bool = sgns.TrainerConfig.subsample_context
+    epochs: int = sgns.TrainerConfig.epochs
+    min_count: int = sgns.TrainerConfig.min_count
+    unigram_power: float = sgns.TrainerConfig.unigram_power
+    seed: int = sgns.TrainerConfig.seed
     dataset: str = ""
     toefl: str = ""
     classes: tuple[str, ...] = ("A", "V", "N")
@@ -68,25 +68,14 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def extraction_config(self) -> extraction.ExtractionConfig:
-        return extraction.ExtractionConfig(
-            window=self.window,
-            conj_variant=self.conj_variant,
-            collapse_prepositions=self.collapse_prepositions,
-            collapse_targets=self.collapse_targets,
-        )
+        return self._component(extraction.ExtractionConfig)
 
     def trainer_config(self) -> sgns.TrainerConfig:
-        return sgns.TrainerConfig(
-            dim=self.dim,
-            negatives=self.negatives,
-            initial_lr=self.learning_rate,
-            subsample=self.subsample,
-            subsample_context=self.subsample_context,
-            epochs=self.epochs,
-            min_count=self.min_count,
-            unigram_power=self.unigram_power,
-            seed=self.seed,
-        )
+        return self._component(sgns.TrainerConfig)
+
+    def _component(self, cls):
+        """Build a component config from the experiment keys of the same names."""
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
 
 
 _BOOL_VALUES = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
@@ -165,10 +154,10 @@ def _validate(cfg: ExperimentConfig) -> None:
         p = getattr(cfg, name)
         if p and not Path(p).exists():
             raise ExperimentConfigError(f"{name} path does not exist: {p}")
-    if cfg.strategy not in ("alg1", "greedy", "exhaustive"):
+    if cfg.strategy not in search.STRATEGIES:
         raise ExperimentConfigError(f"unknown strategy {cfg.strategy!r}")
     for cls in cfg.classes:
-        if cls not in ("A", "V", "N", "ALL"):
+        if cls not in evaluation.WORD_CLASSES + ("ALL",):
             raise ExperimentConfigError(f"unknown word class {cls!r}")
     if cfg.dev_fold not in ("per-fold", "0", "1"):
         raise ExperimentConfigError("dev_fold must be per-fold, 0, or 1")
@@ -196,6 +185,11 @@ def _short_hash(parts: list[str], file_paths: list[str] = ()) -> str:
     return h.hexdigest()[:16]
 
 
+def _format_setting(value) -> str:
+    """One setting as it enters cache identities and resolved_config.txt."""
+    return ",".join(value) if isinstance(value, tuple) else str(value)
+
+
 def format_float(x: float) -> str:
     if x == INFEASIBLE:
         return "-inf"
@@ -220,7 +214,6 @@ class ClassSearchResult:
     runs: list[dict] = field(default_factory=list)  # per-run summary
     mean_test_rho: float | None = None
     infeasible: bool = False
-    per_bag_fitness: dict[str, float] = field(default_factory=dict)
 
 
 class Experiment:
@@ -236,23 +229,20 @@ class Experiment:
         self._dataset: evaluation.WordPairDataset | None = None
         self._manifest: extraction.Manifest | None = None
         self._fitness_cache: search.FitnessCache | None = None
+        self._extraction_fingerprint: str | None = None
 
     # -- fingerprints and directories --
 
     def extraction_fingerprint(self) -> str:
-        ec = self.cfg.extraction_config()
-        parts = [
-            "extraction",
-            str(ec.window),
-            ec.conj_variant,
-            str(ec.collapse_prepositions),
-            ",".join(ec.collapse_targets),
-            repr(sorted(self.table.rules)),
-        ]
-        return _short_hash(parts, list(self.cfg.corpus))
+        """Hash of the corpus bytes, extraction settings and bag table; computed once."""
+        if self._extraction_fingerprint is None:
+            settings = [_format_setting(v) for v in astuple(self.cfg.extraction_config())]
+            parts = ["extraction", *settings, repr(sorted(self.table.rules))]
+            self._extraction_fingerprint = _short_hash(parts, list(self.cfg.corpus))
+        return self._extraction_fingerprint
 
     def trainer_fingerprint(self) -> str:
-        parts = ["trainer"] + [str(v) for v in astuple(self.cfg.trainer_config())]
+        parts = ["trainer"] + [_format_setting(v) for v in astuple(self.cfg.trainer_config())]
         return _short_hash(parts)
 
     def model_scope(self) -> str:
@@ -316,20 +306,7 @@ class Experiment:
 
     def extract_window_pairs(self, kind: str) -> Path:
         """Write BOW or POSIT baseline pairs next to the bag files."""
-        if kind not in ("bow", "posit"):
-            raise ValueError("kind must be 'bow' or 'posit'")
-        extract = extraction.extract_bow_pairs if kind == "bow" else extraction.extract_posit_pairs
-        out = self.bag_dir
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / f"{kind}{extraction.PAIR_FILE_SUFFIX}"
-        n = 0
-        with open(path, "w", encoding="utf-8") as f:
-            for sentence in self.sentences():
-                for word, context in extract(sentence, self.cfg.window):
-                    f.write(f"{word}\t{context}\n")
-                    n += 1
-        logger.info("wrote %d %s pairs to %s", n, kind, path)
-        return path
+        return extraction.write_window_pairs(self.sentences(), kind, self.cfg.window, self.bag_dir)
 
     @property
     def manifest(self) -> extraction.Manifest:
@@ -340,7 +317,7 @@ class Experiment:
     # -- training --
 
     def pair_stream(self, bags) -> extraction.PairStream:
-        return extraction.compose_configuration(bags, self.manifest, self.bag_dir)
+        return extraction.PairStream(self.bag_dir, bags, self.manifest)
 
     def model_path(self, config: search.Configuration) -> Path:
         return self.model_dir / f"{config.canonical}.vec"
@@ -350,10 +327,15 @@ class Experiment:
         path = self.model_path(config)
         if path.exists():
             return sgns.load_embeddings(path)
-        stream = self.pair_stream(sorted(config.bags))
-        store = sgns.train(stream, self.cfg.trainer_config())
+        store = sgns.train(self.pair_stream(config.bags), self.cfg.trainer_config())
         self.model_dir.mkdir(parents=True, exist_ok=True)
-        sgns.save_embeddings(store, path)
+        # a kill mid-write must not leave a truncated model under the cache name
+        tmp = path.with_name(path.name + ".tmp")
+        try:
+            sgns.save_embeddings(store, tmp)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
         return store
 
     # -- fitness plumbing --
@@ -368,7 +350,6 @@ class Experiment:
         lose to everything real instead of aborting the whole search.
         """
         fold = self.fold_id(word_class, fold_index)
-        class_filter = None if word_class == "ALL" else word_class
 
         def fitness(config: search.Configuration) -> float:
             record = self.fitness_cache.get(config.canonical, fold)
@@ -378,9 +359,7 @@ class Experiment:
             start = time.perf_counter()
             try:
                 store = self.train_configuration(config)
-                rho = evaluation.evaluate(
-                    store, self.dataset, class_filter, fold_indices
-                ).rho
+                rho = evaluation.evaluate(store, self.dataset, word_class, fold_indices).rho
             except (sgns.VocabularyError, evaluation.UndefinedCorrelationError) as exc:
                 logger.info("configuration %s infeasible on %s: %s", config, fold, exc)
                 rho = INFEASIBLE
@@ -395,8 +374,7 @@ class Experiment:
     def search_class(self, word_class: str) -> ClassSearchResult:
         """Per-class protocol: 2-fold split, pool build, descent, test scores."""
         cfg = self.cfg
-        class_filter = None if word_class == "ALL" else word_class
-        folds = evaluation.split_folds(self.dataset, class_filter, cfg.fold_seed)
+        folds = evaluation.split_folds(self.dataset, word_class, cfg.fold_seed)
         fold_indices = {0: folds.fold_a, 1: folds.fold_b}
         result = ClassSearchResult(word_class=word_class)
         if cfg.dev_fold == "per-fold":
@@ -409,12 +387,7 @@ class Experiment:
             word_class, cfg.fold_seed, cfg.dev_fold, runs,
         )
 
-        strategy = {
-            "alg1": search.best_configuration_search,
-            "greedy": search.greedy_search,
-            "exhaustive": search.exhaustive_search,
-        }[cfg.strategy]
-
+        strategy = search.strategy_functions()[cfg.strategy]
         all_bags = extraction.effective_bags(self.table, cfg.extraction_config())
         test_rhos = []
         for dev, test in runs:
@@ -423,7 +396,10 @@ class Experiment:
             per_bag = {
                 bag: memo(search.Configuration.from_bags([bag])) for bag in all_bags
             }
-            result.per_bag_fitness = dict(per_bag)
+            run = dict(
+                dev=dev, test=test, best=None, dev_rho=None, test_rho=None, per_bag_fitness=per_bag
+            )
+            result.runs.append(run)
             try:
                 space = search.build_pool(per_bag, cfg.threshold, all_bags)
             except search.SearchInfeasibleError:
@@ -432,9 +408,6 @@ class Experiment:
                     word_class, dev, cfg.threshold,
                 )
                 result.infeasible = True
-                result.runs.append(
-                    {"dev": dev, "test": test, "best": None, "dev_rho": None, "test_rho": None}
-                )
                 continue
             best, trace = strategy(space, memo)
             dev_rho = memo(best)
@@ -444,16 +417,8 @@ class Experiment:
             trace_path = Path(cfg.out_dir) / f"trace_{word_class}_dev{dev}.tsv"
             trace_path.parent.mkdir(parents=True, exist_ok=True)
             trace.to_tsv(trace_path)
-            result.runs.append(
-                {
-                    "dev": dev,
-                    "test": test,
-                    "best": best,
-                    "dev_rho": dev_rho,
-                    "test_rho": test_rho,
-                    "pool": space.pool,
-                    "visited": len(trace),
-                }
+            run.update(
+                best=best, dev_rho=dev_rho, test_rho=test_rho, pool=space.pool, visited=len(trace)
             )
         if test_rhos:
             result.mean_test_rho = sum(test_rhos) / len(test_rhos)
@@ -495,12 +460,8 @@ class Experiment:
         return out
 
     def write_resolved_config(self) -> Path:
-        pairs = []
-        for f in fields(ExperimentConfig):
-            value = getattr(self.cfg, f.name)
-            if isinstance(value, tuple):
-                value = ",".join(value)
-            pairs.append(f"{f.name}={value}")
+        cfg = self.cfg
+        pairs = [f"{f.name}={_format_setting(getattr(cfg, f.name))}" for f in fields(cfg)]
         out = Path(self.cfg.out_dir) / RESOLVED_CONFIG_NAME
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text("\n".join(pairs) + "\n", encoding="utf-8")

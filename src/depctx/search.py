@@ -212,16 +212,10 @@ class MemoizedFitness:
         return self.cache[key]
 
 
-def _as_memo(fitness_fn) -> MemoizedFitness:
-    if isinstance(fitness_fn, MemoizedFitness):
-        return fitness_fn
-    return MemoizedFitness(fitness_fn)
-
-
-def _seed_pool_entries(
-    space: ConfigurationSpace, memo: MemoizedFitness, trace: SearchTrace
-) -> None:
-    """Log the per-bag evaluations behind pool construction and warm the memo."""
+def _start_search(space: ConfigurationSpace, fitness_fn) -> tuple[MemoizedFitness, SearchTrace]:
+    """Memoize the fitness, then log the per-bag evaluations behind the pool in a new trace."""
+    memo = fitness_fn if isinstance(fitness_fn, MemoizedFitness) else MemoizedFitness(fitness_fn)
+    trace = SearchTrace()
     pool = set(space.pool)
     for bag in space.all_bags:
         single = Configuration.from_bags([bag])
@@ -231,11 +225,17 @@ def _seed_pool_entries(
             trace.record(single, memo(single), "pool")
         elif bag in space.per_bag_fitness:
             trace.record(single, space.per_bag_fitness[bag], "pool-excluded")
+    return memo, trace
 
 
-def _argmax_entry(trace: SearchTrace) -> TraceEntry:
+def _finish_search(trace: SearchTrace) -> tuple[Configuration, SearchTrace]:
+    """Record the argmax over everything evaluated (pool-excluded 1-sets aside) as "best"."""
     candidates = [e for e in trace.entries if e.status != "pool-excluded"]
-    return min(candidates, key=lambda e: (-e.fitness, e.level, e.canonical))
+    best_entry = min(candidates, key=lambda e: (-e.fitness, e.level, e.canonical))
+    best = Configuration.from_string(best_entry.canonical)
+    trace.record(best, best_entry.fitness, "best", best_entry.origin)
+    logger.info("search done: best %s (fitness %.4f)", best_entry.canonical, best_entry.fitness)
+    return best, trace
 
 
 def best_configuration_search(
@@ -255,9 +255,7 @@ def best_configuration_search(
     descends through the best-scoring child even when no child matches its
     origin.
     """
-    memo = _as_memo(fitness_fn)
-    trace = SearchTrace()
-    _seed_pool_entries(space, memo, trace)
+    memo, trace = _start_search(space, fitness_fn)
 
     root = Configuration.from_bags(space.pool)
     trace.record(root, memo(root), "root")
@@ -292,20 +290,14 @@ def best_configuration_search(
         frontier = next_frontier
         level -= 1
 
-    best_entry = _argmax_entry(trace)
-    best = Configuration.from_string(best_entry.canonical)
-    trace.record(best, best_entry.fitness, "best", best_entry.origin)
-    logger.info("search done: best %s (fitness %.4f)", best_entry.canonical, best_entry.fitness)
-    return best, trace
+    return _finish_search(trace)
 
 
 def greedy_search(
     space: ConfigurationSpace, fitness_fn
 ) -> tuple[Configuration, SearchTrace]:
     """Like the beam descent, but at most one configuration survives per level."""
-    memo = _as_memo(fitness_fn)
-    trace = SearchTrace()
-    _seed_pool_entries(space, memo, trace)
+    memo, trace = _start_search(space, fitness_fn)
 
     current = Configuration.from_bags(space.pool)
     trace.record(current, memo(current), "root")
@@ -323,10 +315,7 @@ def greedy_search(
             break
         current = best_child
 
-    best_entry = _argmax_entry(trace)
-    best = Configuration.from_string(best_entry.canonical)
-    trace.record(best, best_entry.fitness, "best", best_entry.origin)
-    return best, trace
+    return _finish_search(trace)
 
 
 def exhaustive_search(
@@ -341,18 +330,29 @@ def exhaustive_search(
             f"exhaustive search over K={space.K} means {2 ** space.K - 1} evaluations; "
             f"pass force=True to override the K<={max_pool} guard"
         )
-    memo = _as_memo(fitness_fn)
-    trace = SearchTrace()
-    _seed_pool_entries(space, memo, trace)
+    memo, trace = _start_search(space, fitness_fn)
     pool = sorted(space.pool)
     for size in range(1, len(pool) + 1):
         for combo in itertools.combinations(pool, size):
             config = Configuration.from_bags(combo)
             trace.record(config, memo(config), "visited")
-    best_entry = _argmax_entry(trace)
-    best = Configuration.from_string(best_entry.canonical)
-    trace.record(best, best_entry.fitness, "best", best_entry.origin)
-    return best, trace
+    return _finish_search(trace)
+
+
+def strategy_functions() -> dict[str, Callable]:
+    """Strategy name -> search function.
+
+    The functions are looked up at call time, so a search function replaced
+    on this module (say, by a tracing wrapper) is the one that runs.
+    """
+    return {
+        "alg1": best_configuration_search,
+        "greedy": greedy_search,
+        "exhaustive": exhaustive_search,
+    }
+
+
+STRATEGIES = tuple(strategy_functions())
 
 
 def count_space(M: int, K: int) -> int:
@@ -385,9 +385,16 @@ class FitnessCache:
             self._load()
 
     def _load(self) -> None:
-        for line_no, line in enumerate(
-            self.path.read_text(encoding="utf-8").splitlines(), start=1
-        ):
+        data = self.path.read_bytes()
+        complete = data[: data.rfind(b"\n") + 1]
+        if len(complete) < len(data):
+            # a put killed mid-write; cut the torn record so the next append starts clean
+            logger.warning(
+                "%s: dropping unterminated last line %r", self.path, data[len(complete):]
+            )
+            with open(self.path, "r+b") as f:
+                f.truncate(len(complete))
+        for line_no, line in enumerate(complete.decode("utf-8").splitlines(), start=1):
             if not line.strip() or line.startswith("#"):
                 continue
             fields = line.split("\t")

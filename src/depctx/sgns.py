@@ -71,7 +71,7 @@ class TrainerConfig:
 
     dim: int = 300
     negatives: int = 15
-    initial_lr: float = 0.025
+    learning_rate: float = 0.025
     subsample: float = 1e-4
     # word2vecf convention drops pairs by target-word frequency only; set
     # subsample_context to extend the same rule to the context side
@@ -86,8 +86,8 @@ class TrainerConfig:
             raise ValueError("dim must be >= 1")
         if self.negatives < 1:
             raise ValueError("negatives must be >= 1")
-        if self.initial_lr <= 0:
-            raise ValueError("initial_lr must be positive")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.subsample <= 0:
@@ -162,16 +162,9 @@ def build_unigram_table(
     weights = np.asarray(context_counts, dtype=np.float64) ** power
     cumulative = np.cumsum(weights)
     cumulative /= cumulative[-1]
+    # cumulative[-1] is exactly 1.0, so the last boundary is table_size
     boundaries = np.rint(cumulative * table_size).astype(np.int64)
-    table = np.zeros(table_size, dtype=np.int32)
-    start = 0
-    for idx, end in enumerate(boundaries):
-        if end > start:
-            table[start:end] = idx
-            start = end
-    if start < table_size:
-        table[start:] = len(context_counts) - 1
-    return table
+    return np.repeat(np.arange(len(weights), dtype=np.int32), np.diff(boundaries, prepend=0))
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -249,7 +242,7 @@ def _sgd(
     n = len(word_ids)
     negatives = config.negatives
     total = config.epochs * n
-    initial_lr = config.initial_lr
+    learning_rate = config.learning_rate
     consumed = 0
     table_len = len(table)
     epoch_losses: list[float] = []
@@ -272,7 +265,7 @@ def _sgd(
                         continue
                     if ctx_keep_draws is not None and ctx_keep_draws[k] >= ctx_keep_prob[c]:
                         continue
-                    lr = initial_lr * max(1.0 - consumed / total, LR_FLOOR_FRACTION)
+                    lr = learning_rate * max(1.0 - consumed / total, LR_FLOOR_FRACTION)
                     negs = neg_draws[k]
                     negs = negs[negs != c]
                     rows = np.concatenate(([c], negs))
@@ -293,8 +286,8 @@ def _sgd(
                     n_updates += 1
             if not (np.isfinite(W).all() and np.isfinite(C).all()):
                 raise TrainingDivergedError(
-                    f"non-finite parameters during training (initial_lr={config.initial_lr}); "
-                    "lower the learning rate"
+                    "non-finite parameters during training "
+                    f"(learning_rate={config.learning_rate}); lower the learning rate"
                 )
             epoch_losses.append(float(loss_sum) / n_updates if n_updates else 0.0)
     return epoch_losses

@@ -9,13 +9,12 @@ from depctx.extraction import (
     Direction,
     ExtractionConfig,
     Manifest,
+    PairStream,
     collapse_prepositions,
-    compose_configuration,
     extract_bow_pairs,
     extract_conj_pairs,
     extract_deps_pairs,
     extract_posit_pairs,
-    map_label,
     write_bag_files,
 )
 from conftest import make_sentence
@@ -68,7 +67,7 @@ def test_default_table_image_is_the_13_bags():
     ],
 )
 def test_map_label(deprel, expected):
-    assert map_label(deprel, TABLE) == expected
+    assert TABLE.map_label(deprel) == expected
 
 
 def test_table_requires_catch_all():
@@ -326,7 +325,7 @@ def test_write_bag_files_deterministic_bytes(fig1_sentence, boys_and_girls, tmp_
 def test_deps_all_equals_union_of_13_bags(fig1_sentence, boys_and_girls, tmp_path):
     corpus = [fig1_sentence, boys_and_girls] * 2
     manifest = write_bag_files(corpus, TABLE, ExtractionConfig(), tmp_path / "bags")
-    stream = compose_configuration(sorted(BAG13), manifest, tmp_path / "bags")
+    stream = PairStream(tmp_path / "bags", sorted(BAG13), manifest)
     composed = collections.Counter(stream)
     direct = collections.Counter()
     for sent in corpus:
@@ -339,10 +338,10 @@ def test_deps_all_equals_union_of_13_bags(fig1_sentence, boys_and_girls, tmp_pat
 
 def test_compose_additivity_and_identity(fig1_sentence, tmp_path):
     manifest = run_write([fig1_sentence] * 4, tmp_path)
-    union = compose_configuration(["amod", "subj", "obj"], manifest, tmp_path / "bags")
+    union = PairStream(tmp_path / "bags", ["amod", "subj", "obj"], manifest)
     assert len(union) == manifest.counts["amod"] + manifest.counts["subj"] + manifest.counts["obj"]
     assert len(list(union)) == len(union)
-    single = compose_configuration(["amod"], manifest, tmp_path / "bags")
+    single = PairStream(tmp_path / "bags", ["amod"], manifest)
     assert sorted(single) == sorted(
         tuple(line.split("\t"))
         for line in (tmp_path / "bags" / "amod.pairs").read_text().splitlines()
@@ -352,9 +351,9 @@ def test_compose_additivity_and_identity(fig1_sentence, tmp_path):
 def test_compose_rejects_unknown_and_empty(fig1_sentence, tmp_path):
     manifest = run_write([fig1_sentence], tmp_path)
     with pytest.raises(KeyError, match="nosuchbag"):
-        compose_configuration(["amod", "nosuchbag"], manifest, tmp_path / "bags")
+        PairStream(tmp_path / "bags", ["amod", "nosuchbag"], manifest)
     with pytest.raises(ValueError):
-        compose_configuration([], manifest, tmp_path / "bags")
+        PairStream(tmp_path / "bags", [], manifest)
 
 
 def test_incomplete_marker_detected(fig1_sentence, tmp_path):

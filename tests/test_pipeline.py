@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from depctx import cli, evaluation, search
-from depctx.extraction import MANIFEST_NAME
+from depctx import cli, evaluation, pipeline, search, sgns
+from depctx.extraction import MANIFEST_NAME, ExtractionConfig
 from depctx.pipeline import (
     Experiment,
     ExperimentConfigError,
@@ -163,6 +163,59 @@ def test_trainer_keys_scope_models_but_not_bags(tmp_path):
         assert exp.fitness_scope() != base.fitness_scope(), key
 
 
+def test_component_settings_read_from_same_named_keys(tmp_path):
+    changed = {
+        "dim": 17,
+        "negatives": 6,
+        "learning_rate": 0.05,
+        "subsample": 1e-3,
+        "subsample_context": True,
+        "epochs": 5,
+        "min_count": 2,
+        "unigram_power": 0.5,
+        "seed": 2,
+        "window": 3,
+        "conj_variant": "conjlr",
+        "collapse_prepositions": False,
+        "collapse_targets": ("nmod", "obl"),
+    }
+    components = {TrainerConfig: "trainer_config", ExtractionConfig: "extraction_config"}
+    assert set(changed) == {f.name for cls in components for f in fields(cls)}
+
+    def file_value(value):
+        if isinstance(value, bool):
+            return str(value).lower()
+        return ",".join(value) if isinstance(value, tuple) else value
+
+    defaults = load_experiment_config(write_config(tmp_path))
+    for key, value in changed.items():
+        cfg = load_experiment_config(write_config(tmp_path, **{key: file_value(value)}))
+        for cls, method in components.items():
+            got, base = getattr(cfg, method)(), getattr(defaults, method)()
+            for f in fields(cls):
+                expected = value if f.name == key else getattr(base, f.name)
+                assert getattr(got, f.name) == expected, (key, f.name)
+
+
+def test_corpus_hashed_once_per_experiment(tmp_path, monkeypatch):
+    hashed = []
+    real_update = pipeline._sha256_update_file
+
+    def counting_update(h, path):
+        hashed.append(path)
+        real_update(h, path)
+
+    monkeypatch.setattr(pipeline, "_sha256_update_file", counting_update)
+    exp = Experiment(load_experiment_config(write_config(tmp_path)))
+    assert hashed == []  # constructing an experiment hashes nothing
+    exp.extract()
+    exp.model_scope()
+    exp.fitness_scope()
+    exp.bag_dir
+    exp.model_dir
+    assert [p for p in hashed if p in exp.cfg.corpus] == list(exp.cfg.corpus)
+
+
 def test_partial_extraction_is_redone(tmp_path):
     exp = Experiment(load_experiment_config(write_config(tmp_path)))
     exp.extract()
@@ -254,6 +307,32 @@ def test_fixed_dev_fold_mode_runs_once(tmp_path, monkeypatch):
     assert {fold for _, _, fold in calls} == {0, 1}  # dev evals on 0, test eval on 1
 
 
+def test_infeasible_per_bag_table_belongs_to_its_run(tmp_path, monkeypatch, capsys):
+    def fold_dependent(self, word_class, fold_indices, fold_index):
+        # with fold 0 as dev no bag reaches the threshold; with fold 1 only amod does
+        def fitness(config):
+            return 0.75 if fold_index == 1 and config.canonical == "amod" else -0.25
+
+        return fitness
+
+    monkeypatch.setattr(Experiment, "fitness_function", fold_dependent)
+    config = write_config(tmp_path, classes="A")
+    exp = Experiment(load_experiment_config(config))
+    result = exp.search_class("A")
+    infeasible, feasible = result.runs
+    assert infeasible["best"] is None and set(infeasible["per_bag_fitness"].values()) == {-0.25}
+    assert feasible["best"].canonical == "amod"
+    assert feasible["per_bag_fitness"]["amod"] == 0.75
+
+    assert cli.main(["search", "-c", str(config)]) == 0
+    out = capsys.readouterr().out
+    assert "# class A dev fold 0: pool infeasible; per-bag fitness:" in out
+    assert "dev fold 1: pool infeasible" not in out
+    table = [line for line in out.splitlines() if line.startswith("#   ")]
+    assert len(table) == len(infeasible["per_bag_fitness"])
+    assert all(line.endswith("\t-0.250000") for line in table)
+
+
 def test_search_writes_trace_files(tmp_path, monkeypatch):
     inject_oracle(monkeypatch, ADJ_ORACLE)
     exp = Experiment(load_experiment_config(write_config(tmp_path, classes="A")))
@@ -279,6 +358,32 @@ def test_fitness_cache_prevents_retraining(tmp_path):
     second = exp2.fitness_function("N", folds.fold_a, 0)(config)
     assert second == first
     assert exp.model_path(config).stat().st_mtime_ns == model_stamp
+
+
+def test_killed_model_write_leaves_no_model(tmp_path, monkeypatch):
+    exp = Experiment(load_experiment_config(write_config(tmp_path)))
+    exp.extract()
+    folds = evaluation.split_folds(exp.dataset, "N", exp.cfg.fold_seed)
+    config = search.Configuration.from_bags(["amod", "obj"])
+    real_save = sgns.save_embeddings
+
+    def killed_save(store, path, include_context=False):
+        real_save(store, path)
+        data = Path(path).read_bytes()
+        Path(path).write_bytes(data[: len(data) // 2])
+        raise OSError("killed mid-write")
+
+    monkeypatch.setattr(sgns, "save_embeddings", killed_save)
+    with pytest.raises(OSError, match="killed"):
+        exp.fitness_function("N", folds.fold_a, 0)(config)
+    assert list(exp.model_dir.iterdir()) == []
+    monkeypatch.setattr(sgns, "save_embeddings", real_save)
+
+    rerun = Experiment(exp.cfg)
+    rho = rerun.fitness_function("N", folds.fold_a, 0)(config)
+    assert rho == rerun.fitness_cache.get(config.canonical, "N:0").rho
+    assert list(rerun.model_dir.iterdir()) == [rerun.model_path(config)]
+    assert sgns.load_embeddings(rerun.model_path(config)).vocab.n_words > 0
 
 
 def test_model_cache_shared_across_folds_and_classes(tmp_path):

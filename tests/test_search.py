@@ -434,3 +434,30 @@ def test_fitness_cache_handles_minus_inf(tmp_path):
     path = tmp_path / "fitness.tsv"
     FitnessCache(path).put("nummod", "V:1", float("-inf"), 0.1, 3)
     assert FitnessCache(path).get("nummod", "V:1").rho == float("-inf")
+
+
+def test_fitness_cache_drops_torn_tail(tmp_path, caplog):
+    path = tmp_path / "fitness.tsv"
+    cache = FitnessCache(path)
+    cache.put("amod", "A:0", 0.4, wall_time=1.0, pair_count=5)
+    cache.put("obj", "A:0", 0.2, wall_time=1.0, pair_count=7)
+    with open(path, "a", encoding="utf-8") as f:
+        f.write("amod+obj\tA:0\t0.3")  # a put killed mid-write
+    with caplog.at_level("WARNING"):
+        torn = FitnessCache(path)
+    assert "unterminated" in caplog.text
+    assert len(torn) == 2
+    torn.put("subj", "A:1", 0.1, wall_time=1.0, pair_count=3)
+    reloaded = FitnessCache(path)
+    assert {key: rec.rho for key, rec in reloaded.records().items()} == {
+        ("amod", "A:0"): 0.4,
+        ("obj", "A:0"): 0.2,
+        ("subj", "A:1"): 0.1,
+    }
+
+
+def test_fitness_cache_malformed_complete_line_raises(tmp_path):
+    path = tmp_path / "fitness.tsv"
+    path.write_text("amod\tA:0\t0.3\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="expected 5 fields"):
+        FitnessCache(path)

@@ -128,6 +128,20 @@ def test_unigram_table_chi_squared():
     assert p_value > 0.01
 
 
+def test_unigram_table_holds_one_run_per_id():
+    rng = np.random.default_rng(7)
+    for size, power in ((7, 0.75), (1000, 0.0), (100_003, 1.0)):
+        counts = rng.integers(1, 5000, size=300)
+        table = build_unigram_table(counts, power=power, table_size=size)
+        cumulative = np.cumsum(counts.astype(np.float64) ** power)
+        boundaries = np.rint(cumulative / cumulative[-1] * size).astype(np.int64)
+        assert table.dtype == np.int32 and len(table) == size
+        assert np.all(np.diff(table) >= 0)
+        np.testing.assert_array_equal(
+            np.bincount(table, minlength=len(counts)), np.diff(boundaries, prepend=0)
+        )
+
+
 # -- gradients --
 
 
@@ -171,7 +185,7 @@ def test_single_update_applies_analytic_gradient():
     pairs = [("w", "c")]
     cfg = TrainerConfig(
         dim=4, negatives=2, epochs=1, min_count=1, subsample=1.0,
-        initial_lr=0.1, seed=9,
+        learning_rate=0.1, seed=9,
     )
     vocab = build_vocab(pairs * 2, min_count=1)  # single word/context
     store = train(pairs, cfg, vocab=vocab)
@@ -181,8 +195,8 @@ def test_single_update_applies_analytic_gradient():
     # negatives all equal the positive context id here, so they are dropped
     labels = np.array([1.0], dtype=np.float32)
     _, grad_w, grad_c = pair_loss_and_grad(W0[0], np.zeros((1, 4), np.float32), labels)
-    lr = cfg.initial_lr * (1.0 - 1.0 / 1.0)
-    lr = max(lr, cfg.initial_lr * 1e-4)
+    lr = cfg.learning_rate * (1.0 - 1.0 / 1.0)
+    lr = max(lr, cfg.learning_rate * 1e-4)
     expected_c = -lr * grad_c[0]
     expected_w = W0[0] - lr * grad_w
     np.testing.assert_allclose(store.context_vectors[0], expected_c, rtol=1e-6)
@@ -273,7 +287,7 @@ def test_context_side_subsampling_option():
 def test_divergence_detected():
     pairs, _ = planted_corpus(seed=12, pairs_per_word=500, group_size=3, n_contexts=10)
     with pytest.raises(TrainingDivergedError):
-        train(pairs, small_config(initial_lr=1e30, epochs=2))
+        train(pairs, small_config(learning_rate=1e30, epochs=2))
 
 
 def test_no_pairs_after_filtering_is_an_error():
@@ -286,7 +300,7 @@ def test_trainer_config_validation():
     for bad in (
         dict(dim=0),
         dict(negatives=0),
-        dict(initial_lr=0.0),
+        dict(learning_rate=0.0),
         dict(epochs=0),
         dict(subsample=0.0),
     ):
