@@ -126,12 +126,12 @@ class ExtractionConfig:
     """Knobs for pair extraction.
 
     ``collapse_targets`` lists the base labels whose case-marked dependents
-    get collapsed into prep pseudo-arcs; add "obl" for UD v2 corpora.
+    get collapsed into prep pseudo-arcs; add "obl" for UD v2 corpora. An
+    empty tuple turns collapsing off.
     """
 
     window: int = 2
     conj_variant: str = "both"
-    collapse_prepositions: bool = True
     collapse_targets: tuple[str, ...] = ("nmod",)
 
     def __post_init__(self):
@@ -146,15 +146,16 @@ def _base_label(deprel: str) -> str:
 
 
 def collapse_prepositions(
-    sentence: Sentence, targets: tuple[str, ...] = ("nmod",)
+    sentence: Sentence, targets: tuple[str, ...] = ExtractionConfig.collapse_targets
 ) -> Sentence:
     """Collapse case-marking arcs into prep pseudo-arcs.
 
-    For every arc h --nmod--> m where m has a ``case`` dependent c, the case
-    arc is removed (marked with a reserved deprel) and m's relation becomes
-    ``prep:`` + form(c). With several case dependents the linearly first one
-    supplies the preposition and all of them are removed. Sentences without
-    the pattern come back unchanged.
+    For every arc h --t--> m with t in ``targets`` where m has a ``case``
+    dependent c, the case arc is removed (marked with a reserved deprel) and
+    m's relation becomes ``prep:`` + form(c). With several case dependents the
+    linearly first one supplies the preposition and all of them are removed.
+    Sentences without the pattern, and every sentence when ``targets`` is
+    empty, come back unchanged.
     """
     case_of: dict[int, list[Token]] = {}
     for tok in sentence:
@@ -347,8 +348,7 @@ def write_bag_files(
     handles = {bag: open(out / f"{bag}{PAIR_FILE_SUFFIX}", "w", encoding="utf-8") for bag in bags}
     try:
         for sentence in corpus:
-            if config.collapse_prepositions:
-                sentence = collapse_prepositions(sentence, config.collapse_targets)
+            sentence = collapse_prepositions(sentence, config.collapse_targets)
             for pair in extract_deps_pairs(sentence, table, config.conj_variant):
                 handles[pair.bag].write(f"{pair.word}\t{pair.context}\n")
                 counts[pair.bag] += 1

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 import os
 import time
 from dataclasses import astuple, dataclass, field, fields, replace
@@ -46,24 +47,21 @@ class ExperimentConfig:
     bag_table: str = "default"
     window: int = extraction.ExtractionConfig.window
     conj_variant: str = extraction.ExtractionConfig.conj_variant
-    collapse_prepositions: bool = extraction.ExtractionConfig.collapse_prepositions
     collapse_targets: tuple[str, ...] = extraction.ExtractionConfig.collapse_targets
     dim: int = sgns.TrainerConfig.dim
     negatives: int = sgns.TrainerConfig.negatives
     learning_rate: float = sgns.TrainerConfig.learning_rate
     subsample: float = sgns.TrainerConfig.subsample
-    subsample_context: bool = sgns.TrainerConfig.subsample_context
     epochs: int = sgns.TrainerConfig.epochs
     min_count: int = sgns.TrainerConfig.min_count
     unigram_power: float = sgns.TrainerConfig.unigram_power
     seed: int = sgns.TrainerConfig.seed
     dataset: str = ""
     toefl: str = ""
-    classes: tuple[str, ...] = ("A", "V", "N")
+    classes: tuple[str, ...] = evaluation.WORD_CLASSES
     strategy: str = "alg1"
-    threshold: float = 0.2
+    threshold: float = search.DEFAULT_THRESHOLD
     fold_seed: int = 7
-    dev_fold: str = "per-fold"
     cache_dir: str = "cache"
     out_dir: str = "out"
 
@@ -78,14 +76,7 @@ class ExperimentConfig:
         return cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
 
 
-_BOOL_VALUES = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
-
-
-def _parse_value(name: str, kind, raw: str):
-    if kind is bool:
-        if raw.lower() not in _BOOL_VALUES:
-            raise ExperimentConfigError(f"{name}: expected a boolean, got {raw!r}")
-        return _BOOL_VALUES[raw.lower()]
+def _parse_value(kind, raw: str):
     if kind is int:
         return int(raw)
     if kind is float:
@@ -116,10 +107,10 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
         if key not in known:
             raise ExperimentConfigError(f"{path}:{line_no}: unknown key {key!r}")
         kind = known[key]
-        type_map = {"int": int, "float": float, "bool": bool, "str": str}
+        type_map = {"int": int, "float": float, "str": str}
         py_kind = type_map.get(kind, tuple) if isinstance(kind, str) else kind
         try:
-            values[key] = _parse_value(key, py_kind, value)
+            values[key] = _parse_value(py_kind, value)
         except (ValueError, TypeError) as exc:
             raise ExperimentConfigError(f"{path}:{line_no}: {exc}") from None
     cfg = ExperimentConfig(**values)
@@ -159,8 +150,6 @@ def _validate(cfg: ExperimentConfig) -> None:
     for cls in cfg.classes:
         if cls not in evaluation.WORD_CLASSES + ("ALL",):
             raise ExperimentConfigError(f"unknown word class {cls!r}")
-    if cfg.dev_fold not in ("per-fold", "0", "1"):
-        raise ExperimentConfigError("dev_fold must be per-fold, 0, or 1")
     cfg.extraction_config()
     cfg.trainer_config()
 
@@ -190,6 +179,19 @@ def _format_setting(value) -> str:
     return ",".join(value) if isinstance(value, tuple) else str(value)
 
 
+def fold_mean(rhos) -> tuple[float, bool]:
+    """Mean rho over the finite folds, and whether every fold was finite.
+
+    An infeasible fold neither counts toward the mean nor drags it to -inf;
+    rankings place a row with an infeasible fold after every complete row.
+    The mean is INFEASIBLE when no fold is finite.
+    """
+    rhos = list(rhos)
+    finite = [r for r in rhos if math.isfinite(r)]
+    mean = sum(finite) / len(finite) if finite else INFEASIBLE
+    return mean, len(finite) == len(rhos)
+
+
 def format_float(x: float) -> str:
     if x == INFEASIBLE:
         return "-inf"
@@ -201,6 +203,7 @@ class ReportRow:
     configuration: str
     fold_rhos: dict[str, float]
     mean_rho: float
+    complete: bool  # every fold finite
     pair_count: int
     wall_time: float
 
@@ -372,19 +375,16 @@ class Experiment:
     # -- the search protocol --
 
     def search_class(self, word_class: str) -> ClassSearchResult:
-        """Per-class protocol: 2-fold split, pool build, descent, test scores."""
+        """Per-class protocol: 2-fold split, then per dev fold a pool build,
+        descent and test score on the other fold; each fold is dev once."""
         cfg = self.cfg
         folds = evaluation.split_folds(self.dataset, word_class, cfg.fold_seed)
         fold_indices = {0: folds.fold_a, 1: folds.fold_b}
         result = ClassSearchResult(word_class=word_class)
-        if cfg.dev_fold == "per-fold":
-            runs = [(0, 1), (1, 0)]
-        else:
-            dev = int(cfg.dev_fold)
-            runs = [(dev, 1 - dev)]
+        runs = [(0, 1), (1, 0)]
         logger.info(
-            "class %s: fold seed %d, mode %s, runs %s (dev fold fixed for all search levels)",
-            word_class, cfg.fold_seed, cfg.dev_fold, runs,
+            "class %s: fold seed %d, runs %s (dev fold fixed for all search levels)",
+            word_class, cfg.fold_seed, runs,
         )
 
         strategy = search.strategy_functions()[cfg.strategy]
@@ -421,7 +421,7 @@ class Experiment:
                 best=best, dev_rho=dev_rho, test_rho=test_rho, pool=space.pool, visited=len(trace)
             )
         if test_rhos:
-            result.mean_test_rho = sum(test_rhos) / len(test_rhos)
+            result.mean_test_rho, _ = fold_mean(test_rhos)
         return result
 
     def run_search(self) -> list[ClassSearchResult]:
@@ -470,23 +470,23 @@ class Experiment:
     # -- reporting over the fitness cache --
 
     def report_rows(self) -> list[ReportRow]:
-        """One row per cached configuration, score-descending, ties by name."""
+        """One row per cached configuration: rows whose folds are all finite
+        first, each group score-descending, ties by name."""
         grouped: dict[str, dict[str, search.CacheRecord]] = {}
         for (canonical, fold), record in self.fitness_cache.records().items():
             grouped.setdefault(canonical, {})[fold] = record
         rows = []
         for canonical, by_fold in grouped.items():
             rhos = {fold: rec.rho for fold, rec in by_fold.items()}
-            finite = [r for r in rhos.values() if r != INFEASIBLE]
-            mean = sum(finite) / len(finite) if finite else INFEASIBLE
+            mean, complete = fold_mean(rhos.values())
             config = search.Configuration.from_string(canonical)
             try:
                 pair_count = self.manifest.total(config.bags)
             except KeyError:
                 pair_count = -1
             wall = sum(rec.wall_time for rec in by_fold.values())
-            rows.append(ReportRow(canonical, rhos, mean, pair_count, wall))
-        rows.sort(key=lambda r: (-r.mean_rho, r.configuration))
+            rows.append(ReportRow(canonical, rhos, mean, complete, pair_count, wall))
+        rows.sort(key=lambda r: (not r.complete, -r.mean_rho, r.configuration))
         return rows
 
 

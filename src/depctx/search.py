@@ -239,21 +239,16 @@ def _finish_search(trace: SearchTrace) -> tuple[Configuration, SearchTrace]:
 
 
 def best_configuration_search(
-    space: ConfigurationSpace,
-    fitness_fn,
-    follow_best_when_worse: bool = False,
+    space: ConfigurationSpace, fitness_fn
 ) -> tuple[Configuration, SearchTrace]:
-    """Conservative top-down beam over the subset lattice.
+    """Conservative top-down beam over the subset lattice (Algorithm 1).
 
     Starting from the full pool configuration, each level keeps every child
     (origin minus one bag) whose fitness is at least its origin's; children
-    are deduplicated by canonical form before evaluation. The returned best
-    is the argmax over everything evaluated, the pool 1-sets included; ties
-    break toward smaller, then lexicographically earlier configurations.
-
-    ``follow_best_when_worse`` switches to the non-conservative variant that
-    descends through the best-scoring child even when no child matches its
-    origin.
+    are deduplicated by canonical form before evaluation. The descent stops
+    at the first level that keeps no child. The returned best is the argmax
+    over everything evaluated, the pool 1-sets included; ties break toward
+    smaller, then lexicographically earlier configurations.
     """
     memo, trace = _start_search(space, fitness_fn)
 
@@ -272,21 +267,15 @@ def best_configuration_search(
                 else:
                     edges[key] = (child, [origin])
         next_frontier = []
-        level_children = []
         for key in sorted(edges):
             child, origins = edges[key]
             child_fitness = memo(child)
-            level_children.append((child, child_fitness, origins))
             qualifying = [o for o in origins if child_fitness >= memo(o)]
             if qualifying:
                 trace.record(child, child_fitness, "kept", qualifying[0].canonical)
                 next_frontier.append(child)
             else:
                 trace.record(child, child_fitness, "pruned", origins[0].canonical)
-        if not next_frontier and follow_best_when_worse and level_children:
-            forced = min(level_children, key=lambda it: (-it[1], it[0].sort_key()))
-            trace.record(forced[0], forced[1], "kept-forced", forced[2][0].canonical)
-            next_frontier = [forced[0]]
         frontier = next_frontier
         level -= 1
 
@@ -319,16 +308,17 @@ def greedy_search(
 
 
 def exhaustive_search(
-    space: ConfigurationSpace,
-    fitness_fn,
-    max_pool: int = EXHAUSTIVE_GUARD,
-    force: bool = False,
+    space: ConfigurationSpace, fitness_fn
 ) -> tuple[Configuration, SearchTrace]:
-    """Evaluate every nonempty subset of the pool; the true optimum, small pools only."""
-    if space.K > max_pool and not force:
+    """Evaluate every nonempty subset of the pool; the true optimum.
+
+    Pools above EXHAUSTIVE_GUARD bags raise ValueError before any evaluation.
+    """
+    if space.K > EXHAUSTIVE_GUARD:
         raise ValueError(
             f"exhaustive search over K={space.K} means {2 ** space.K - 1} evaluations; "
-            f"pass force=True to override the K<={max_pool} guard"
+            f"it is limited to pools of at most {EXHAUSTIVE_GUARD} bags: "
+            "use strategy alg1 or greedy, or raise threshold"
         )
     memo, trace = _start_search(space, fitness_fn)
     pool = sorted(space.pool)

@@ -54,7 +54,6 @@ class Vocabulary:
     context_counts: np.ndarray
     words: list[str]
     contexts: list[str]
-    min_count: int = 1
 
     @property
     def n_words(self) -> int:
@@ -67,15 +66,16 @@ class Vocabulary:
 
 @dataclass
 class TrainerConfig:
-    """SGNS hyperparameters; every field is part of a model's identity."""
+    """SGNS hyperparameters; every field is part of a model's identity.
+
+    ``subsample`` drops pairs by target-word frequency only, as word2vecf
+    does; contexts are never subsampled.
+    """
 
     dim: int = 300
     negatives: int = 15
     learning_rate: float = 0.025
     subsample: float = 1e-4
-    # word2vecf convention drops pairs by target-word frequency only; set
-    # subsample_context to extend the same rule to the context side
-    subsample_context: bool = False
     epochs: int = 15
     min_count: int = 100
     unigram_power: float = 0.75
@@ -114,7 +114,9 @@ class EmbeddingStore:
         return self.word_vectors[self.vocab.word_index[word]]
 
 
-def build_vocab(pair_stream: Iterable[tuple[str, str]], min_count: int = 100) -> Vocabulary:
+def build_vocab(
+    pair_stream: Iterable[tuple[str, str]], min_count: int = TrainerConfig.min_count
+) -> Vocabulary:
     """Count words and contexts over the stream and drop entries below min_count."""
     word_counter: Counter[str] = Counter()
     ctx_counter: Counter[str] = Counter()
@@ -141,7 +143,6 @@ def build_vocab(pair_stream: Iterable[tuple[str, str]], min_count: int = 100) ->
         context_counts=np.array([n for _, n in kept_ctxs], dtype=np.int64),
         words=[tok for tok, _ in kept_words],
         contexts=[tok for tok, _ in kept_ctxs],
-        min_count=min_count,
     )
 
 
@@ -152,7 +153,9 @@ def keep_probabilities(counts: np.ndarray, t: float) -> np.ndarray:
 
 
 def build_unigram_table(
-    context_counts: np.ndarray, power: float = 0.75, table_size: int = 1_000_000
+    context_counts: np.ndarray,
+    power: float = TrainerConfig.unigram_power,
+    table_size: int = 1_000_000,
 ) -> np.ndarray:
     """Cumulative-allocation sampling table over counts**power.
 
@@ -227,7 +230,6 @@ def _sgd(
     ctx_ids: np.ndarray,
     table: np.ndarray,
     keep_prob: np.ndarray,
-    ctx_keep_prob: np.ndarray | None,
     config: TrainerConfig,
 ) -> list[float]:
     """Run all epochs of SGD in place on W and C; return per-epoch mean losses.
@@ -254,17 +256,14 @@ def _sgd(
                 stop = min(start + _CHUNK, n)
                 m = stop - start
                 keep_draws = rng.random(m)
-                ctx_keep_draws = rng.random(m) if ctx_keep_prob is not None else None
                 neg_draws = table[rng.integers(0, table_len, size=(m, negatives))]
                 for k in range(m):
                     i = start + k
                     w = word_ids[i]
-                    c = ctx_ids[i]
                     consumed += 1
                     if keep_draws[k] >= keep_prob[w]:
                         continue
-                    if ctx_keep_draws is not None and ctx_keep_draws[k] >= ctx_keep_prob[c]:
-                        continue
+                    c = ctx_ids[i]
                     lr = learning_rate * max(1.0 - consumed / total, LR_FLOOR_FRACTION)
                     negs = neg_draws[k]
                     negs = negs[negs != c]
@@ -293,19 +292,15 @@ def _sgd(
     return epoch_losses
 
 
-def train(
-    pair_stream: Iterable[tuple[str, str]],
-    config: TrainerConfig,
-    vocab: Vocabulary | None = None,
-) -> EmbeddingStore:
+def train(pair_stream: Iterable[tuple[str, str]], config: TrainerConfig) -> EmbeddingStore:
     """Train SGNS embeddings from a re-iterable (word, context) pair stream.
 
-    The result is a deterministic function of the stream and the config:
-    the same inputs give bit-identical matrices and epoch losses. Raises
-    TrainingDivergedError once the matrices go non-finite.
+    The vocabulary is built from the stream itself. The result is a
+    deterministic function of the stream and the config: the same inputs
+    give bit-identical matrices and epoch losses. Raises TrainingDivergedError
+    once the matrices go non-finite.
     """
-    if vocab is None:
-        vocab = build_vocab(pair_stream, config.min_count)
+    vocab = build_vocab(pair_stream, config.min_count)
     word_ids, ctx_ids = _encode_pairs(pair_stream, vocab)
     if len(word_ids) == 0:
         raise VocabularyError("no training pairs survive vocabulary filtering")
@@ -316,12 +311,7 @@ def train(
     C = np.zeros((vocab.n_contexts, d), dtype=np.float32)
     table = build_unigram_table(vocab.context_counts, config.unigram_power)
     keep_prob = keep_probabilities(vocab.word_counts, config.subsample)
-    ctx_keep_prob = (
-        keep_probabilities(vocab.context_counts, config.subsample)
-        if config.subsample_context
-        else None
-    )
-    epoch_losses = _sgd(W, C, word_ids, ctx_ids, table, keep_prob, ctx_keep_prob, config)
+    epoch_losses = _sgd(W, C, word_ids, ctx_ids, table, keep_prob, config)
     logger.info(
         "trained %d words x %dd from %d pairs (%d epochs)",
         vocab.n_words, d, len(word_ids), config.epochs,

@@ -298,6 +298,14 @@ def test_write_bag_files_fig1_counts(fig1_sentence, tmp_path):
     assert on_disk.meta["config_hash"] == "h"
 
 
+def test_empty_collapse_targets_turn_collapsing_off(fig1_sentence, tmp_path):
+    manifest = run_write([fig1_sentence], tmp_path, ExtractionConfig(collapse_targets=()))
+    assert manifest.counts["prep"] == 0
+    assert manifest.counts["nmod"] == 2
+    pairs = set(PairStream(tmp_path / "bags", ["nmod"], manifest))
+    assert pairs == {("discovers", "telescope_nmod"), ("telescope", "discovers_nmod-1")}
+
+
 def test_write_bag_files_empty_corpus(tmp_path):
     manifest = run_write([], tmp_path)
     assert set(manifest.counts) == BAG13

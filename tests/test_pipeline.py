@@ -1,4 +1,5 @@
 import logging
+import re
 import time
 from dataclasses import fields
 from pathlib import Path
@@ -97,6 +98,17 @@ def test_config_env_var_overrides_cache_dir(tmp_path, monkeypatch):
     assert cfg.cache_dir == str(tmp_path / "elsewhere")
 
 
+def test_key_tables_list_every_experiment_key():
+    keys = {f.name for f in fields(pipeline.ExperimentConfig)}
+    for doc in ("README.md", "PAPER.md"):
+        text = (Path(__file__).resolve().parents[1] / doc).read_text(encoding="utf-8")
+        table = text.split("| key | default | meaning |", 1)[1].split("\n\n", 1)[0]
+        documented = set()
+        for line in table.splitlines()[2:]:
+            documented.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
+        assert documented == keys, doc
+
+
 def test_config_validates_strategy_and_classes(tmp_path):
     with pytest.raises(ExperimentConfigError, match="strategy"):
         load_experiment_config(write_config(tmp_path, strategy="quantum"))
@@ -148,7 +160,6 @@ def test_trainer_keys_scope_models_but_not_bags(tmp_path):
         "negatives": 6,
         "learning_rate": 0.05,
         "subsample": 1e-3,
-        "subsample_context": "true",
         "epochs": 5,
         "min_count": 2,
         "unigram_power": 0.5,
@@ -169,22 +180,18 @@ def test_component_settings_read_from_same_named_keys(tmp_path):
         "negatives": 6,
         "learning_rate": 0.05,
         "subsample": 1e-3,
-        "subsample_context": True,
         "epochs": 5,
         "min_count": 2,
         "unigram_power": 0.5,
         "seed": 2,
         "window": 3,
         "conj_variant": "conjlr",
-        "collapse_prepositions": False,
         "collapse_targets": ("nmod", "obl"),
     }
     components = {TrainerConfig: "trainer_config", ExtractionConfig: "extraction_config"}
     assert set(changed) == {f.name for cls in components for f in fields(cls)}
 
     def file_value(value):
-        if isinstance(value, bool):
-            return str(value).lower()
         return ",".join(value) if isinstance(value, tuple) else value
 
     defaults = load_experiment_config(write_config(tmp_path))
@@ -298,13 +305,38 @@ def test_search_infeasible_pool_reports_cleanly(tmp_path, monkeypatch):
     assert "INFEASIBLE" in report
 
 
-def test_fixed_dev_fold_mode_runs_once(tmp_path, monkeypatch):
-    calls = inject_oracle(monkeypatch, ADJ_ORACLE)
-    exp = Experiment(load_experiment_config(write_config(tmp_path, classes="A", dev_fold="0")))
-    results = exp.run_search()
-    assert len(results[0].runs) == 1
-    assert results[0].runs[0]["dev"] == 0
-    assert {fold for _, _, fold in calls} == {0, 1}  # dev evals on 0, test eval on 1
+def test_infeasible_fold_neither_poisons_mean_nor_ranks_first(tmp_path, monkeypatch):
+    # amod wins dev fold 0 but cannot be scored on fold 1; appos wins dev
+    # fold 1 and scores below the threshold on fold 0
+    oracle = {
+        0: {"amod": 0.95, "appos": 0.15},
+        1: {"amod": pipeline.INFEASIBLE, "appos": 0.9},
+    }
+
+    def fold_oracle(self, word_class, fold_indices, fold_index):
+        def fitness(config):
+            rho = oracle[fold_index].get(config.canonical, -0.1)
+            self.fitness_cache.put(config.canonical, self.fold_id(word_class, fold_index), rho, 0, 0)
+            return rho
+
+        return fitness
+
+    monkeypatch.setattr(Experiment, "fitness_function", fold_oracle)
+    exp = Experiment(load_experiment_config(write_config(tmp_path, classes="A")))
+    (result,) = exp.run_search()
+    assert [(run["best"].canonical, run["test_rho"]) for run in result.runs] == [
+        ("amod", pipeline.INFEASIBLE), ("appos", 0.15),
+    ]
+    assert result.mean_test_rho == pytest.approx(0.15)
+    report = (Path(exp.cfg.out_dir) / "search_report.tsv").read_text()
+    assert report.splitlines()[-1] == "A\tmean\t-\t-\t0.150000\t-"
+
+    rows = exp.report_rows()
+    assert rows[0].configuration == "appos"
+    assert rows[0].mean_rho == pytest.approx(0.525)
+    assert rows[-1].configuration == "amod"
+    assert rows[-1].mean_rho == pytest.approx(0.95)  # the finite fold only
+    assert [r.complete for r in rows] == [True] * (len(rows) - 1) + [False]
 
 
 def test_infeasible_per_bag_table_belongs_to_its_run(tmp_path, monkeypatch, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from depctx import sgns
 from depctx.sgns import (
     EmbeddingFormatError,
     TrainerConfig,
@@ -187,8 +188,7 @@ def test_single_update_applies_analytic_gradient():
         dim=4, negatives=2, epochs=1, min_count=1, subsample=1.0,
         learning_rate=0.1, seed=9,
     )
-    vocab = build_vocab(pairs * 2, min_count=1)  # single word/context
-    store = train(pairs, cfg, vocab=vocab)
+    store = train(pairs, cfg)
     # reproduce by hand: initial W from the same rng stream, C zero
     rng = np.random.default_rng(cfg.seed)
     W0 = ((rng.random((1, 4)) - 0.5) / 4).astype(np.float32)
@@ -201,6 +201,31 @@ def test_single_update_applies_analytic_gradient():
     expected_w = W0[0] - lr * grad_w
     np.testing.assert_allclose(store.context_vectors[0], expected_c, rtol=1e-6)
     np.testing.assert_allclose(store.word_vectors[0], expected_w, rtol=1e-6)
+
+    # with negatives: a one-entry unigram table draws context 2 for all three
+    # negatives, so the inline update must sum three gradient rows into C[2];
+    # learning_rate 100 makes the floor rate 1e-2, so each step stands well
+    # above float32 rounding
+    cfg = TrainerConfig(dim=4, negatives=3, epochs=1, learning_rate=100.0, seed=9)
+    rng = np.random.default_rng(3)
+    W0 = (rng.random((2, 4)) - 0.5).astype(np.float32)
+    C0 = (rng.random((3, 4)) - 0.5).astype(np.float32)
+    W, C = W0.copy(), C0.copy()
+    losses = sgns._sgd(
+        W, C, np.array([1], np.int32), np.array([0], np.int32),
+        np.array([2], np.int32), np.ones(2), cfg,
+    )
+    rows = [0, 2, 2, 2]
+    loss, grad_w, grad_c = pair_loss_and_grad(
+        W0[1].astype(np.float64), C0[rows].astype(np.float64), np.array([1.0, 0.0, 0.0, 0.0])
+    )
+    lr = cfg.learning_rate * 1e-4  # one pair, one epoch: the floor rate
+    assert losses == [pytest.approx(loss, rel=1e-6)]
+    np.testing.assert_allclose(W[1] - W0[1], -lr * grad_w, rtol=1e-4)
+    np.testing.assert_array_equal(W[0], W0[0])
+    np.testing.assert_allclose(C[0] - C0[0], -lr * grad_c[0], rtol=1e-4)
+    np.testing.assert_allclose(C[2] - C0[2], -lr * grad_c[1:].sum(axis=0), rtol=1e-4)
+    np.testing.assert_array_equal(C[1], C0[1])
 
 
 # -- training behavior --
@@ -270,18 +295,20 @@ def test_norms_stay_bounded_under_defaults():
     assert np.abs(store.context_vectors).max() < 1e3
 
 
-def test_context_side_subsampling_option():
-    # skewed context distribution: one context dominates and gets subsampled
-    # on the context side once the option is enabled
-    pairs = [("w", "c_common")] * 900 + [("w", f"c_{i}") for i in range(100)]
+def test_word_side_subsampling_is_seeded():
+    # one frequent word is mostly dropped at t = 1e-2, so the draws matter
+    pairs = [("w_common", f"c_{i % 10}") for i in range(900)]
+    pairs += [(f"w_{i}", f"c_{i % 10}") for i in range(100)]
     a = train(pairs, small_config(subsample=1e-2, seed=4))
-    b = train(pairs, small_config(subsample=1e-2, seed=4, subsample_context=True))
-    assert np.isfinite(b.word_vectors).all()
-    assert np.isfinite(b.context_vectors).all()
-    assert not np.array_equal(a.context_vectors, b.context_vectors)
-    # deterministic under a fixed seed like everything else
-    b2 = train(pairs, small_config(subsample=1e-2, seed=4, subsample_context=True))
-    assert np.array_equal(b.context_vectors, b2.context_vectors)
+    b = train(pairs, small_config(subsample=1e-2, seed=4))
+    assert np.isfinite(a.word_vectors).all()
+    assert np.isfinite(a.context_vectors).all()
+    assert np.array_equal(a.word_vectors, b.word_vectors)
+    assert np.array_equal(a.context_vectors, b.context_vectors)
+    assert a.epoch_losses == b.epoch_losses
+    # the subsampling draws did drop pairs
+    unsampled = train(pairs, small_config(subsample=1.0, seed=4))
+    assert not np.array_equal(a.context_vectors, unsampled.context_vectors)
 
 
 def test_divergence_detected():
@@ -291,9 +318,10 @@ def test_divergence_detected():
 
 
 def test_no_pairs_after_filtering_is_an_error():
-    vocab = build_vocab([("a", "x")] * 5, min_count=1)
-    with pytest.raises(VocabularyError):
-        train([("zzz", "qqq")], small_config(), vocab=vocab)
+    # min_count=2 keeps word a and context x, but no pair holds both
+    pairs = [("a", "y"), ("a", "z"), ("b", "x"), ("c", "x")]
+    with pytest.raises(VocabularyError, match="no training pairs"):
+        train(pairs, small_config(min_count=2))
 
 
 def test_trainer_config_validation():
