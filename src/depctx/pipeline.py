@@ -245,7 +245,9 @@ class Experiment:
         return self._extraction_fingerprint
 
     def trainer_fingerprint(self) -> str:
-        parts = ["trainer"] + [_format_setting(v) for v in astuple(self.cfg.trainer_config())]
+        """Hash of the trainer settings and the SGD kernel's batch size."""
+        settings = [_format_setting(v) for v in astuple(self.cfg.trainer_config())]
+        parts = ["trainer", f"batch={sgns.BATCH_SIZE}", *settings]
         return _short_hash(parts)
 
     def model_scope(self) -> str:

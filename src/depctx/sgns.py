@@ -1,17 +1,21 @@
 """Skip-gram negative-sampling trainer for arbitrary (word, context) pairs.
 
-Replicates the word2vecf training semantics: per-pair sigmoid-loss SGD with
-negatives drawn from the context unigram distribution raised to a power,
-linear learning-rate decay, frequent-word subsampling on the word side, and
-uniform/zero initialization. Training is one single-threaded pass over one
-seeded random stream, so a model is a pure function of the pair stream and
-the configuration. Matrices are float32; the gradient-check helper runs at
+Follows the word2vecf training semantics (sigmoid loss, negatives drawn
+from the context unigram distribution raised to a power, per-pair linear
+learning-rate decay, frequent-word subsampling on the word side,
+uniform/zero initialization) with one departure: pairs are updated in
+minibatches of BATCH_SIZE, each pair's gradient taken at the batch's
+starting parameters and the batch applying their sum, instead of one pair
+at a time. Training is one single-threaded pass over one seeded random
+stream, so a model is a pure function of the pair stream and the
+configuration. Matrices are float32; the gradient-check helper runs at
 whatever precision its inputs carry.
 """
 
 from __future__ import annotations
 
 import logging
+import time
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,6 +30,8 @@ logger = logging.getLogger(__name__)
 MAX_SCORE = 30.0
 LR_FLOOR_FRACTION = 1e-4
 _CHUNK = 4096
+# Pairs per minibatch update; part of a trained model's identity.
+BATCH_SIZE = 64
 
 
 class VocabularyError(ValueError):
@@ -232,64 +238,90 @@ def _sgd(
     keep_prob: np.ndarray,
     config: TrainerConfig,
 ) -> list[float]:
-    """Run all epochs of SGD in place on W and C; return per-epoch mean losses.
+    """Run all epochs of minibatch SGD in place on W and C; return per-epoch mean losses.
 
-    The learning rate decays linearly over epochs * pairs, counting every
-    consumed pair (subsampled-away ones included) so the schedule does not
-    depend on the subsampling draws. Overflow in a single update is not an
-    error by itself; finiteness of the matrices is checked after each epoch.
+    Pairs are subsampled in stream order, then the kept ones are updated in
+    batches of BATCH_SIZE: every pair of a batch computes its gradient from
+    the batch's starting W and C, and the batch applies the sum of those
+    gradients, so repeated word or context ids accumulate. Each pair keeps
+    its own learning rate, which decays linearly over epochs * pairs,
+    counting every consumed pair (subsampled-away ones included) so the
+    schedule does not depend on the subsampling draws. A drawn negative equal
+    to the pair's positive context is masked out. The epoch loss is the mean
+    over updated pairs. Overflow in a single update is not an error by
+    itself; finiteness of the matrices is checked after each epoch.
     """
     # keyed apart from the initialisation stream default_rng(seed)
     rng = np.random.default_rng((config.seed, 0))
     n = len(word_ids)
-    negatives = config.negatives
     total = config.epochs * n
-    learning_rate = config.learning_rate
-    consumed = 0
     table_len = len(table)
     epoch_losses: list[float] = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(config.epochs):
+        for epoch in range(config.epochs):
             loss_sum = 0.0
             n_updates = 0
             for start in range(0, n, _CHUNK):
                 stop = min(start + _CHUNK, n)
                 m = stop - start
                 keep_draws = rng.random(m)
-                neg_draws = table[rng.integers(0, table_len, size=(m, negatives))]
-                for k in range(m):
-                    i = start + k
-                    w = word_ids[i]
-                    consumed += 1
-                    if keep_draws[k] >= keep_prob[w]:
-                        continue
-                    c = ctx_ids[i]
-                    lr = learning_rate * max(1.0 - consumed / total, LR_FLOOR_FRACTION)
-                    negs = neg_draws[k]
-                    negs = negs[negs != c]
-                    rows = np.concatenate(([c], negs))
-                    w_vec = W[w]
-                    c_rows = C[rows]
-                    scores = c_rows @ w_vec
-                    np.clip(scores, -MAX_SCORE, MAX_SCORE, out=scores)
-                    probs = 1.0 / (1.0 + np.exp(-scores))
-                    residual = -probs
-                    residual[0] += 1.0
-                    loss_sum += np.logaddexp(0.0, scores[0]) - scores[0] + np.logaddexp(
-                        0.0, scores[1:]
-                    ).sum()
-                    g = (residual * lr).astype(W.dtype)
-                    grad_w = g @ c_rows
-                    np.add.at(C, rows, np.outer(g, w_vec))
-                    W[w] += grad_w
-                    n_updates += 1
+                neg_draws = table[rng.integers(0, table_len, size=(m, config.negatives))]
+                words = word_ids[start:stop]
+                kept = np.flatnonzero(keep_draws < keep_prob[words])
+                # the consumed count of pair i, 1-based, as the schedule sees it
+                consumed = epoch * n + start + 1 + kept
+                lrs = config.learning_rate * np.maximum(1.0 - consumed / total, LR_FLOOR_FRACTION)
+                rows = np.concatenate((ctx_ids[start:stop, None], neg_draws), axis=1)[kept]
+                words = words[kept]
+                for b in range(0, len(kept), BATCH_SIZE):
+                    batch = slice(b, b + BATCH_SIZE)
+                    loss_sum += _batch_step(W, C, words[batch], rows[batch], lrs[batch])
+                n_updates += len(kept)
             if not (np.isfinite(W).all() and np.isfinite(C).all()):
                 raise TrainingDivergedError(
                     "non-finite parameters during training "
                     f"(learning_rate={config.learning_rate}); lower the learning rate"
                 )
-            epoch_losses.append(float(loss_sum) / n_updates if n_updates else 0.0)
+            epoch_losses.append(loss_sum / n_updates if n_updates else 0.0)
     return epoch_losses
+
+
+def _batch_step(
+    W: np.ndarray, C: np.ndarray, words: np.ndarray, rows: np.ndarray, lrs: np.ndarray
+) -> float:
+    """Apply one minibatch update in place; return the batch's summed loss.
+
+    ``rows`` holds each pair's positive context id followed by its drawn
+    negatives; ``lrs`` holds each pair's learning rate.
+    """
+    w_vecs = W[words]
+    c_vecs = C[rows]
+    scores = np.matmul(c_vecs, w_vecs[:, :, None])[:, :, 0]
+    np.clip(scores, -MAX_SCORE, MAX_SCORE, out=scores)
+    live = np.ones(rows.shape, dtype=bool)
+    live[:, 1:] = rows[:, 1:] != rows[:, :1]
+    residual = -1.0 / (1.0 + np.exp(-scores))
+    residual[:, 0] += 1.0
+    residual *= live
+    # -log s(x) = logaddexp(0, -x) = logaddexp(0, x) - x
+    losses = np.logaddexp(0.0, scores) * live
+    losses[:, 0] -= scores[:, 0]
+    g = (residual * lrs[:, None]).astype(W.dtype)
+    _scatter_add(W, words, np.matmul(g[:, None, :], c_vecs)[:, 0])
+    _scatter_add(C, rows.ravel(), (g[:, :, None] * w_vecs[:, None, :]).reshape(-1, W.shape[1]))
+    return float(losses.sum(dtype=np.float64))
+
+
+def _scatter_add(M: np.ndarray, ids: np.ndarray, updates: np.ndarray) -> None:
+    """M[ids] += updates, summing the updates of repeated ids.
+
+    Sorting once and reducing runs of equal ids is faster than np.add.at's
+    row-at-a-time loop for these batch shapes.
+    """
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    starts = np.flatnonzero(np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1])))
+    M[sorted_ids[starts]] += np.add.reduceat(updates[order], starts, axis=0)
 
 
 def train(pair_stream: Iterable[tuple[str, str]], config: TrainerConfig) -> EmbeddingStore:
@@ -311,10 +343,13 @@ def train(pair_stream: Iterable[tuple[str, str]], config: TrainerConfig) -> Embe
     C = np.zeros((vocab.n_contexts, d), dtype=np.float32)
     table = build_unigram_table(vocab.context_counts, config.unigram_power)
     keep_prob = keep_probabilities(vocab.word_counts, config.subsample)
+    started = time.perf_counter()
     epoch_losses = _sgd(W, C, word_ids, ctx_ids, table, keep_prob, config)
+    sgd_s = time.perf_counter() - started
+    consumed = config.epochs * len(word_ids)
     logger.info(
-        "trained %d words x %dd from %d pairs (%d epochs)",
-        vocab.n_words, d, len(word_ids), config.epochs,
+        "trained %d words x %dd from %d pairs (%d epochs) in %.2f s of SGD, %.0f pairs/s",
+        vocab.n_words, d, len(word_ids), config.epochs, sgd_s, consumed / max(sgd_s, 1e-9),
     )
     return EmbeddingStore(W, C, vocab, epoch_losses)
 

@@ -154,7 +154,7 @@ def test_extract_config_change_invalidates_cache(tmp_path):
     assert "conjll" not in manifest.counts
 
 
-def test_trainer_keys_scope_models_but_not_bags(tmp_path):
+def test_trainer_keys_scope_models_but_not_bags(tmp_path, monkeypatch):
     changed = {
         "dim": 17,
         "negatives": 6,
@@ -172,6 +172,13 @@ def test_trainer_keys_scope_models_but_not_bags(tmp_path):
         assert exp.bag_dir == base.bag_dir, key
         assert exp.model_scope() != base.model_scope(), key
         assert exp.fitness_scope() != base.fitness_scope(), key
+    # models trained by another SGD kernel are not reused either
+    scopes = base.model_scope(), base.fitness_scope()
+    monkeypatch.setattr(sgns, "BATCH_SIZE", sgns.BATCH_SIZE + 1)
+    exp = Experiment(load_experiment_config(write_config(tmp_path)))
+    assert exp.bag_dir == base.bag_dir
+    assert exp.model_scope() != scopes[0]
+    assert exp.fitness_scope() != scopes[1]
 
 
 def test_component_settings_read_from_same_named_keys(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -227,6 +228,41 @@ def test_single_update_applies_analytic_gradient():
     np.testing.assert_allclose(C[2] - C0[2], -lr * grad_c[1:].sum(axis=0), rtol=1e-4)
     np.testing.assert_array_equal(C[1], C0[1])
 
+    # one batch of four pairs: the first two share word 1, the second and
+    # third draw negatives equal to their positive context 2 (masked out),
+    # and word 2 keeps with probability 0, so the fourth pair only counts in
+    # the schedule. Per-pair rates are 3/4, 2/4 and 1/4 of the base rate, and
+    # the batch applies the sum of the three gradients taken at W0, C0.
+    assert sgns.BATCH_SIZE >= 4
+    cfg = TrainerConfig(dim=4, negatives=3, epochs=1, learning_rate=1.0, seed=9)
+    W0 = (rng.random((3, 4)) - 0.5).astype(np.float32)
+    W, C = W0.copy(), C0.copy()
+    losses = sgns._sgd(
+        W, C, np.array([1, 1, 0, 2], np.int32), np.array([0, 2, 2, 1], np.int32),
+        np.array([2], np.int32), np.array([1.0, 1.0, 0.0]), cfg,
+    )
+    expected_w = W0.astype(np.float64)
+    expected_c = C0.astype(np.float64)
+    expected_loss = 0.0
+    for w, rows, lr in (
+        (1, [0, 2, 2, 2], 0.75),
+        (1, [2], 0.5),
+        (0, [2], 0.25),
+    ):
+        labels = np.zeros(len(rows))
+        labels[0] = 1.0
+        loss, grad_w, grad_c = pair_loss_and_grad(
+            W0[w].astype(np.float64), C0[rows].astype(np.float64), labels
+        )
+        expected_loss += loss
+        expected_w[w] -= lr * grad_w
+        np.add.at(expected_c, rows, -lr * grad_c)
+    assert losses == [pytest.approx(expected_loss / 3, rel=1e-6)]
+    np.testing.assert_allclose(W, expected_w, rtol=1e-6, atol=1e-7)
+    np.testing.assert_allclose(C, expected_c, rtol=1e-6, atol=1e-7)
+    np.testing.assert_array_equal(W[2], W0[2])
+    np.testing.assert_array_equal(C[1], C0[1])
+
 
 # -- training behavior --
 
@@ -309,6 +345,49 @@ def test_word_side_subsampling_is_seeded():
     # the subsampling draws did drop pairs
     unsampled = train(pairs, small_config(subsample=1.0, seed=4))
     assert not np.array_equal(a.context_vectors, unsampled.context_vectors)
+
+
+@pytest.mark.parametrize(
+    "n_pairs, t",
+    [
+        (12, 1.0),  # shorter than one batch
+        (sgns._CHUNK + 2 * sgns.BATCH_SIZE + 5, 1.0),  # no multiple of either
+        (300, 1e-2),  # subsampling drops pairs inside batches
+    ],
+)
+def test_edge_shapes_train_deterministically(n_pairs, t):
+    rng = np.random.default_rng(n_pairs)
+    # word 0 is frequent, so t = 1e-2 keeps about a tenth of its pairs
+    word_ids = np.where(rng.random(n_pairs) < 0.8, 0, rng.integers(1, 6, n_pairs)).astype(np.int32)
+    ctx_ids = rng.integers(0, 4, n_pairs).astype(np.int32)
+    keep_prob = np.ones(6)
+    if t < 1.0:
+        keep_prob = keep_probabilities(np.bincount(word_ids, minlength=6), t)
+        assert keep_prob[0] < 0.2
+    # context 4 appears in no pair, so no negative is masked
+    table = np.array([4], np.int32)
+
+    def run(learning_rate):
+        cfg = small_config(subsample=t, negatives=3, learning_rate=learning_rate)
+        W = (np.random.default_rng(1).random((6, 16)) - 0.5).astype(np.float32)
+        C = np.zeros((5, 16), np.float32)
+        losses = sgns._sgd(W, C, word_ids, ctx_ids, table, keep_prob, cfg)
+        return W, C, losses
+
+    W, C, losses = run(0.025)
+    assert np.isfinite(W).all() and np.isfinite(C).all()
+    W2, C2, losses2 = run(0.025)
+    assert np.array_equal(W, W2) and np.array_equal(C, C2) and losses == losses2
+    # a vanishing rate keeps every score at 0, so each updated pair costs
+    # (1 + negatives) ln 2 and so does the mean over updated pairs
+    _, _, losses = run(1e-12)
+    assert losses == pytest.approx([4 * np.log(2)] * 3, rel=1e-6)
+
+
+def test_train_logs_sgd_throughput(caplog):
+    with caplog.at_level("INFO", logger="depctx.sgns"):
+        train(FIG1_PAIRS, small_config())
+    assert re.search(r"in \d+\.\d\d s of SGD, \d+ pairs/s", caplog.text)
 
 
 def test_divergence_detected():
