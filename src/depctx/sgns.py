@@ -6,20 +6,23 @@ learning-rate decay, frequent-word subsampling on the word side,
 uniform/zero initialization) with one departure: pairs are updated in
 minibatches of BATCH_SIZE, each pair's gradient taken at the batch's
 starting parameters and the batch applying their sum, instead of one pair
-at a time. Training is one single-threaded pass over one seeded random
-stream, so a model is a pure function of the pair stream and the
-configuration. Matrices are float32; the gradient-check helper runs at
-whatever precision its inputs carry.
+at a time. Each pair keeps its own negatives; a batch's updates reach the
+matrices as one dense GEMM per matrix over the rows the batch touches (the
+minibatch scheme of Ji et al. 2016, without their shared negatives).
+Training reads the pair stream once and is one single-threaded pass over
+one seeded random stream, so a model is a pure function of the pair stream
+and the configuration. Matrices are float32; the gradient-check helper runs
+at whatever precision its inputs carry.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from collections import Counter
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, TextIO
 
 import numpy as np
 
@@ -124,32 +127,70 @@ def build_vocab(
     pair_stream: Iterable[tuple[str, str]], min_count: int = TrainerConfig.min_count
 ) -> Vocabulary:
     """Count words and contexts over the stream and drop entries below min_count."""
-    word_counter: Counter[str] = Counter()
-    ctx_counter: Counter[str] = Counter()
+    return _count(pair_stream, min_count)[0]
+
+
+def _count(
+    pair_stream: Iterable[tuple[str, str]], min_count: int
+) -> tuple[Vocabulary, tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Read the stream once into a vocabulary and, per side, (raw ids, lookup).
+
+    Raw ids number tokens in first-seen order; ``lookup[raw]`` is the token's
+    vocabulary id, or -1 when min_count filtered it out.
+    """
+    word_index: dict[str, int] = {}
+    ctx_index: dict[str, int] = {}
+    word_buf, ctx_buf = array("i"), array("i")
     for word, context in pair_stream:
-        word_counter[word] += 1
-        ctx_counter[context] += 1
-
-    def retain(counter: Counter) -> list[tuple[str, int]]:
-        kept = [(tok, n) for tok, n in counter.items() if n >= min_count]
-        kept.sort(key=lambda item: (-item[1], item[0]))
-        return kept
-
-    kept_words = retain(word_counter)
-    kept_ctxs = retain(ctx_counter)
-    if not kept_words or not kept_ctxs:
+        word_buf.append(word_index.setdefault(word, len(word_index)))
+        ctx_buf.append(ctx_index.setdefault(context, len(ctx_index)))
+    raw_words = np.frombuffer(word_buf, dtype=np.intc)
+    raw_ctxs = np.frombuffer(ctx_buf, dtype=np.intc)
+    words, word_counts, word_lookup = _rank(list(word_index), raw_words, min_count)
+    contexts, ctx_counts, ctx_lookup = _rank(list(ctx_index), raw_ctxs, min_count)
+    if not words or not contexts:
         raise VocabularyError(
             f"vocabulary empty after min_count={min_count} filtering "
-            f"({len(word_counter)} raw words, {len(ctx_counter)} raw contexts)"
+            f"({len(word_index)} raw words, {len(ctx_index)} raw contexts)"
         )
-    return Vocabulary(
-        word_index={tok: i for i, (tok, _) in enumerate(kept_words)},
-        context_index={tok: i for i, (tok, _) in enumerate(kept_ctxs)},
-        word_counts=np.array([n for _, n in kept_words], dtype=np.int64),
-        context_counts=np.array([n for _, n in kept_ctxs], dtype=np.int64),
-        words=[tok for tok, _ in kept_words],
-        contexts=[tok for tok, _ in kept_ctxs],
+    vocab = Vocabulary(
+        word_index={tok: i for i, tok in enumerate(words)},
+        context_index={tok: i for i, tok in enumerate(contexts)},
+        word_counts=word_counts,
+        context_counts=ctx_counts,
+        words=words,
+        contexts=contexts,
     )
+    return vocab, (raw_words, word_lookup), (raw_ctxs, ctx_lookup)
+
+
+def _rank(
+    tokens: list[str], raw_ids: np.ndarray, min_count: int
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Kept tokens by descending count, ties lexicographic; their counts; and
+    the lookup from raw id to vocabulary id (-1 for a dropped token)."""
+    counts = np.bincount(raw_ids, minlength=len(tokens))
+    n = counts.tolist()
+    kept = [i for i in range(len(tokens)) if n[i] >= min_count]
+    # two stable sorts instead of (-count, token) tuples, which cost memory
+    kept.sort(key=tokens.__getitem__)
+    kept.sort(key=n.__getitem__, reverse=True)
+    lookup = np.full(len(tokens), -1, dtype=np.int32)
+    lookup[kept] = np.arange(len(kept), dtype=np.int32)
+    return [tokens[i] for i in kept], counts[kept], lookup
+
+
+def _encode(
+    pair_stream: Iterable[tuple[str, str]], min_count: int
+) -> tuple[Vocabulary, np.ndarray, np.ndarray]:
+    """The vocabulary and the stream as id arrays, in one read of the stream.
+
+    Pairs whose word or context min_count filtered out are dropped.
+    """
+    vocab, (raw_words, word_lookup), (raw_ctxs, ctx_lookup) = _count(pair_stream, min_count)
+    word_ids, ctx_ids = word_lookup[raw_words], ctx_lookup[raw_ctxs]
+    both = (word_ids >= 0) & (ctx_ids >= 0)
+    return vocab, word_ids[both], ctx_ids[both]
 
 
 def keep_probabilities(counts: np.ndarray, t: float) -> np.ndarray:
@@ -207,26 +248,6 @@ def pair_loss_and_grad(
     grad_word = -(ctx_vecs.T @ residual)
     grad_ctx = -np.outer(residual, word_vec)
     return loss, grad_word, grad_ctx
-
-
-def _encode_pairs(
-    pair_stream: Iterable[tuple[str, str]], vocab: Vocabulary
-) -> tuple[np.ndarray, np.ndarray]:
-    """Map the stream to id arrays, dropping pairs with filtered words/contexts."""
-    word_ids: list[int] = []
-    ctx_ids: list[int] = []
-    w_index = vocab.word_index
-    c_index = vocab.context_index
-    for word, context in pair_stream:
-        wi = w_index.get(word)
-        if wi is None:
-            continue
-        ci = c_index.get(context)
-        if ci is None:
-            continue
-        word_ids.append(wi)
-        ctx_ids.append(ci)
-    return (np.array(word_ids, dtype=np.int32), np.array(ctx_ids, dtype=np.int32))
 
 
 def _sgd(
@@ -292,7 +313,10 @@ def _batch_step(
     """Apply one minibatch update in place; return the batch's summed loss.
 
     ``rows`` holds each pair's positive context id followed by its drawn
-    negatives; ``lrs`` holds each pair's learning rate.
+    negatives; ``lrs`` holds each pair's learning rate. Pair b's step on
+    context row ``rows[b, j]`` is ``g[b, j] * W[words[b]]``, with ``g`` its
+    rate-scaled residual, so the context update is a sum of word vectors;
+    ``_scatter_add`` applies it as one GEMM instead of 1 + K rows per pair.
     """
     w_vecs = W[words]
     c_vecs = C[rows]
@@ -307,33 +331,36 @@ def _batch_step(
     losses = np.logaddexp(0.0, scores) * live
     losses[:, 0] -= scores[:, 0]
     g = (residual * lrs[:, None]).astype(W.dtype)
-    _scatter_add(W, words, np.matmul(g[:, None, :], c_vecs)[:, 0])
-    _scatter_add(C, rows.ravel(), (g[:, :, None] * w_vecs[:, None, :]).reshape(-1, W.shape[1]))
+    grad_w = np.matmul(g[:, None, :], c_vecs)[:, 0]
+    _scatter_add(W, words[:, None], np.ones((len(words), 1)), grad_w)
+    _scatter_add(C, rows, g, w_vecs)
     return float(losses.sum(dtype=np.float64))
 
 
-def _scatter_add(M: np.ndarray, ids: np.ndarray, updates: np.ndarray) -> None:
-    """M[ids] += updates, summing the updates of repeated ids.
+def _scatter_add(M: np.ndarray, ids: np.ndarray, coef: np.ndarray, vecs: np.ndarray) -> None:
+    """M[ids[b, j]] += coef[b, j] * vecs[b] for every (b, j), repeated ids summing.
 
-    Sorting once and reducing runs of equal ids is faster than np.add.at's
-    row-at-a-time loop for these batch shapes.
+    The coefficients are summed into one dense (unique ids) x B matrix, so
+    the whole update is a single GEMM over the distinct rows it touches.
     """
-    order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
-    starts = np.flatnonzero(np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1])))
-    M[sorted_ids[starts]] += np.add.reduceat(updates[order], starts, axis=0)
+    B = len(vecs)
+    # a 1-D input keeps inv 1-D on every numpy version
+    uniq, inv = np.unique(ids.ravel(), return_inverse=True)
+    slots = inv * B + np.repeat(np.arange(B), ids.shape[1])
+    G = np.bincount(slots, weights=coef.ravel(), minlength=len(uniq) * B)
+    M[uniq] += G.reshape(len(uniq), B).astype(M.dtype) @ vecs
 
 
 def train(pair_stream: Iterable[tuple[str, str]], config: TrainerConfig) -> EmbeddingStore:
-    """Train SGNS embeddings from a re-iterable (word, context) pair stream.
+    """Train SGNS embeddings from a (word, context) pair stream.
 
-    The vocabulary is built from the stream itself. The result is a
+    The stream is read once, and the vocabulary is built from it in the same
+    pass that encodes the pairs as ids. The result is a
     deterministic function of the stream and the config: the same inputs
     give bit-identical matrices and epoch losses. Raises TrainingDivergedError
     once the matrices go non-finite.
     """
-    vocab = build_vocab(pair_stream, config.min_count)
-    word_ids, ctx_ids = _encode_pairs(pair_stream, vocab)
+    vocab, word_ids, ctx_ids = _encode(pair_stream, config.min_count)
     if len(word_ids) == 0:
         raise VocabularyError("no training pairs survive vocabulary filtering")
 
@@ -354,8 +381,13 @@ def train(pair_stream: Iterable[tuple[str, str]], config: TrainerConfig) -> Embe
     return EmbeddingStore(W, C, vocab, epoch_losses)
 
 
-def _format_row(word: str, vec: np.ndarray) -> str:
-    return word + " " + " ".join(f"{x:.9g}" for x in vec)
+def _write_rows(f: TextIO, tokens: list[str], matrix: np.ndarray) -> None:
+    """One "token v1 ... vd" line per token; each row is formatted on its own,
+    so no Python copy of the whole matrix is ever made."""
+    f.write(f"{len(tokens)} {matrix.shape[1]}\n")
+    line = "%s" + " %.9g" * matrix.shape[1] + "\n"
+    for token, row in zip(tokens, matrix):
+        f.write(line % (token, *row.tolist()))
 
 
 def save_embeddings(store: EmbeddingStore, path: str | Path, include_context: bool = False) -> None:
@@ -366,15 +398,11 @@ def save_embeddings(store: EmbeddingStore, path: str | Path, include_context: bo
     """
     path = Path(path)
     with open(path, "w", encoding="utf-8") as f:
-        f.write(f"{store.vocab.n_words} {store.dim}\n")
-        for i, word in enumerate(store.vocab.words):
-            f.write(_format_row(word, store.word_vectors[i]) + "\n")
+        _write_rows(f, store.vocab.words, store.word_vectors)
     if include_context:
         ctx_path = path.with_name(path.stem + "_ctx" + path.suffix)
         with open(ctx_path, "w", encoding="utf-8") as f:
-            f.write(f"{store.vocab.n_contexts} {store.dim}\n")
-            for i, context in enumerate(store.vocab.contexts):
-                f.write(_format_row(context, store.context_vectors[i]) + "\n")
+            _write_rows(f, store.vocab.contexts, store.context_vectors)
 
 
 def load_embeddings(path: str | Path) -> EmbeddingStore:

@@ -1,5 +1,6 @@
 import itertools
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from scipy import stats
 from depctx import sgns
 from depctx.sgns import (
     EmbeddingFormatError,
+    EmbeddingStore,
     TrainerConfig,
     TrainingDivergedError,
+    Vocabulary,
     VocabularyError,
     build_unigram_table,
     build_vocab,
@@ -92,6 +95,64 @@ def test_ids_are_contiguous_and_count_ordered():
     vocab = build_vocab(pairs, min_count=1)
     assert [vocab.words[i] for i in range(3)] == ["a", "b", "c"]
     assert list(vocab.word_counts) == [5, 3, 1]
+
+
+class CountingStream:
+    """A re-iterable pair stream that counts how often it is read."""
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+        self.reads = 0
+
+    def __iter__(self):
+        self.reads += 1
+        return iter(self.pairs)
+
+
+def test_train_reads_its_stream_once():
+    stream = CountingStream(repeat_pairs(FIG1_PAIRS, 3))
+    store = train(stream, small_config(min_count=2, epochs=2))
+    assert stream.reads == 1
+    assert store.vocab.n_words == 5
+
+
+def test_one_pass_ids_equal_two_pass_encoding():
+    # counts: words a 4, b 4, c 2 (a/b tie), d 1 (dropped); contexts x 4,
+    # z 3, y 3 (y/z tie), w 1 (dropped), so pairs holding d or w drop out
+    pairs = [
+        ("b", "x"), ("a", "z"), ("d", "x"), ("c", "y"), ("a", "x"), ("b", "y"),
+        ("a", "w"), ("b", "z"), ("c", "x"), ("a", "y"), ("b", "z"),
+    ]
+    min_count = 2
+    vocab, word_ids, ctx_ids = sgns._encode(pairs, min_count)
+
+    # the former two passes: count with Counters, then look every pair up
+    def retain(counter):
+        return sorted(
+            ((tok, n) for tok, n in counter.items() if n >= min_count),
+            key=lambda item: (-item[1], item[0]),
+        )
+
+    kept_words = retain(Counter(w for w, _ in pairs))
+    kept_ctxs = retain(Counter(c for _, c in pairs))
+    assert vocab.words == [tok for tok, _ in kept_words] == ["a", "b", "c"]
+    assert vocab.contexts == [tok for tok, _ in kept_ctxs] == ["x", "y", "z"]
+    assert vocab.word_counts.tolist() == [n for _, n in kept_words]
+    assert vocab.context_counts.tolist() == [n for _, n in kept_ctxs]
+    assert vocab.word_counts.dtype == vocab.context_counts.dtype == np.int64
+    assert vocab.word_index == {tok: i for i, tok in enumerate(vocab.words)}
+    assert vocab.context_index == {tok: i for i, tok in enumerate(vocab.contexts)}
+    expected = [
+        (vocab.word_index[w], vocab.context_index[c])
+        for w, c in pairs
+        if w in vocab.word_index and c in vocab.context_index
+    ]
+    assert word_ids.dtype == ctx_ids.dtype == np.int32
+    assert list(zip(word_ids.tolist(), ctx_ids.tolist())) == expected
+    counted = build_vocab(pairs, min_count)
+    assert (counted.words, counted.contexts) == (vocab.words, vocab.contexts)
+    assert np.array_equal(counted.word_counts, vocab.word_counts)
+    assert np.array_equal(counted.context_counts, vocab.context_counts)
 
 
 # -- subsampling --
@@ -262,6 +323,46 @@ def test_single_update_applies_analytic_gradient():
     np.testing.assert_allclose(C, expected_c, rtol=1e-6, atol=1e-7)
     np.testing.assert_array_equal(W[2], W0[2])
     np.testing.assert_array_equal(C[1], C0[1])
+
+
+def test_batch_step_at_paper_shapes_matches_float64_reference():
+    """One full batch of 64 pairs with 15 negatives each, drawn from a
+    3-id unigram table, so negatives repeat within and across pairs and
+    some equal their positive; the summed update must match np.add.at over
+    per-pair float64 gradients."""
+    B, K, d = 64, 15, 300
+    rng = np.random.default_rng(21)
+    W0 = (rng.random((10, d)) - 0.5).astype(np.float32)
+    C0 = (rng.random((5, d)) - 0.5).astype(np.float32)
+    table = build_unigram_table(np.array([50, 30, 20]), table_size=100)
+    words = rng.integers(0, 10, size=B).astype(np.int32)
+    rows = np.concatenate(
+        (rng.integers(0, 5, size=(B, 1)), table[rng.integers(0, len(table), size=(B, K))]),
+        axis=1,
+    ).astype(np.int32)
+    lrs = rng.uniform(0.01, 0.05, size=B)
+    assert (rows[:, 1:] == rows[:, :1]).any() and len(np.unique(rows[:, 1:])) == 3
+    W, C = W0.copy(), C0.copy()
+    loss = sgns._batch_step(W, C, words, rows, lrs)
+
+    expected_w = W0.astype(np.float64)
+    expected_c = C0.astype(np.float64)
+    expected_loss = 0.0
+    for w, pair_rows, lr in zip(words, rows, lrs):
+        # negatives equal to the positive are masked out
+        pair_rows = pair_rows[np.r_[True, pair_rows[1:] != pair_rows[0]]]
+        labels = np.zeros(len(pair_rows))
+        labels[0] = 1.0
+        pair_loss, grad_w, grad_c = pair_loss_and_grad(
+            W0[w].astype(np.float64), C0[pair_rows].astype(np.float64), labels
+        )
+        expected_loss += pair_loss
+        np.add.at(expected_w, w, -lr * grad_w)
+        np.add.at(expected_c, pair_rows, -lr * grad_c)
+    assert loss == pytest.approx(expected_loss, rel=1e-5)
+    # atol only covers float32 rounding of entries that cancel to near zero
+    np.testing.assert_allclose(W, expected_w, rtol=1e-5, atol=1e-6)
+    np.testing.assert_allclose(C, expected_c, rtol=1e-5, atol=1e-6)
 
 
 # -- training behavior --
@@ -452,6 +553,26 @@ def test_empty_store_header(tmp_path):
     path = tmp_path / "empty.txt"
     save_embeddings(store, path)
     assert path.read_text().splitlines()[0] == "0 7"
+
+
+def test_saved_bytes_match_per_value_formatting(tmp_path):
+    edge = [0.0, -0.0, 1e-45, float(np.finfo(np.float32).max), -1 / 3, 1e7]
+    W = np.array([edge, edge[::-1]], dtype=np.float32)
+    C = -W[:1]
+    vocab = Vocabulary(
+        word_index={"a": 0, "b%s": 1}, context_index={"x": 0},
+        word_counts=np.ones(2, np.int64), context_counts=np.ones(1, np.int64),
+        words=["a", "b%s"], contexts=["x"],
+    )
+    save_embeddings(EmbeddingStore(W, C, vocab), tmp_path / "v.txt", include_context=True)
+
+    def expected(tokens, matrix):
+        rows = (tok + " " + " ".join(f"{x:.9g}" for x in row) for tok, row in zip(tokens, matrix))
+        return f"{len(tokens)} {matrix.shape[1]}\n" + "".join(row + "\n" for row in rows)
+
+    assert (tmp_path / "v.txt").read_bytes() == expected(vocab.words, W).encode()
+    assert (tmp_path / "v_ctx.txt").read_bytes() == expected(vocab.contexts, C).encode()
+    assert "1.40129846e-45" in (tmp_path / "v.txt").read_text()
 
 
 def test_load_rejects_inconsistent_rows(tmp_path):
