@@ -109,8 +109,7 @@ def cmd_train(args) -> int:
         path = exp.bag_dir / f"{args.bags}{extraction.PAIR_FILE_SUFFIX}"
         if not path.exists():
             exp.extract_window_pairs(args.bags)
-        pairs = list(extraction.read_pairs(path))
-        store = sgns.train(pairs, exp.cfg.trainer_config())
+        store = sgns.train(extraction.read_pairs(path), exp.cfg.trainer_config())
     else:
         exp.extract()
         config = search.Configuration.from_string(args.bags)

@@ -1,21 +1,27 @@
-"""Reading dependency-parsed corpora in CoNLL-U format.
+r"""Reading dependency-parsed corpora in CoNLL-U format.
 
 Sentences are parsed lazily, one blank-line-delimited block at a time, so
 memory stays bounded by the largest sentence rather than the corpus. Surface
 forms are lowercased at parse time; lemma and POS columns are kept as-is.
+
+:func:`read_corpus` decodes UTF-8 in C, in an ``io.TextIOWrapper`` with
+``newline="\n"`` over the (possibly gzipped) byte stream. Only ``\n`` ends a
+line there, as it does for the byte lines :func:`parse_conllu` also accepts:
+a form holding U+2028, a form feed or a lone ``\r`` stays in one token, and
+the ``\r`` of a CRLF line end is stripped. A :class:`Token` is a
+``NamedTuple``, built by one C call to ``tuple.__new__``.
 """
 
 from __future__ import annotations
 
 import gzip
+import io
 import logging
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from functools import partial
+from typing import IO, Iterable, Iterator, NamedTuple
 
 logger = logging.getLogger(__name__)
-
-# CoNLL-U column offsets.
-ID, FORM, LEMMA, UPOS, XPOS, FEATS, HEAD, DEPREL, DEPS, MISC = range(10)
 
 GZIP_MAGIC = b"\x1f\x8b"
 
@@ -28,8 +34,7 @@ class ConlluError(Exception):
         self.line_number = line_number
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One syntactic word: 1-based index, lowercased form, head and deprel.
 
     ``head`` is 0 for the sentence root.
@@ -41,6 +46,10 @@ class Token:
     upos: str
     head: int
     deprel: str
+
+
+# Token from one 6-tuple, without NamedTuple.__new__'s Python frame.
+new_token = partial(tuple.__new__, Token)
 
 
 @dataclass(frozen=True)
@@ -60,20 +69,13 @@ class Sentence:
         return self.tokens[index - 1]
 
 
-def _decode_lines(stream: Iterable) -> Iterator[str]:
-    for line in stream:
-        if isinstance(line, bytes):
-            yield line.decode("utf-8")
-        else:
-            yield line
-
-
 def _parse_token(line: str, line_number: int) -> Token | None:
     """Parse one token line; returns None for multiword ranges / empty nodes."""
-    cols = line.split("\t")
-    if len(cols) != 10:
-        raise ConlluError(f"expected 10 columns, got {len(cols)}", line_number)
-    tok_id = cols[ID]
+    try:
+        tok_id, form, lemma, upos, _, _, head, deprel, _, _ = line.split("\t")
+    except ValueError:
+        n_cols = line.count("\t") + 1
+        raise ConlluError(f"expected 10 columns, got {n_cols}", line_number) from None
     if "-" in tok_id or "." in tok_id:
         # Multiword token ranges and empty nodes carry no basic arc.
         return None
@@ -82,36 +84,29 @@ def _parse_token(line: str, line_number: int) -> Token | None:
     except ValueError:
         raise ConlluError(f"non-numeric token ID {tok_id!r}", line_number) from None
     try:
-        head = int(cols[HEAD])
+        head_index = int(head)
     except ValueError:
-        raise ConlluError(f"non-numeric HEAD {cols[HEAD]!r}", line_number) from None
-    if not cols[DEPREL]:
+        raise ConlluError(f"non-numeric HEAD {head!r}", line_number) from None
+    if not deprel:
         raise ConlluError("empty DEPREL", line_number)
-    return Token(
-        index=index,
-        form=cols[FORM].lower(),
-        lemma=cols[LEMMA],
-        upos=cols[UPOS],
-        head=head,
-        deprel=cols[DEPREL],
-    )
+    return new_token((index, form.lower(), lemma, upos, head_index, deprel))
 
 
 def _build_sentence(tokens: list[Token], line_number: int) -> Sentence:
     """Validate structural invariants of a finished token block."""
     n = len(tokens)
     roots = 0
-    for pos, tok in enumerate(tokens, start=1):
-        if tok.index != pos:
+    for pos, (index, _, _, _, head, _) in enumerate(tokens, start=1):
+        if index != pos:
             raise ConlluError(
-                f"token indices not consecutive: expected {pos}, got {tok.index}",
+                f"token indices not consecutive: expected {pos}, got {index}",
                 line_number,
             )
-        if tok.head > n:
-            raise ConlluError(f"HEAD {tok.head} out of range (n={n})", line_number)
-        if tok.head == tok.index:
-            raise ConlluError(f"token {tok.index} is its own head", line_number)
-        if tok.head == 0:
+        if head > n:
+            raise ConlluError(f"HEAD {head} out of range (n={n})", line_number)
+        if head == index:
+            raise ConlluError(f"token {index} is its own head", line_number)
+        if head == 0:
             roots += 1
     if roots != 1:
         raise ConlluError(f"expected exactly one root, got {roots}", line_number)
@@ -125,11 +120,12 @@ def parse_conllu(
 ) -> Iterator[Sentence]:
     """Yield one Sentence per CoNLL-U block read from ``stream``.
 
-    ``stream`` is any iterable of lines (bytes or text). Comment lines,
-    multiword ranges and empty nodes are dropped. On a malformed line the
-    enclosing sentence is either skipped with a warning (``errors="skip"``,
-    counted under ``stats["skipped_sentences"]``) or a :class:`ConlluError`
-    is raised (``errors="raise"``).
+    ``stream`` is any iterable of lines (bytes or text); byte lines are
+    decoded as UTF-8. Comment lines, multiword ranges and empty nodes are
+    dropped. On a malformed line the enclosing sentence is either skipped
+    with a warning (``errors="skip"``, counted under
+    ``stats["skipped_sentences"]``) or a :class:`ConlluError` is raised
+    (``errors="raise"``).
     """
     if errors not in ("skip", "raise"):
         raise ValueError(f"errors must be 'skip' or 'raise', got {errors!r}")
@@ -156,8 +152,10 @@ def parse_conllu(
             tokens.clear()
         return sentence
 
-    for raw in _decode_lines(stream):
+    for raw in stream:
         line_number += 1
+        if isinstance(raw, bytes):
+            raw = raw.decode("utf-8")
         line = raw.rstrip("\r\n")
         if not line:
             sentence = finish(line_number)
@@ -216,13 +214,13 @@ def open_corpus(path: str) -> IO[bytes]:
     """Open a corpus file for reading, transparently handling gzip.
 
     Compression is detected from the magic bytes, not the file extension.
+    Closing the returned stream closes the file.
     """
-    f = open(path, "rb")
-    magic = f.read(2)
-    f.seek(0)
+    with open(path, "rb") as f:
+        magic = f.read(2)
     if magic == GZIP_MAGIC:
-        return gzip.open(f, "rb")
-    return f
+        return gzip.open(path, "rb")
+    return open(path, "rb")
 
 
 def read_corpus(
@@ -230,6 +228,6 @@ def read_corpus(
     errors: str = "skip",
     stats: dict | None = None,
 ) -> Iterator[Sentence]:
-    """Parse sentences from a (possibly gzipped) CoNLL-U file."""
-    with open_corpus(path) as stream:
+    """Parse sentences from a (possibly gzipped) UTF-8 CoNLL-U file."""
+    with io.TextIOWrapper(open_corpus(path), encoding="utf-8", newline="\n") as stream:
         yield from parse_conllu(stream, errors=errors, stats=stats)

@@ -4,18 +4,25 @@ Dependency arcs are grouped into labeled context bags after prepositional
 arc collapsing and label merging; coordination arcs come in two directional
 variants. Window-based (BOW/POSIT) baseline contexts live here too, sharing
 the pair-stream shape so the trainer does not care where pairs came from.
+
+Extraction touches every pair of a corpus, so it keeps the Python work per
+pair small: a :class:`DependencyPair` is a ``NamedTuple`` built with
+``tuple.__new__``, collapsing rebuilds only the tokens whose deprel changes,
+and :meth:`BagMappingTable.map_label` runs each label's prefix scan once.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
-from .conllu import Sentence, Token
+from .conllu import Sentence, Token, new_token
 
 logger = logging.getLogger(__name__)
 
@@ -38,8 +45,11 @@ class Direction(Enum):
     INVERSE = "inverse"
 
 
-@dataclass(frozen=True)
-class DependencyPair:
+# Plain names for the members: an Enum member lookup runs Python code.
+NORMAL, INVERSE = Direction.NORMAL, Direction.INVERSE
+
+
+class DependencyPair(NamedTuple):
     """One (word, context) training pair from a single dependency arc.
 
     ``relation`` keeps the raw label (e.g. ``prep:with``); the serialized
@@ -56,11 +66,15 @@ class DependencyPair:
     @property
     def context(self) -> str:
         rel = "prep" if self.relation.startswith("prep:") else self.relation
-        marker = "-1" if self.direction is Direction.INVERSE else ""
+        marker = "-1" if self.direction is INVERSE else ""
         return f"{self.context_token}_{rel}{marker}"
 
     def as_tuple(self) -> tuple[str, str]:
         return (self.word, self.context)
+
+
+# DependencyPair from one 5-tuple, without NamedTuple.__new__'s Python frame.
+_new_pair = partial(tuple.__new__, DependencyPair)
 
 
 class BagMappingTable:
@@ -74,21 +88,23 @@ class BagMappingTable:
         if not rules or rules[-1][0] != "*":
             raise ValueError("mapping table requires a final catch-all '*' rule")
         self.rules = list(rules)
-        self._exact: dict[str, str] = {}
+        # Exact rules, then every label a prefix scan has resolved.
+        self._mapped: dict[str, str] = {}
         self._prefixes: list[tuple[str, str]] = []
         for pattern, target in self.rules:
             if pattern.endswith("*"):
                 self._prefixes.append((pattern[:-1], target))
-            elif pattern not in self._exact:
-                self._exact[pattern] = target
+            elif pattern not in self._mapped:
+                self._mapped[pattern] = target
 
     def map_label(self, deprel: str) -> str:
         """Map a raw deprel to its bag label, CONJ_ROUTE, or DISCARD."""
-        hit = self._exact.get(deprel)
+        hit = self._mapped.get(deprel)
         if hit is not None:
             return hit
         for prefix, target in self._prefixes:
             if deprel.startswith(prefix):
+                self._mapped[deprel] = target
                 return target
         raise AssertionError("catch-all rule failed to match")  # pragma: no cover
 
@@ -165,29 +181,28 @@ def collapse_prepositions(
         return sentence
 
     new_deprels: dict[int, str] = {}
-    for tok in sentence:
+    for index in sorted(case_of):
+        tok, cases = sentence.token(index), case_of[index]
         if _base_label(tok.deprel) in targets and tok.head != 0:
-            cases = case_of.get(tok.index)
-            if cases:
-                new_deprels[tok.index] = "prep:" + cases[0].form.lower()
-                for c in cases:
-                    new_deprels[c.index] = COLLAPSED
+            new_deprels[index] = "prep:" + cases[0].form.lower()
+            for c in cases:
+                new_deprels[c.index] = COLLAPSED
     if not new_deprels:
         return sentence
     tokens = tuple(
-        Token(t.index, t.form, t.lemma, t.upos, t.head, new_deprels.get(t.index, t.deprel))
-        for t in sentence
+        new_token((*t[:5], new_deprels[t.index])) if t.index in new_deprels else t
+        for t in sentence.tokens
     )
     return Sentence(tokens)
 
 
 def _conj_arc_pairs(head: Token, dep: Token, variant: str) -> Iterator[DependencyPair]:
     if variant in ("conjlr", "both"):
-        yield DependencyPair(head.form, dep.form, "conj", "conjlr", Direction.NORMAL)
-        yield DependencyPair(dep.form, head.form, "conj", "conjlr", Direction.INVERSE)
+        yield _new_pair((head.form, dep.form, "conj", "conjlr", NORMAL))
+        yield _new_pair((dep.form, head.form, "conj", "conjlr", INVERSE))
     if variant in ("conjll", "both"):
-        yield DependencyPair(head.form, dep.form, "conj", "conjll", Direction.NORMAL)
-        yield DependencyPair(dep.form, head.form, "conj", "conjll", Direction.NORMAL)
+        yield _new_pair((head.form, dep.form, "conj", "conjll", NORMAL))
+        yield _new_pair((dep.form, head.form, "conj", "conjll", NORMAL))
 
 
 def extract_conj_pairs(sentence: Sentence, variant: str = "both") -> Iterator[DependencyPair]:
@@ -209,18 +224,19 @@ def extract_deps_pairs(
     Every non-discarded arc h --r--> m yields (h, m_r) and (m, h_r-1);
     conj arcs are routed through the coordination variants instead.
     """
-    for tok in sentence:
+    tokens = sentence.tokens
+    for tok in tokens:
         if tok.head == 0 or tok.deprel == COLLAPSED:
             continue
         bag = table.map_label(tok.deprel)
         if bag == DISCARD:
             continue
-        head = sentence.token(tok.head)
+        head = tokens[tok.head - 1]
         if bag == CONJ_ROUTE:
             yield from _conj_arc_pairs(head, tok, conj_variant)
             continue
-        yield DependencyPair(head.form, tok.form, tok.deprel, bag, Direction.NORMAL)
-        yield DependencyPair(tok.form, head.form, tok.deprel, bag, Direction.INVERSE)
+        yield _new_pair((head.form, tok.form, tok.deprel, bag, NORMAL))
+        yield _new_pair((tok.form, head.form, tok.deprel, bag, INVERSE))
 
 
 def extract_bow_pairs(sentence: Sentence, window: int = 2) -> Iterator[tuple[str, str]]:
@@ -264,12 +280,18 @@ def write_window_pairs(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{kind}{PAIR_FILE_SUFFIX}"
+    # a kill mid-write must not leave a truncated pair file under the final name
+    tmp = path.with_name(path.name + ".tmp")
     n = 0
-    with open(path, "w", encoding="utf-8") as f:
-        for sentence in corpus:
-            for word, context in extract(sentence, window):
-                f.write(f"{word}\t{context}\n")
-                n += 1
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            for sentence in corpus:
+                lines = [f"{word}\t{context}\n" for word, context in extract(sentence, window)]
+                f.write("".join(lines))
+                n += len(lines)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     logger.info("wrote %d %s pairs to %s", n, kind, path)
     return path
 

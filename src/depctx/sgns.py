@@ -405,8 +405,27 @@ def save_embeddings(store: EmbeddingStore, path: str | Path, include_context: bo
             _write_rows(f, store.vocab.contexts, store.context_vectors)
 
 
+def _row_values(f: TextIO, path: Path, count: int, dim: int, words: list[str]):
+    """Yield each row's value text, collecting its word and checking its shape."""
+    for line_no, line in enumerate(f, start=2):
+        if line_no - 2 >= count:
+            raise EmbeddingFormatError(f"{path}:{line_no}: more rows than header declares")
+        row = line.rstrip("\n")
+        n_fields = row.count(" ") + 1
+        if n_fields != dim + 1:
+            raise EmbeddingFormatError(
+                f"{path}:{line_no}: expected {dim + 1} fields, got {n_fields}"
+            )
+        word, _, values = row.partition(" ")
+        words.append(word)
+        yield values
+
+
 def load_embeddings(path: str | Path) -> EmbeddingStore:
-    """Load a word2vec-format text file saved by :func:`save_embeddings`."""
+    """Load a word2vec-format text file saved by :func:`save_embeddings`.
+
+    The values of all rows are parsed by one streaming ``np.loadtxt`` call.
+    """
     path = Path(path)
     with open(path, encoding="utf-8") as f:
         header = f.readline().rstrip("\n")
@@ -418,18 +437,11 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
         except ValueError:
             raise EmbeddingFormatError(f"{path}:1: bad header {header!r}") from None
         words: list[str] = []
-        rows = np.empty((count, dim), dtype=np.float32)
-        for line_no, line in enumerate(f, start=2):
-            i = line_no - 2
-            if i >= count:
-                raise EmbeddingFormatError(f"{path}:{line_no}: more rows than header declares")
-            fields = line.rstrip("\n").split(" ")
-            if len(fields) != dim + 1:
-                raise EmbeddingFormatError(
-                    f"{path}:{line_no}: expected {dim + 1} fields, got {len(fields)}"
-                )
-            words.append(fields[0])
-            rows[i] = np.array(fields[1:], dtype=np.float32)
+        values = _row_values(f, path, count, dim, words)
+        if count and dim:
+            rows = np.loadtxt(values, dtype=np.float32, delimiter=" ", comments=None, ndmin=2)
+        else:  # nothing to parse, but the rows are still checked
+            rows = np.zeros((sum(1 for _ in values), dim), dtype=np.float32)
         if len(words) != count:
             raise EmbeddingFormatError(f"{path}: header declares {count} rows, found {len(words)}")
     vocab = Vocabulary(

@@ -1,5 +1,7 @@
+import gc
 import gzip
 import io
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -198,3 +200,82 @@ def test_token_invariants_hold_on_parsed_output(sentences):
             assert tok.deprel
             roots += tok.head == 0
         assert roots == 1
+
+
+# -- reader semantics of the text layer --
+
+
+def write_corpus(path, text, compress=False, newline="\n"):
+    data = text.replace("\n", newline).encode("utf-8")
+    path.write_bytes(gzip.compress(data) if compress else data)
+    return str(path)
+
+
+def test_crlf_corpus_parses_like_its_lf_twin(tmp_path, fig1_conllu_text):
+    text = fig1_conllu_text + "\n" + fig1_conllu_text.replace("telescope", "lens")
+    lf = write_corpus(tmp_path / "lf.conllu", text)
+    crlf = write_corpus(tmp_path / "crlf.conllu", text, newline="\r\n")
+    expected = list(read_corpus(lf))
+    assert len(expected) == 2
+    assert list(read_corpus(crlf)) == expected
+    crlf_bytes = io.BytesIO(text.replace("\n", "\r\n").encode("utf-8"))
+    assert list(parse_conllu(crlf_bytes)) == expected
+
+
+def test_gzip_and_plain_agree_on_a_malformed_block(tmp_path, fig1_conllu_text):
+    bad = "1\ta\ta\tX\t_\t_\t0\troot\t_\t_\n2\tb\tb\tX\t_\t_\tz\tdep\t_\t_\n"
+    text = fig1_conllu_text + "\n" + bad + "\n" + fig1_conllu_text
+    plain = write_corpus(tmp_path / "plain.conllu", text)
+    zipped = write_corpus(tmp_path / "zipped.conllu.gz", text, compress=True)
+    runs = []
+    for path in (plain, zipped):
+        stats = {}
+        sentences = list(read_corpus(path, stats=stats))
+        with pytest.raises(ConlluError) as exc:
+            list(read_corpus(path, errors="raise"))
+        runs.append((sentences, stats, exc.value.line_number))
+    assert runs[0] == runs[1]
+    sentences, stats, line_number = runs[0]
+    assert len(sentences) == 2
+    assert stats == {"skipped_sentences": 1}
+    assert line_number == 10
+
+
+@pytest.mark.parametrize("odd", ["\u2028", "\u2029", "\x0c", "\r", "\x85", "\x1c"])
+def test_only_newline_ends_a_line(tmp_path, odd):
+    form = f"a{odd}b"
+    text = f"1\t{form}\t{form}\tX\t_\t_\t0\troot\t_\t_\n"
+    path = write_corpus(tmp_path / "odd.conllu", text)
+    (sentence,) = read_corpus(path, errors="raise")
+    assert len(sentence) == 1
+    assert sentence.token(1).form == form.lower()
+    assert sentence.token(1).lemma == form
+    assert list(parse_conllu(io.BytesIO(text.encode("utf-8")), errors="raise")) == [sentence]
+
+
+def test_invalid_utf8_raises_in_both_readers(tmp_path, fig1_conllu_text):
+    data = fig1_conllu_text.replace("stars", "st\udcffrs").encode("utf-8", "surrogateescape")
+    path = tmp_path / "bad.conllu"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError):
+        list(read_corpus(str(path)))
+    with pytest.raises(UnicodeDecodeError):
+        list(parse_conllu(io.BytesIO(data)))
+
+
+def test_tokens_are_immutable(fig1_conllu_text):
+    token = parse_all(fig1_conllu_text)[0].token(1)
+    assert token == Token(1, "australian", "australian", "ADJ", 2, "amod")
+    with pytest.raises(AttributeError):
+        token.form = "other"
+    with pytest.raises(TypeError):
+        token[1] = "other"
+
+
+def test_read_corpus_closes_the_file_of_a_gzip_corpus(tmp_path, fig1_conllu_text):
+    path = write_corpus(tmp_path / "zipped.conllu", fig1_conllu_text, compress=True)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert len(list(read_corpus(path))) == 1
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]

@@ -16,6 +16,7 @@ from depctx.extraction import (
     extract_deps_pairs,
     extract_posit_pairs,
     write_bag_files,
+    write_window_pairs,
 )
 from conftest import make_sentence
 
@@ -383,3 +384,40 @@ def test_extraction_config_validation():
         ExtractionConfig(window=0)
     with pytest.raises(ValueError):
         ExtractionConfig(conj_variant="sideways")
+
+
+def test_dependency_pairs_are_immutable(fig1_sentence):
+    pair = next(extract_deps_pairs(fig1_sentence, TABLE))
+    assert pair == ("scientist", "australian", "amod", "amod", Direction.NORMAL)
+    with pytest.raises(AttributeError):
+        pair.bag = "subj"
+    with pytest.raises(TypeError):
+        pair[3] = "subj"
+
+
+def test_map_label_memo_leaves_the_rules_alone():
+    table = BagMappingTable([("nsubj", "subj"), ("nmod*", "nmod"), ("*", DISCARD)])
+    rules = list(table.rules)
+    for _ in range(2):
+        assert table.map_label("nmod:poss") == "nmod"
+        assert table.map_label("nsubj") == "subj"
+        assert table.map_label("punct") == DISCARD
+    assert table.rules == rules
+
+
+def test_window_pairs_leave_no_file_when_the_corpus_fails(fig1_sentence, tmp_path):
+    def corpus():
+        yield fig1_sentence
+        raise RuntimeError("corpus read failed")
+
+    with pytest.raises(RuntimeError, match="corpus read failed"):
+        write_window_pairs(corpus(), "bow", 2, tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+    # a complete file from an earlier run survives a failed rewrite
+    path = write_window_pairs([fig1_sentence], "bow", 2, tmp_path)
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError):
+        write_window_pairs(corpus(), "bow", 2, tmp_path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bow.pairs"]

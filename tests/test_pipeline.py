@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import re
 import time
@@ -141,6 +142,41 @@ def test_extract_rerun_is_a_cache_hit(tmp_path, caplog):
     assert "cache hit" in caplog.text
     assert again.counts == first.counts
     assert (exp.bag_dir / "amod.pairs").stat().st_mtime_ns == stamp
+
+
+# sha256 of every file an extraction of the bundled treebank with the
+# bundled extraction settings writes, and the cache directory it writes them
+# to (named by the extraction fingerprint). Any change to extraction bytes or
+# to the fingerprint fails here.
+GOLDEN_BAG_DIR = "bags-c23d21fd54777b77"
+GOLDEN_SHA256 = {
+    "acl.pairs": "9217b8d3061cd49fc2188a0abe53e7328f739a7168127fabe57101f319e9fac7",
+    "adv.pairs": "45a255b88e2a728712c98ffde51af296ae514afa1d48829e3de24f0129ad48d7",
+    "amod.pairs": "588e458d2f9cf2563accc23972b7604627fd9e080fa6ee4cf11816b2b340dfcf",
+    "appos.pairs": "ba8e0e7e5ae025228d64f9a39d41cc57746a12563eb02ca5060eefa13655743d",
+    "bow.pairs": "c9b377f7e43c4ba7f31604fe3428f9c390486d510fbebbfa6e423b246018fed3",
+    "comp.pairs": "ed47308a8cea7cabfdf9f27a5167dacbc9991c54711ce323b88120a724a6c3cc",
+    "compound.pairs": "ff9adf93d2bd3f0198ddffdd9e2b8a58545a0d131bde6a75f7e2c2e6178c93e6",
+    "conjll.pairs": "d652a4bc7a3b0ac7522bf821cc4bcfd10333c478033652aab1ccac127b3a1989",
+    "conjlr.pairs": "fc541801f1789e49b130ca0d18d80c3268ff6b54a7a13f2af07b992cdd8a826e",
+    "manifest.txt": "954057c3bf486b5e1a9321f24c88150adb50f0c770c7103d54dd66358ef6075c",
+    "nmod.pairs": "6eb4fb4c4784517d3d7d1e82f6bab2535fb404025975a9673c7ca435565caaec",
+    "nummod.pairs": "d90f69f60d0a5dc01ebb51662080e758f151f3e83e06605669c53752e582f19b",
+    "obj.pairs": "b1380df2f0535e41c8cc776b55f324e1ba92b0fa307867829089b468ea29969a",
+    "posit.pairs": "fffedc7ef9edca266e176b75b1fc24d65979e078bd74815eb888832f676b40fe",
+    "prep.pairs": "a656f749ca0d400ca75a0c860d9923628516bcc015d51ed9dd663e5030780dc7",
+    "subj.pairs": "899f0ef36d07bc960ab05a3a3e9ed500c11fcaa21ab3ffcdc32c14d94c0f55e3",
+}
+
+
+def test_extraction_bytes_are_golden(tmp_path):
+    exp = Experiment(load_experiment_config(write_config(tmp_path)))
+    exp.extract()
+    exp.extract_window_pairs("bow")
+    exp.extract_window_pairs("posit")
+    assert exp.bag_dir.name == GOLDEN_BAG_DIR
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in exp.bag_dir.iterdir()}
+    assert written == GOLDEN_SHA256
 
 
 def test_extract_config_change_invalidates_cache(tmp_path):

@@ -583,3 +583,45 @@ def test_load_rejects_inconsistent_rows(tmp_path):
     path.write_text("not a header\n", encoding="utf-8")
     with pytest.raises(EmbeddingFormatError):
         load_embeddings(path)
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("2 3\nw1 0.1 0.2 0.3\nw2 0.1 0.2 0.3 0.4\n", ":3: expected 4 fields, got 5"),
+        ("1 3\nw1 0.1 0.2 0.3\nw2 0.1 0.2 0.3\n", ":3: more rows than header declares"),
+        ("3 3\nw1 0.1 0.2 0.3\nw2 0.1 0.2 0.3\n", ": header declares 3 rows, found 2"),
+        ("0 3\nw1 0.1 0.2 0.3\n", ":2: more rows than header declares"),
+        ("2 x\n", ":1: bad header"),
+    ],
+)
+def test_load_errors_name_the_line(tmp_path, text, where):
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(EmbeddingFormatError, match=re.escape(f"{path}{where}")):
+        load_embeddings(path)
+
+
+def test_load_round_trips_float32_edge_values(tmp_path):
+    edge = [0.0, -0.0, 1e-45, float(np.finfo(np.float32).max), -1 / 3, 1e7, np.nan, -np.inf]
+    W = np.array([edge, edge[::-1]], dtype=np.float32)
+    vocab = Vocabulary(
+        word_index={"a": 0, "#b": 1}, context_index={},
+        word_counts=np.ones(2, np.int64), context_counts=np.zeros(0, np.int64),
+        words=["a", "#b"], contexts=[],
+    )
+    save_embeddings(EmbeddingStore(W, np.zeros((0, 8), np.float32), vocab), tmp_path / "v.txt")
+    loaded = load_embeddings(tmp_path / "v.txt")
+    assert loaded.vocab.words == ["a", "#b"]
+    assert loaded.word_vectors.dtype == np.float32
+    assert np.array_equal(loaded.word_vectors, W, equal_nan=True)
+    assert np.array_equal(np.signbit(loaded.word_vectors), np.signbit(W))
+
+
+def test_load_keeps_the_shape_of_empty_models(tmp_path):
+    (tmp_path / "none.txt").write_text("0 7\n", encoding="utf-8")
+    assert load_embeddings(tmp_path / "none.txt").word_vectors.shape == (0, 7)
+    (tmp_path / "flat.txt").write_text("2 0\na\nb\n", encoding="utf-8")
+    flat = load_embeddings(tmp_path / "flat.txt")
+    assert flat.word_vectors.shape == (2, 0)
+    assert flat.vocab.words == ["a", "b"]
