@@ -121,11 +121,12 @@ def parse_conllu(
     """Yield one Sentence per CoNLL-U block read from ``stream``.
 
     ``stream`` is any iterable of lines (bytes or text); byte lines are
-    decoded as UTF-8. Comment lines, multiword ranges and empty nodes are
-    dropped. On a malformed line the enclosing sentence is either skipped
-    with a warning (``errors="skip"``, counted under
-    ``stats["skipped_sentences"]``) or a :class:`ConlluError` is raised
-    (``errors="raise"``).
+    decoded as UTF-8, and one that is not valid UTF-8 raises
+    :class:`ConlluError` in either ``errors`` mode. Comment lines, multiword
+    ranges and empty nodes are dropped. On a malformed line the enclosing
+    sentence is either skipped with a warning (``errors="skip"``, counted
+    under ``stats["skipped_sentences"]``) or a :class:`ConlluError` is
+    raised (``errors="raise"``).
     """
     if errors not in ("skip", "raise"):
         raise ValueError(f"errors must be 'skip' or 'raise', got {errors!r}")
@@ -155,7 +156,10 @@ def parse_conllu(
     for raw in stream:
         line_number += 1
         if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
+            try:
+                raw = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ConlluError(f"invalid UTF-8 ({exc.reason})", line_number) from None
         line = raw.rstrip("\r\n")
         if not line:
             sentence = finish(line_number)
@@ -228,6 +232,21 @@ def read_corpus(
     errors: str = "skip",
     stats: dict | None = None,
 ) -> Iterator[Sentence]:
-    """Parse sentences from a (possibly gzipped) UTF-8 CoNLL-U file."""
-    with io.TextIOWrapper(open_corpus(path), encoding="utf-8", newline="\n") as stream:
-        yield from parse_conllu(stream, errors=errors, stats=stats)
+    """Parse sentences from a (possibly gzipped) UTF-8 CoNLL-U file.
+
+    Invalid UTF-8 raises :class:`ConlluError` naming the file and the line,
+    in either ``errors`` mode.
+    """
+    try:
+        with io.TextIOWrapper(open_corpus(path), encoding="utf-8", newline="\n") as stream:
+            yield from parse_conllu(stream, errors=errors, stats=stats)
+    except UnicodeDecodeError as exc:
+        # The decoder works on blocks of many lines, so find the line again
+        # in the raw bytes; valid input never comes here.
+        with open_corpus(path) as raw:
+            for line_number, line in enumerate(raw, start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError:
+                    break
+        raise ConlluError(f"invalid UTF-8 in {path} ({exc.reason})", line_number) from None

@@ -3,6 +3,9 @@
 Every fitness evaluation is a full SGNS training run, so everything is keyed
 by content hashes and cached on disk: bag files by extraction fingerprint,
 trained vectors by configuration, fitness values by (configuration, fold).
+A search trains the independent configurations of one step in forked worker
+processes before it scores them in order from the model cache; this process
+alone writes the fitness cache.
 Reports deliberately exclude wall-clock times so identical experiments
 reproduce byte-identical report files; timings stay available in the fitness
 cache and via the report command's timing switch.
@@ -15,6 +18,7 @@ import logging
 import math
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
@@ -233,6 +237,12 @@ class Experiment:
         self._manifest: extraction.Manifest | None = None
         self._fitness_cache: search.FitnessCache | None = None
         self._extraction_fingerprint: str | None = None
+        # worker pool of the open training scope (see training_scope)
+        self._in_training_scope = False
+        self._pool = None
+        # seconds a worker spent training a configuration whose first
+        # fitness record is not written yet
+        self._worker_train_s: dict[str, float] = {}
 
     # -- fingerprints and directories --
 
@@ -343,6 +353,76 @@ class Experiment:
             tmp.unlink(missing_ok=True)
         return store
 
+    # -- parallel training --
+
+    @contextmanager
+    def training_scope(self):
+        """Let prefetches train in worker processes until the outermost scope
+        ends, which shuts the pool down. Outside a scope training is sequential."""
+        if self._in_training_scope:
+            yield
+            return
+        self._in_training_scope = True
+        try:
+            yield
+        finally:
+            self._in_training_scope = False
+            pool, self._pool = self._pool, None
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
+
+    def _training_pool(self):
+        """The scope's worker pool, started on first use; None when training
+        stays in this process: outside a scope, on one CPU, or without fork."""
+        if self._pool is None and self._in_training_scope:
+            # imported here, so that commands which never search do not pay for it
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+            if cpus > 1 and "fork" in multiprocessing.get_all_start_methods():
+                # Forked workers inherit this experiment as it stands, its
+                # manifest loaded, so a task sends only its configuration. A
+                # spawned worker would import numpy and depctx afresh (about
+                # 0.13 s), longer than most trainings of a small search.
+                self._pool = ProcessPoolExecutor(
+                    cpus, multiprocessing.get_context("fork"), _init_worker, (self,)
+                )
+        return self._pool
+
+    def prefetch(self, configs, fold: str) -> None:
+        """Train in parallel the configurations that will need a model for
+        ``fold``: those with neither a fitness record there nor a cached model.
+
+        Workers write the models through the same atomic rename as
+        :meth:`train_configuration`, so the sequential fitness calls that
+        follow load them and every value is unchanged. A worker's failure is
+        dropped: the sequential call trains that configuration again and
+        meets the same error.
+        """
+        todo = [
+            config for config in configs
+            if self.fitness_cache.get(config.canonical, fold) is None
+            and not self.model_path(config).exists()
+        ]
+        pool = self._training_pool() if len(todo) > 1 else None
+        if pool is None:
+            return
+        from concurrent.futures import BrokenExecutor
+
+        # largest first, so that no long training starts last
+        todo.sort(key=lambda config: self.manifest.total(config.bags), reverse=True)
+        try:
+            futures = [(config, pool.submit(_train_in_worker, config)) for config in todo]
+        except BrokenExecutor:
+            logger.debug("a training worker died earlier; training in this process")
+            return
+        for config, future in futures:
+            try:
+                self._worker_train_s[config.canonical] = future.result()
+            except Exception as exc:
+                logger.debug("training %s in a worker failed: %r", config, exc)
+
     # -- fitness plumbing --
 
     def fold_id(self, word_class: str, fold_index: int) -> str:
@@ -352,7 +432,9 @@ class Experiment:
         """Config -> Spearman rho on one fold, going through both caches.
 
         Untrainable or unscorable configurations come back as -inf so they
-        lose to everything real instead of aborting the whole search.
+        lose to everything real instead of aborting the whole search. The
+        function's ``prefetch`` trains a batch of configurations ahead of
+        their calls (see :meth:`prefetch`).
         """
         fold = self.fold_id(word_class, fold_index)
 
@@ -368,10 +450,12 @@ class Experiment:
             except (sgns.VocabularyError, evaluation.UndefinedCorrelationError) as exc:
                 logger.info("configuration %s infeasible on %s: %s", config, fold, exc)
                 rho = INFEASIBLE
-            wall = time.perf_counter() - start
+            # a model trained in a worker still costs its first record its training
+            wall = time.perf_counter() - start + self._worker_train_s.pop(config.canonical, 0.0)
             self.fitness_cache.put(config.canonical, fold, rho, wall, pair_count)
             return rho
 
+        fitness.prefetch = lambda configs: self.prefetch(configs, fold)
         return fitness
 
     # -- the search protocol --
@@ -379,6 +463,10 @@ class Experiment:
     def search_class(self, word_class: str) -> ClassSearchResult:
         """Per-class protocol: 2-fold split, then per dev fold a pool build,
         descent and test score on the other fold; each fold is dev once."""
+        with self.training_scope():
+            return self._search_class(word_class)
+
+    def _search_class(self, word_class: str) -> ClassSearchResult:
         cfg = self.cfg
         folds = evaluation.split_folds(self.dataset, word_class, cfg.fold_seed)
         fold_indices = {0: folds.fold_a, 1: folds.fold_b}
@@ -395,9 +483,9 @@ class Experiment:
         for dev, test in runs:
             dev_fitness = self.fitness_function(word_class, fold_indices[dev], dev)
             memo = search.MemoizedFitness(dev_fitness)
-            per_bag = {
-                bag: memo(search.Configuration.from_bags([bag])) for bag in all_bags
-            }
+            probes = {bag: search.Configuration.from_bags([bag]) for bag in all_bags}
+            memo.prefetch(probes.values())
+            per_bag = {bag: memo(probe) for bag, probe in probes.items()}
             run = dict(
                 dev=dev, test=test, best=None, dev_rho=None, test_rho=None, per_bag_fitness=per_bag
             )
@@ -429,7 +517,8 @@ class Experiment:
     def run_search(self) -> list[ClassSearchResult]:
         """Run the full protocol for every configured class and write the report."""
         self.extract()
-        results = [self.search_class(word_class) for word_class in self.cfg.classes]
+        with self.training_scope():
+            results = [self.search_class(word_class) for word_class in self.cfg.classes]
         self.write_search_report(results)
         self.write_resolved_config()
         return results
@@ -490,6 +579,22 @@ class Experiment:
             rows.append(ReportRow(canonical, rhos, mean, complete, pair_count, wall))
         rows.sort(key=lambda r: (not r.complete, -r.mean_rho, r.configuration))
         return rows
+
+
+# The experiment a pool worker trains for, set once in each worker process.
+_worker_experiment: Experiment | None = None
+
+
+def _init_worker(experiment: Experiment) -> None:
+    global _worker_experiment
+    _worker_experiment = experiment
+
+
+def _train_in_worker(config: search.Configuration) -> float:
+    """Train and cache one configuration's model; returns the seconds it took."""
+    start = time.perf_counter()
+    _worker_experiment.train_configuration(config)
+    return time.perf_counter() - start
 
 
 def render_report(rows: list[ReportRow], timing: bool = False) -> str:

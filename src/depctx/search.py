@@ -200,6 +200,14 @@ class MemoizedFitness:
     def seed(self, config: Configuration, fitness: float) -> None:
         self.cache.setdefault(config.canonical, fitness)
 
+    def prefetch(self, configs: Iterable[Configuration]) -> None:
+        """Announce configurations about to be evaluated, so that a fitness
+        function with a ``prefetch`` of its own can prepare the ones not
+        memoised yet in one batch. Values are the same either way."""
+        prefetch = getattr(self._fn, "prefetch", None)
+        if prefetch is not None:
+            prefetch([c for c in configs if c.canonical not in self.cache])
+
     def __call__(self, config: Configuration) -> float:
         key = config.canonical
         if key not in self.cache:
@@ -266,6 +274,7 @@ def best_configuration_search(
                     edges[key][1].append(origin)
                 else:
                     edges[key] = (child, [origin])
+        memo.prefetch(edges[key][0] for key in sorted(edges))
         next_frontier = []
         for key in sorted(edges):
             child, origins = edges[key]
@@ -293,6 +302,7 @@ def greedy_search(
 
     while current.size > 1:
         current_fitness = memo(current)
+        memo.prefetch(current.children())
         scored = [(child, memo(child)) for child in current.children()]
         best_child, best_fitness = min(scored, key=lambda it: (-it[1], it[0].sort_key()))
         for child, child_fitness in scored:
@@ -323,8 +333,9 @@ def exhaustive_search(
     memo, trace = _start_search(space, fitness_fn)
     pool = sorted(space.pool)
     for size in range(1, len(pool) + 1):
-        for combo in itertools.combinations(pool, size):
-            config = Configuration.from_bags(combo)
+        configs = [Configuration.from_bags(c) for c in itertools.combinations(pool, size)]
+        memo.prefetch(configs)
+        for config in configs:
             trace.record(config, memo(config), "visited")
     return _finish_search(trace)
 

@@ -1,9 +1,22 @@
 import math
+import multiprocessing
 from fractions import Fraction
 
 import pytest
 
 from depctx.conllu import Sentence, Token
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_worker_processes():
+    """Fail a test that leaves child processes running, such as a worker
+    pool nobody shut down; end them so the next test starts clean."""
+    yield
+    leaked = multiprocessing.active_children()
+    for child in leaked:
+        child.terminate()
+        child.join(10)
+    assert not leaked, f"test left child processes running: {leaked}"
 
 
 def make_sentence(rows):

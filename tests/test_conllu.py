@@ -254,13 +254,21 @@ def test_only_newline_ends_a_line(tmp_path, odd):
 
 
 def test_invalid_utf8_raises_in_both_readers(tmp_path, fig1_conllu_text):
-    data = fig1_conllu_text.replace("stars", "st\udcffrs").encode("utf-8", "surrogateescape")
-    path = tmp_path / "bad.conllu"
-    path.write_bytes(data)
-    with pytest.raises(UnicodeDecodeError):
-        list(read_corpus(str(path)))
-    with pytest.raises(UnicodeDecodeError):
-        list(parse_conllu(io.BytesIO(data)))
+    # the bad byte sits far past the decoder's first block of text
+    block = fig1_conllu_text + "\n"
+    bad = block.replace("4\tstars", "4\tst\udcffrs")
+    data = (block * 2000 + bad + block).encode("utf-8", "surrogateescape")
+    line = 2000 * block.count("\n") + 5
+    for compress in (False, True):
+        path = tmp_path / f"bad{'.gz' if compress else ''}.conllu"
+        path.write_bytes(gzip.compress(data) if compress else data)
+        for errors in ("skip", "raise"):
+            with pytest.raises(ConlluError) as caught:
+                list(read_corpus(str(path), errors=errors))
+            assert str(caught.value).startswith(f"line {line}: invalid UTF-8 in {path} (")
+    for errors in ("skip", "raise"):
+        with pytest.raises(ConlluError, match=rf"^line {line}: invalid UTF-8 \("):
+            list(parse_conllu(io.BytesIO(data), errors=errors))
 
 
 def test_tokens_are_immutable(fig1_conllu_text):

@@ -1,5 +1,7 @@
 import hashlib
 import logging
+import multiprocessing
+import os
 import re
 import time
 from dataclasses import fields
@@ -579,3 +581,121 @@ def test_resolved_config_written_next_to_outputs(tmp_path, monkeypatch):
     resolved = (Path(exp.cfg.out_dir) / "resolved_config.txt").read_text()
     assert "strategy=alg1" in resolved
     assert f"fold_seed=7" in resolved
+
+
+# -- training a lattice level in worker processes --
+
+# with write_config's other values, the bundled smoke experiment
+SMOKE = {"dim": 24, "epochs": 30}
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="worker pool needs fork"
+)
+
+
+def smoke_search(tmp_path, cpus, classes="A,V,N", train=None):
+    """Run the smoke search seeing ``cpus`` CPUs, with ``train`` in place of
+    ``sgns.train``; returns what the search wrote, and the bags of every
+    training run in this process."""
+    tmp_path.mkdir(exist_ok=True)
+    trained = []
+    train = train or sgns.train
+
+    def counting_train(stream, config):
+        trained.append(stream.bags)
+        return train(stream, config)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        mp.setattr(sgns, "train", counting_train)
+        exp = Experiment(load_experiment_config(write_config(tmp_path, classes=classes, **SMOKE)))
+        exp.run_search()
+    out = Path(exp.cfg.out_dir)
+    written = {
+        "report": (out / pipeline.SEARCH_REPORT_NAME).read_bytes(),
+        "traces": {p.name: p.read_bytes() for p in sorted(out.glob("trace_*.tsv"))},
+        "cache_dirs": sorted(p.name for p in Path(exp.cfg.cache_dir).iterdir()),
+        "models": {p.name: p.read_bytes() for p in sorted(exp.model_dir.iterdir())},
+        "records": {
+            key: (rec.rho, rec.pair_count) for key, rec in exp.fitness_cache.records().items()
+        },
+    }
+    return written, trained
+
+
+@pytest.fixture(scope="module")
+def one_process_smoke(tmp_path_factory):
+    return smoke_search(tmp_path_factory.mktemp("one-process"), cpus=1)
+
+
+@needs_fork
+def test_pooled_smoke_search_writes_what_one_process_writes(tmp_path, one_process_smoke):
+    expected, trained_alone = one_process_smoke
+    written, trained_here = smoke_search(tmp_path, cpus=2)
+    assert written == expected
+    assert len(expected["models"]) == len(trained_alone) == 37
+    # workers trained the rest: each root, and each level with one new child, stays here
+    assert len(trained_here) < len(trained_alone) / 2
+
+
+@needs_fork
+def test_dead_worker_leaves_the_training_to_this_process(tmp_path, one_process_smoke):
+    parent = os.getpid()
+    doomed = ("amod", "appos", "obj")
+    real_train = sgns.train
+
+    def dying_train(stream, config):
+        if stream.bags == doomed and os.getpid() != parent:
+            os._exit(1)
+        return real_train(stream, config)
+
+    written, trained_here = smoke_search(tmp_path, cpus=2, train=dying_train)
+    assert written == one_process_smoke[0]
+    assert doomed in trained_here
+
+
+@needs_fork
+def test_diverging_training_fails_the_search_alike_with_and_without_workers(tmp_path):
+    real_train = sgns.train
+
+    def diverging_train(stream, config):
+        if stream.bags == ("amod", "appos", "obj"):
+            raise sgns.TrainingDivergedError("non-finite parameters during training")
+        return real_train(stream, config)
+
+    messages = []
+    for cpus in (1, 2):
+        with pytest.raises(RuntimeError, match="fitness evaluation failed") as caught:
+            smoke_search(tmp_path / f"cpus{cpus}", cpus, classes="N", train=diverging_train)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+    assert "amod+appos+obj: non-finite" in messages[0]
+
+
+@needs_fork
+def test_first_fitness_record_of_a_worker_trained_model_counts_its_training(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    real_train = sgns.train
+
+    def slow_train(stream, config):
+        time.sleep(0.3)
+        return real_train(stream, config)
+
+    monkeypatch.setattr(sgns, "train", slow_train)
+    exp = Experiment(load_experiment_config(write_config(tmp_path)))
+    exp.extract()
+    folds = evaluation.split_folds(exp.dataset, "N", exp.cfg.fold_seed)
+    dev = exp.fitness_function("N", folds.fold_a, 0)
+    test = exp.fitness_function("N", folds.fold_b, 1)
+    configs = [search.Configuration.from_bags([bag]) for bag in ("amod", "obj")]
+    with exp.training_scope():
+        dev.prefetch(configs)
+        assert all(exp.model_path(config).exists() for config in configs)
+        for config in configs:
+            dev(config)
+            test(config)
+    for config in configs:
+        assert exp.fitness_cache.get(config.canonical, "N:0").wall_time >= 0.3
+        assert exp.fitness_cache.get(config.canonical, "N:1").wall_time < 0.3

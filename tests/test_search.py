@@ -359,6 +359,39 @@ def test_exhaustive_dominates_alg1_on_random_landscapes():
     assert strict >= 1  # the beam is not guaranteed to be globally optimal
 
 
+@pytest.mark.parametrize("strategy", [best_configuration_search, greedy_search, exhaustive_search])
+def test_strategies_announce_what_they_evaluate_next(strategy):
+    # every evaluation but the root's was announced to the fitness function's
+    # prefetch, once, before it; nothing announced goes unevaluated
+    rng = np.random.default_rng(99)
+    for _ in range(20):
+        k = int(rng.integers(2, 6))
+        bags = [f"b{i}" for i in range(k)]
+        table = {}
+        for size in range(1, k + 1):
+            for combo in itertools.combinations(bags, size):
+                table[Configuration.from_bags(combo).canonical] = float(rng.random())
+        log = []
+
+        def fitness(config):
+            log.append(("evaluate", config.canonical))
+            return table[config.canonical]
+
+        fitness.prefetch = lambda configs: log.extend(("prefetch", c.canonical) for c in configs)
+        space = build_pool({b: table[b] for b in bags}, threshold=-1.0)
+        strategy(space, MemoizedFitness(fitness))
+        root = Configuration.from_bags(bags).canonical
+        announced, evaluated = set(), set()
+        for kind, canonical in log:
+            if kind == "prefetch":
+                assert canonical not in announced | evaluated
+                announced.add(canonical)
+            else:
+                assert canonical in announced or canonical == root
+                evaluated.add(canonical)
+        assert announced <= evaluated
+
+
 # -- count_space --
 
 
