@@ -124,12 +124,14 @@ def cmd_eval(args) -> int:
     exp = _experiment(args)
     store = sgns.load_embeddings(args.embeddings)
     classes = args.classes.split(",") if args.classes else list(exp.cfg.classes)
+    cosines = evaluation.pair_cosines(store, exp.dataset)
     print("class\trho\tscored\ttotal")
     for cls in classes:
         try:
-            result = evaluation.evaluate(store, exp.dataset, cls)
+            result = evaluation.correlate(cosines, exp.dataset, cls)
         except evaluation.UndefinedCorrelationError as exc:
-            print(f"{cls}\tundefined\t-\t-\t({exc})")
+            print(f"{cls}\tundefined\t-\t-")
+            print(f"class {cls}: rho undefined: {exc}", file=sys.stderr)
             continue
         print(
             f"{cls}\t{pipeline.format_float(result.rho)}\t{result.n_scored}\t{result.n_total}"

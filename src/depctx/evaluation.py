@@ -149,16 +149,25 @@ def spearman(xs, ys) -> float:
     return float((rx * ry).sum() / (sx * sy))
 
 
-def evaluate(
-    store: EmbeddingStore,
+def pair_cosines(store: EmbeddingStore, dataset: WordPairDataset) -> np.ndarray:
+    """Cosine of every dataset pair in entry order, NaN where a word is out of vocabulary."""
+    return np.array([
+        cosine(store.vector(e.word1), store.vector(e.word2))
+        if e.word1 in store and e.word2 in store else np.nan
+        for e in dataset.entries
+    ])
+
+
+def correlate(
+    cosines: np.ndarray,
     dataset: WordPairDataset,
     class_filter: str | None = None,
     index_subset=None,
 ) -> EvalResult:
-    """Spearman rho of cosine scores against gold scores for one class subset.
+    """Spearman rho of ``pair_cosines`` against gold scores for one class subset.
 
-    Pairs with an out-of-vocabulary word are excluded from the correlation
-    but counted, so coverage (n_scored vs n_total) stays visible.
+    Pairs with a NaN cosine (out of vocabulary) are excluded from the
+    correlation but counted, so coverage (n_scored vs n_total) stays visible.
     """
     indices = dataset.class_indices(class_filter)
     if index_subset is not None:
@@ -166,20 +175,24 @@ def evaluate(
         indices = [i for i in indices if i in chosen]
     if not indices:
         raise UndefinedCorrelationError("no dataset entries selected")
-    gold = []
-    predicted = []
-    for i in indices:
-        entry = dataset.entries[i]
-        if entry.word1 not in store or entry.word2 not in store:
-            continue
-        gold.append(entry.gold_score)
-        predicted.append(cosine(store.vector(entry.word1), store.vector(entry.word2)))
-    if len(gold) < 2:
+    scored = [i for i in indices if not np.isnan(cosines[i])]
+    if len(scored) < 2:
         raise UndefinedCorrelationError(
-            f"only {len(gold)} of {len(indices)} pairs in vocabulary; "
+            f"only {len(scored)} of {len(indices)} pairs in vocabulary; "
             "cannot compute a correlation"
         )
-    return EvalResult(rho=spearman(gold, predicted), n_scored=len(gold), n_total=len(indices))
+    gold = [dataset.entries[i].gold_score for i in scored]
+    return EvalResult(spearman(gold, cosines[scored]), len(scored), len(indices))
+
+
+def evaluate(
+    store: EmbeddingStore,
+    dataset: WordPairDataset,
+    class_filter: str | None = None,
+    index_subset=None,
+) -> EvalResult:
+    """Spearman rho of cosine scores against gold scores for one class subset."""
+    return correlate(pair_cosines(store, dataset), dataset, class_filter, index_subset)
 
 
 def split_folds(dataset: WordPairDataset, class_filter: str | None, seed: int) -> FoldSplit:

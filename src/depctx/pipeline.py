@@ -2,10 +2,10 @@
 
 Every fitness evaluation is a full SGNS training run, so everything is keyed
 by content hashes and cached on disk: bag files by extraction fingerprint,
-trained vectors by configuration, fitness values by (configuration, fold).
-A search trains the independent configurations of one step in forked worker
-processes before it scores them in order from the model cache; this process
-alone writes the fitness cache.
+fitness values by (configuration, fold). A trained configuration is kept in
+memory only as its gold-pair cosines, which score it on every class and fold.
+Forked worker processes train one search step's independent configurations
+and return those cosines; this process alone writes the fitness cache.
 Reports deliberately exclude wall-clock times so identical experiments
 reproduce byte-identical report files; timings stay available in the fitness
 cache and via the report command's timing switch.
@@ -22,6 +22,8 @@ from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
+
+import numpy as np
 
 from . import conllu, evaluation, extraction, search, sgns
 
@@ -240,9 +242,9 @@ class Experiment:
         # worker pool of the open training scope (see training_scope)
         self._in_training_scope = False
         self._pool = None
-        # seconds a worker spent training a configuration whose first
-        # fitness record is not written yet
-        self._worker_train_s: dict[str, float] = {}
+        # canonical -> (gold-pair cosines, training seconds no fitness record
+        # has counted yet)
+        self._trained: dict[str, tuple[np.ndarray, float]] = {}
 
     # -- fingerprints and directories --
 
@@ -270,10 +272,6 @@ class Experiment:
     @property
     def bag_dir(self) -> Path:
         return Path(self.cfg.cache_dir) / f"bags-{self.extraction_fingerprint()}"
-
-    @property
-    def model_dir(self) -> Path:
-        return Path(self.cfg.cache_dir) / f"models-{self.model_scope()}"
 
     @property
     def fitness_cache(self) -> search.FitnessCache:
@@ -334,24 +332,15 @@ class Experiment:
     def pair_stream(self, bags) -> extraction.PairStream:
         return extraction.PairStream(self.bag_dir, bags, self.manifest)
 
-    def model_path(self, config: search.Configuration) -> Path:
-        return self.model_dir / f"{config.canonical}.vec"
-
-    def train_configuration(self, config: search.Configuration) -> sgns.EmbeddingStore:
-        """Train (or load the cached) model for one configuration."""
-        path = self.model_path(config)
-        if path.exists():
-            return sgns.load_embeddings(path)
-        store = sgns.train(self.pair_stream(config.bags), self.cfg.trainer_config())
-        self.model_dir.mkdir(parents=True, exist_ok=True)
-        # a kill mid-write must not leave a truncated model under the cache name
-        tmp = path.with_name(path.name + ".tmp")
+    def train_configuration(self, config: search.Configuration) -> np.ndarray:
+        """Train one configuration; returns the cosine of every gold pair, NaN
+        where a word is out of vocabulary and everywhere when none is left."""
         try:
-            sgns.save_embeddings(store, tmp)
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
-        return store
+            store = sgns.train(self.pair_stream(config.bags), self.cfg.trainer_config())
+        except sgns.VocabularyError as exc:
+            logger.info("configuration %s cannot be trained: %s", config, exc)
+            return np.full(len(self.dataset), np.nan)
+        return evaluation.pair_cosines(store, self.dataset)
 
     # -- parallel training --
 
@@ -381,29 +370,30 @@ class Experiment:
 
             cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
             if cpus > 1 and "fork" in multiprocessing.get_all_start_methods():
-                # Forked workers inherit this experiment as it stands, its
-                # manifest loaded, so a task sends only its configuration. A
+                # Forked workers inherit this experiment as it stands, its manifest
+                # and gold dataset loaded, so a task sends only its configuration. A
                 # spawned worker would import numpy and depctx afresh (about
                 # 0.13 s), longer than most trainings of a small search.
+                self.dataset
                 self._pool = ProcessPoolExecutor(
                     cpus, multiprocessing.get_context("fork"), _init_worker, (self,)
                 )
         return self._pool
 
     def prefetch(self, configs, fold: str) -> None:
-        """Train in parallel the configurations that will need a model for
-        ``fold``: those with neither a fitness record there nor a cached model.
+        """Train in parallel the configurations that ``fold`` will score and
+        that have neither a fitness record there nor been trained yet.
 
-        Workers write the models through the same atomic rename as
-        :meth:`train_configuration`, so the sequential fitness calls that
-        follow load them and every value is unchanged. A worker's failure is
+        Each worker returns the result of :meth:`train_configuration` with
+        its training seconds, so the sequential fitness calls that follow
+        train nothing and every value is unchanged. A worker's failure is
         dropped: the sequential call trains that configuration again and
         meets the same error.
         """
         todo = [
             config for config in configs
             if self.fitness_cache.get(config.canonical, fold) is None
-            and not self.model_path(config).exists()
+            and config.canonical not in self._trained
         ]
         pool = self._training_pool() if len(todo) > 1 else None
         if pool is None:
@@ -419,7 +409,7 @@ class Experiment:
             return
         for config, future in futures:
             try:
-                self._worker_train_s[config.canonical] = future.result()
+                self._trained[config.canonical] = future.result()
             except Exception as exc:
                 logger.debug("training %s in a worker failed: %r", config, exc)
 
@@ -429,8 +419,9 @@ class Experiment:
         return f"{word_class}:{fold_index}"
 
     def fitness_function(self, word_class: str, fold_indices, fold_index: int):
-        """Config -> Spearman rho on one fold, going through both caches.
+        """Config -> Spearman rho on one fold, through the fitness cache.
 
+        A configuration is trained once per experiment, on its first fold.
         Untrainable or unscorable configurations come back as -inf so they
         lose to everything real instead of aborting the whole search. The
         function's ``prefetch`` trains a batch of configurations ahead of
@@ -444,14 +435,17 @@ class Experiment:
                 return record.rho
             pair_count = self.manifest.total(config.bags)
             start = time.perf_counter()
+            if config.canonical not in self._trained:
+                self._trained[config.canonical] = self.train_configuration(config), 0.0
+            # a worker's training seconds count toward the first record only
+            cosines, train_s = self._trained[config.canonical]
+            self._trained[config.canonical] = cosines, 0.0
             try:
-                store = self.train_configuration(config)
-                rho = evaluation.evaluate(store, self.dataset, word_class, fold_indices).rho
-            except (sgns.VocabularyError, evaluation.UndefinedCorrelationError) as exc:
+                rho = evaluation.correlate(cosines, self.dataset, word_class, fold_indices).rho
+            except evaluation.UndefinedCorrelationError as exc:
                 logger.info("configuration %s infeasible on %s: %s", config, fold, exc)
                 rho = INFEASIBLE
-            # a model trained in a worker still costs its first record its training
-            wall = time.perf_counter() - start + self._worker_train_s.pop(config.canonical, 0.0)
+            wall = time.perf_counter() - start + train_s
             self.fitness_cache.put(config.canonical, fold, rho, wall, pair_count)
             return rho
 
@@ -590,11 +584,11 @@ def _init_worker(experiment: Experiment) -> None:
     _worker_experiment = experiment
 
 
-def _train_in_worker(config: search.Configuration) -> float:
-    """Train and cache one configuration's model; returns the seconds it took."""
+def _train_in_worker(config: search.Configuration) -> tuple[np.ndarray, float]:
+    """Train one configuration; returns its gold-pair cosines and training seconds."""
     start = time.perf_counter()
-    _worker_experiment.train_configuration(config)
-    return time.perf_counter() - start
+    cosines = _worker_experiment.train_configuration(config)
+    return cosines, time.perf_counter() - start
 
 
 def render_report(rows: list[ReportRow], timing: bool = False) -> str:

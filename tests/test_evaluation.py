@@ -12,9 +12,11 @@ from depctx.evaluation import (
     WordPairDataset,
     average_ranks,
     convert_simlex,
+    correlate,
     cosine,
     evaluate,
     load_toefl,
+    pair_cosines,
     spearman,
     split_folds,
     toefl_evaluate,
@@ -179,6 +181,18 @@ def test_evaluate_counts_oov_pairs():
     result = evaluate(vectors, DATASET, class_filter="N")
     assert result.n_scored == 2
     assert result.n_total == 3
+
+
+def test_oov_and_non_finite_pairs_count_as_uncovered():
+    store = geometric_store()
+    del store.vocab.word_index["cabin"]
+    store.word_vectors[store.vocab.word_index["car"]] = np.nan
+    cosines = pair_cosines(store, DATASET)
+    assert np.isnan(cosines).tolist() == [False] * 4 + [True, True] + [False] * 3
+    assert cosines[0] == cosine(store.vector("big"), store.vector("large"))
+    with pytest.raises(UndefinedCorrelationError, match="only 1 of 3"):
+        correlate(cosines, DATASET, "N")
+    assert correlate(cosines, DATASET, "A", [0, 1]) == evaluate(store, DATASET, "A", [0, 1])
 
 
 def test_evaluate_all_oov_is_an_error():

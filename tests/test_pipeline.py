@@ -264,7 +264,6 @@ def test_corpus_hashed_once_per_experiment(tmp_path, monkeypatch):
     exp.model_scope()
     exp.fitness_scope()
     exp.bag_dir
-    exp.model_dir
     assert [p for p in hashed if p in exp.cfg.corpus] == list(exp.cfg.corpus)
 
 
@@ -422,58 +421,63 @@ def test_search_writes_trace_files(tmp_path, monkeypatch):
 # -- fitness caching against the real trainer --
 
 
-def test_fitness_cache_prevents_retraining(tmp_path):
+def count_trainings(monkeypatch, train=None) -> list:
+    """Patch ``sgns.train`` to run ``train`` (the real trainer by default)
+    and record the bags of every training run in this process."""
+    trained = []
+    train = train or sgns.train
+
+    def counting_train(stream, config):
+        trained.append(stream.bags)
+        return train(stream, config)
+
+    monkeypatch.setattr(sgns, "train", counting_train)
+    return trained
+
+
+def test_fitness_cache_prevents_retraining(tmp_path, monkeypatch):
+    trained = count_trainings(monkeypatch)
     exp = Experiment(load_experiment_config(write_config(tmp_path)))
     exp.extract()
     folds = evaluation.split_folds(exp.dataset, "N", exp.cfg.fold_seed)
     fitness = exp.fitness_function("N", folds.fold_a, 0)
     config = search.Configuration.from_bags(["amod", "obj"])
     first = fitness(config)
-    model_stamp = exp.model_path(config).stat().st_mtime_ns
+    assert trained == [("amod", "obj")]
     exp2 = Experiment(exp.cfg)
     exp2.extract()
     second = exp2.fitness_function("N", folds.fold_a, 0)(config)
     assert second == first
-    assert exp.model_path(config).stat().st_mtime_ns == model_stamp
+    assert trained == [("amod", "obj")]
 
 
-def test_killed_model_write_leaves_no_model(tmp_path, monkeypatch):
-    exp = Experiment(load_experiment_config(write_config(tmp_path)))
-    exp.extract()
-    folds = evaluation.split_folds(exp.dataset, "N", exp.cfg.fold_seed)
-    config = search.Configuration.from_bags(["amod", "obj"])
-    real_save = sgns.save_embeddings
-
-    def killed_save(store, path, include_context=False):
-        real_save(store, path)
-        data = Path(path).read_bytes()
-        Path(path).write_bytes(data[: len(data) // 2])
-        raise OSError("killed mid-write")
-
-    monkeypatch.setattr(sgns, "save_embeddings", killed_save)
-    with pytest.raises(OSError, match="killed"):
-        exp.fitness_function("N", folds.fold_a, 0)(config)
-    assert list(exp.model_dir.iterdir()) == []
-    monkeypatch.setattr(sgns, "save_embeddings", real_save)
-
-    rerun = Experiment(exp.cfg)
-    rho = rerun.fitness_function("N", folds.fold_a, 0)(config)
-    assert rho == rerun.fitness_cache.get(config.canonical, "N:0").rho
-    assert list(rerun.model_dir.iterdir()) == [rerun.model_path(config)]
-    assert sgns.load_embeddings(rerun.model_path(config)).vocab.n_words > 0
-
-
-def test_model_cache_shared_across_folds_and_classes(tmp_path):
+def test_one_training_serves_every_fold_and_class(tmp_path, monkeypatch):
+    trained = count_trainings(monkeypatch)
     exp = Experiment(load_experiment_config(write_config(tmp_path)))
     exp.extract()
     config = search.Configuration.from_bags(["amod"])
     folds_n = evaluation.split_folds(exp.dataset, "N", exp.cfg.fold_seed)
     folds_a = evaluation.split_folds(exp.dataset, "A", exp.cfg.fold_seed)
     exp.fitness_function("N", folds_n.fold_a, 0)(config)
-    stamp = exp.model_path(config).stat().st_mtime_ns
     exp.fitness_function("A", folds_a.fold_b, 1)(config)
-    assert exp.model_path(config).stat().st_mtime_ns == stamp
+    assert trained == [("amod",)]
     assert len(exp.fitness_cache.records()) == 2
+
+
+def test_untrainable_configuration_is_trained_once(tmp_path, monkeypatch):
+    trained = count_trainings(monkeypatch)
+    # a threshold above every count leaves no vocabulary
+    exp = Experiment(load_experiment_config(write_config(tmp_path, min_count=10**9)))
+    exp.extract()
+    config = search.Configuration.from_bags(["amod"])
+    for word_class in ("N", "A"):
+        folds = evaluation.split_folds(exp.dataset, word_class, exp.cfg.fold_seed)
+        for index, fold in enumerate((folds.fold_a, folds.fold_b)):
+            assert exp.fitness_function(word_class, fold, index)(config) == pipeline.INFEASIBLE
+    assert trained == [("amod",)]
+    records = exp.fitness_cache.records()
+    assert sorted(fold for _, fold in records) == ["A:0", "A:1", "N:0", "N:1"]
+    assert all(record.rho == pipeline.INFEASIBLE for record in records.values())
 
 
 # -- report command --
@@ -545,6 +549,26 @@ def test_cli_train_eval_toefl_round_trip(tmp_path, capsys):
     assert "class\tcorrect\ttotal" in out
 
 
+def test_cli_eval_keeps_an_uncovered_class_to_four_columns(tmp_path, capsys):
+    dataset = tmp_path / "gold.tsv"
+    dataset.write_text(
+        "word1\tword2\tscore\tclass\n"
+        "big\tlarge\t9.0\tA\nbig\tsmall\t1.0\tA\nbig\ttiny\t2.0\tA\n"
+        "dog\tcat\t7.0\tN\nfish\tbird\t3.0\tN\n",
+        encoding="utf-8",
+    )
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("3 2\nbig 1 0\nlarge 1 0.1\nsmall -1 0\n", encoding="utf-8")
+    config = write_config(tmp_path, dataset=str(dataset))
+    args = ["eval", "-c", str(config), "--embeddings", str(vectors), "--classes", "A,N"]
+    assert cli.main(args) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "class\trho\tscored\ttotal", "A\t1.000000\t2\t3", "N\tundefined\t-\t-"
+    ]
+    assert "class N: rho undefined: only 0 of 2 pairs in vocabulary" in captured.err
+
+
 def test_cli_train_bow_baseline(tmp_path):
     config = write_config(tmp_path)
     vectors = tmp_path / "bow.txt"
@@ -598,16 +622,9 @@ def smoke_search(tmp_path, cpus, classes="A,V,N", train=None):
     ``sgns.train``; returns what the search wrote, and the bags of every
     training run in this process."""
     tmp_path.mkdir(exist_ok=True)
-    trained = []
-    train = train or sgns.train
-
-    def counting_train(stream, config):
-        trained.append(stream.bags)
-        return train(stream, config)
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        mp.setattr(sgns, "train", counting_train)
+        trained = count_trainings(mp, train)
         exp = Experiment(load_experiment_config(write_config(tmp_path, classes=classes, **SMOKE)))
         exp.run_search()
     out = Path(exp.cfg.out_dir)
@@ -615,7 +632,6 @@ def smoke_search(tmp_path, cpus, classes="A,V,N", train=None):
         "report": (out / pipeline.SEARCH_REPORT_NAME).read_bytes(),
         "traces": {p.name: p.read_bytes() for p in sorted(out.glob("trace_*.tsv"))},
         "cache_dirs": sorted(p.name for p in Path(exp.cfg.cache_dir).iterdir()),
-        "models": {p.name: p.read_bytes() for p in sorted(exp.model_dir.iterdir())},
         "records": {
             key: (rec.rho, rec.pair_count) for key, rec in exp.fitness_cache.records().items()
         },
@@ -633,9 +649,21 @@ def test_pooled_smoke_search_writes_what_one_process_writes(tmp_path, one_proces
     expected, trained_alone = one_process_smoke
     written, trained_here = smoke_search(tmp_path, cpus=2)
     assert written == expected
-    assert len(expected["models"]) == len(trained_alone) == 37
+    assert len({canonical for canonical, _ in expected["records"]}) == len(trained_alone) == 37
     # workers trained the rest: each root, and each level with one new child, stays here
     assert len(trained_here) < len(trained_alone) / 2
+
+
+def test_search_writes_and_reads_no_model_files(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a search saved or loaded a model file")
+
+    monkeypatch.setattr(sgns, "save_embeddings", refuse)
+    monkeypatch.setattr(sgns, "load_embeddings", refuse)
+    written, _ = smoke_search(tmp_path, cpus=2)
+    bags, fitness = written["cache_dirs"]
+    assert bags.startswith("bags-")
+    assert fitness.startswith("fitness-") and fitness.endswith(".tsv")
 
 
 @needs_fork
@@ -692,7 +720,6 @@ def test_first_fitness_record_of_a_worker_trained_model_counts_its_training(
     configs = [search.Configuration.from_bags([bag]) for bag in ("amod", "obj")]
     with exp.training_scope():
         dev.prefetch(configs)
-        assert all(exp.model_path(config).exists() for config in configs)
         for config in configs:
             dev(config)
             test(config)
