@@ -17,6 +17,7 @@ from __future__ import annotations
 import gzip
 import io
 import logging
+import re
 from dataclasses import dataclass
 from functools import partial
 from typing import IO, Iterable, Iterator, NamedTuple
@@ -24,6 +25,11 @@ from typing import IO, Iterable, Iterator, NamedTuple
 logger = logging.getLogger(__name__)
 
 GZIP_MAGIC = b"\x1f\x8b"
+
+# The UTF-8 decoding of each ``errors`` mode. Under skip, a byte that is not
+# valid UTF-8 becomes a lone surrogate, which the token parser rejects.
+DECODE_ERRORS = {"skip": "surrogateescape", "raise": "strict"}
+UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
 class ConlluError(Exception):
@@ -71,6 +77,11 @@ class Sentence:
 
 def _parse_token(line: str, line_number: int) -> Token | None:
     """Parse one token line; returns None for multiword ranges / empty nodes."""
+    if not line.isascii():
+        bad = UNDECODABLE.search(line)
+        if bad is not None:
+            byte = ord(bad.group()) - 0xDC00
+            raise ConlluError(f"invalid UTF-8 (byte 0x{byte:02x})", line_number)
     try:
         tok_id, form, lemma, upos, _, _, head, deprel, _, _ = line.split("\t")
     except ValueError:
@@ -121,14 +132,13 @@ def parse_conllu(
     """Yield one Sentence per CoNLL-U block read from ``stream``.
 
     ``stream`` is any iterable of lines (bytes or text); byte lines are
-    decoded as UTF-8, and one that is not valid UTF-8 raises
-    :class:`ConlluError` in either ``errors`` mode. Comment lines, multiword
-    ranges and empty nodes are dropped. On a malformed line the enclosing
-    sentence is either skipped with a warning (``errors="skip"``, counted
-    under ``stats["skipped_sentences"]``) or a :class:`ConlluError` is
-    raised (``errors="raise"``).
+    decoded as UTF-8. Comment lines, multiword ranges and empty nodes are
+    dropped. On a malformed line the enclosing sentence is either skipped
+    with a warning (``errors="skip"``, counted under
+    ``stats["skipped_sentences"]``) or a :class:`ConlluError` is raised
+    (``errors="raise"``). A token line that is not valid UTF-8 is malformed.
     """
-    if errors not in ("skip", "raise"):
+    if errors not in DECODE_ERRORS:
         raise ValueError(f"errors must be 'skip' or 'raise', got {errors!r}")
     tokens: list[Token] = []
     block_bad = False
@@ -157,7 +167,7 @@ def parse_conllu(
         line_number += 1
         if isinstance(raw, bytes):
             try:
-                raw = raw.decode("utf-8")
+                raw = raw.decode("utf-8", DECODE_ERRORS[errors])
             except UnicodeDecodeError as exc:
                 raise ConlluError(f"invalid UTF-8 ({exc.reason})", line_number) from None
         line = raw.rstrip("\r\n")
@@ -234,11 +244,15 @@ def read_corpus(
 ) -> Iterator[Sentence]:
     """Parse sentences from a (possibly gzipped) UTF-8 CoNLL-U file.
 
-    Invalid UTF-8 raises :class:`ConlluError` naming the file and the line,
-    in either ``errors`` mode.
+    Under ``errors="skip"`` a token line that is not valid UTF-8 skips its
+    sentence like any malformed line; under ``errors="raise"`` invalid UTF-8
+    anywhere raises :class:`ConlluError` naming the file and the line.
     """
+    decoding = DECODE_ERRORS.get(errors, "strict")
     try:
-        with io.TextIOWrapper(open_corpus(path), encoding="utf-8", newline="\n") as stream:
+        with io.TextIOWrapper(
+            open_corpus(path), encoding="utf-8", errors=decoding, newline="\n"
+        ) as stream:
             yield from parse_conllu(stream, errors=errors, stats=stats)
     except UnicodeDecodeError as exc:
         # The decoder works on blocks of many lines, so find the line again

@@ -116,18 +116,13 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
 def average_ranks(values) -> np.ndarray:
     """1-based ranks with ties averaged."""
     a = np.asarray(values, dtype=np.float64)
-    order = np.argsort(a, kind="mergesort")
-    ranks = np.empty(len(a), dtype=np.float64)
-    sorted_a = a[order]
-    i = 0
-    n = len(a)
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_a[j + 1] == sorted_a[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    # A run of c ties ending at sorted position e (1-based) shares rank
+    # e - (c - 1) / 2. Every NaN is a run of its own and -0.0 ties with 0.0;
+    # return_index makes np.unique sort stably, so NaNs rank in input order.
+    _, _, inv, counts = np.unique(
+        a, return_index=True, return_inverse=True, return_counts=True, equal_nan=False
+    )
+    return (np.cumsum(counts) - (counts - 1) / 2)[inv]
 
 
 def spearman(xs, ys) -> float:

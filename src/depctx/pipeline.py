@@ -82,15 +82,14 @@ class ExperimentConfig:
         return cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
 
 
-def _parse_value(kind, raw: str):
-    if kind is int:
-        return int(raw)
-    if kind is float:
-        return float(raw)
-    if kind is str:
-        return raw
-    # tuple[str, ...] fields use comma separation
+def _parse_tuple(raw: str) -> tuple[str, ...]:
+    """A tuple[str, ...] field's value: comma-separated, blanks dropped."""
     return tuple(part.strip() for part in raw.split(",") if part.strip())
+
+
+# value parser by field type; ``from __future__ import annotations`` makes every
+# field type its annotation string, and the tuple fields take the fallback
+_PARSERS = {"int": int, "float": float, "str": str}
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
@@ -112,12 +111,9 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
             raise ExperimentConfigError(f"{path}:{line_no}: expected key=value, got {raw!r}")
         if key not in known:
             raise ExperimentConfigError(f"{path}:{line_no}: unknown key {key!r}")
-        kind = known[key]
-        type_map = {"int": int, "float": float, "str": str}
-        py_kind = type_map.get(kind, tuple) if isinstance(kind, str) else kind
         try:
-            values[key] = _parse_value(py_kind, value)
-        except (ValueError, TypeError) as exc:
+            values[key] = _PARSERS.get(known[key], _parse_tuple)(value)
+        except ValueError as exc:
             raise ExperimentConfigError(f"{path}:{line_no}: {exc}") from None
     cfg = ExperimentConfig(**values)
 
@@ -222,7 +218,11 @@ class ClassSearchResult:
     word_class: str
     runs: list[dict] = field(default_factory=list)  # per-run summary
     mean_test_rho: float | None = None
-    infeasible: bool = False
+
+    @property
+    def infeasible(self) -> bool:
+        """Whether some run's pool was empty, so it found no configuration."""
+        return any(run["best"] is None for run in self.runs)
 
 
 class Experiment:
@@ -239,8 +239,7 @@ class Experiment:
         self._manifest: extraction.Manifest | None = None
         self._fitness_cache: search.FitnessCache | None = None
         self._extraction_fingerprint: str | None = None
-        # worker pool of the open training scope (see training_scope)
-        self._in_training_scope = False
+        # the worker pool of an open worker_pool block
         self._pool = None
         # canonical -> (gold-pair cosines, training seconds no fitness record
         # has counted yet)
@@ -345,65 +344,62 @@ class Experiment:
     # -- parallel training --
 
     @contextmanager
-    def training_scope(self):
-        """Let prefetches train in worker processes until the outermost scope
-        ends, which shuts the pool down. Outside a scope training is sequential."""
-        if self._in_training_scope:
-            yield
-            return
-        self._in_training_scope = True
+    def worker_pool(self):
+        """Let prefetches train in forked worker processes until the block
+        ends, which shuts the pool down. Outside it, on one CPU, or without
+        fork, training stays in this process.
+
+        The executor forks its workers at its first submit, so a block that
+        never trains two configurations at once starts no process.
+        """
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        # imported here, so that commands which never search do not pay for it
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if cpus > 1 and "fork" in multiprocessing.get_all_start_methods():
+            # Forked workers inherit this experiment as it stands, its manifest
+            # and gold dataset loaded, so a task sends only its configuration. A
+            # spawned worker would import numpy and depctx afresh (about
+            # 0.13 s), longer than most trainings of a small search.
+            self.dataset
+            self._pool = ProcessPoolExecutor(
+                cpus, multiprocessing.get_context("fork"), _init_worker, (self,)
+            )
         try:
             yield
         finally:
-            self._in_training_scope = False
-            pool, self._pool = self._pool, None
-            if pool is not None:
-                pool.shutdown(cancel_futures=True)
-
-    def _training_pool(self):
-        """The scope's worker pool, started on first use; None when training
-        stays in this process: outside a scope, on one CPU, or without fork."""
-        if self._pool is None and self._in_training_scope:
-            # imported here, so that commands which never search do not pay for it
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-            if cpus > 1 and "fork" in multiprocessing.get_all_start_methods():
-                # Forked workers inherit this experiment as it stands, its manifest
-                # and gold dataset loaded, so a task sends only its configuration. A
-                # spawned worker would import numpy and depctx afresh (about
-                # 0.13 s), longer than most trainings of a small search.
-                self.dataset
-                self._pool = ProcessPoolExecutor(
-                    cpus, multiprocessing.get_context("fork"), _init_worker, (self,)
-                )
-        return self._pool
+            if self._pool is not None:
+                self._pool.shutdown(cancel_futures=True)
+                self._pool = None
 
     def prefetch(self, configs, fold: str) -> None:
         """Train in parallel the configurations that ``fold`` will score and
         that have neither a fitness record there nor been trained yet.
 
-        Each worker returns the result of :meth:`train_configuration` with
-        its training seconds, so the sequential fitness calls that follow
-        train nothing and every value is unchanged. A worker's failure is
-        dropped: the sequential call trains that configuration again and
-        meets the same error.
+        Only inside :meth:`worker_pool`, and only when two or more such
+        configurations are left; otherwise the fitness calls train them in
+        this process. Each worker returns the result of
+        :meth:`train_configuration` with its training seconds, so the
+        sequential fitness calls that follow train nothing and every value is
+        unchanged. A worker's failure is dropped: the sequential call trains
+        that configuration again and meets the same error.
         """
+        if self._pool is None:
+            return
         todo = [
             config for config in configs
             if self.fitness_cache.get(config.canonical, fold) is None
             and config.canonical not in self._trained
         ]
-        pool = self._training_pool() if len(todo) > 1 else None
-        if pool is None:
+        if len(todo) < 2:
             return
         from concurrent.futures import BrokenExecutor
 
         # largest first, so that no long training starts last
         todo.sort(key=lambda config: self.manifest.total(config.bags), reverse=True)
         try:
-            futures = [(config, pool.submit(_train_in_worker, config)) for config in todo]
+            futures = [(config, self._pool.submit(_train_in_worker, config)) for config in todo]
         except BrokenExecutor:
             logger.debug("a training worker died earlier; training in this process")
             return
@@ -456,11 +452,11 @@ class Experiment:
 
     def search_class(self, word_class: str) -> ClassSearchResult:
         """Per-class protocol: 2-fold split, then per dev fold a pool build,
-        descent and test score on the other fold; each fold is dev once."""
-        with self.training_scope():
-            return self._search_class(word_class)
+        descent and test score on the other fold; each fold is dev once.
 
-    def _search_class(self, word_class: str) -> ClassSearchResult:
+        Called alone it trains in this process; :meth:`run_search` opens the
+        worker pool around every class.
+        """
         cfg = self.cfg
         folds = evaluation.split_folds(self.dataset, word_class, cfg.fold_seed)
         fold_indices = {0: folds.fold_a, 1: folds.fold_b}
@@ -480,9 +476,7 @@ class Experiment:
             probes = {bag: search.Configuration.from_bags([bag]) for bag in all_bags}
             memo.prefetch(probes.values())
             per_bag = {bag: memo(probe) for bag, probe in probes.items()}
-            run = dict(
-                dev=dev, test=test, best=None, dev_rho=None, test_rho=None, per_bag_fitness=per_bag
-            )
+            run = dict(dev=dev, best=None, dev_rho=None, test_rho=None, per_bag_fitness=per_bag)
             result.runs.append(run)
             try:
                 space = search.build_pool(per_bag, cfg.threshold, all_bags)
@@ -491,7 +485,6 @@ class Experiment:
                     "class %s fold %d: no bag reaches threshold %.3f",
                     word_class, dev, cfg.threshold,
                 )
-                result.infeasible = True
                 continue
             best, trace = strategy(space, memo)
             dev_rho = memo(best)
@@ -501,9 +494,7 @@ class Experiment:
             trace_path = Path(cfg.out_dir) / f"trace_{word_class}_dev{dev}.tsv"
             trace_path.parent.mkdir(parents=True, exist_ok=True)
             trace.to_tsv(trace_path)
-            run.update(
-                best=best, dev_rho=dev_rho, test_rho=test_rho, pool=space.pool, visited=len(trace)
-            )
+            run.update(best=best, dev_rho=dev_rho, test_rho=test_rho)
         if test_rhos:
             result.mean_test_rho, _ = fold_mean(test_rhos)
         return result
@@ -511,7 +502,7 @@ class Experiment:
     def run_search(self) -> list[ClassSearchResult]:
         """Run the full protocol for every configured class and write the report."""
         self.extract()
-        with self.training_scope():
+        with self.worker_pool():
             results = [self.search_class(word_class) for word_class in self.cfg.classes]
         self.write_search_report(results)
         self.write_resolved_config()

@@ -155,9 +155,6 @@ class SearchTrace:
     def __iter__(self) -> Iterator[TraceEntry]:
         return iter(self.entries)
 
-    def get(self, canonical: str) -> TraceEntry | None:
-        return self._by_canonical.get(canonical)
-
     def record(
         self,
         config: Configuration,
@@ -408,9 +405,6 @@ class FitnessCache:
 
     def __len__(self) -> int:
         return len(self._records)
-
-    def __contains__(self, key: tuple[str, str]) -> bool:
-        return key in self._records
 
     def get(self, canonical: str, fold: str) -> CacheRecord | None:
         return self._records.get((canonical, fold))

@@ -262,13 +262,38 @@ def test_invalid_utf8_raises_in_both_readers(tmp_path, fig1_conllu_text):
     for compress in (False, True):
         path = tmp_path / f"bad{'.gz' if compress else ''}.conllu"
         path.write_bytes(gzip.compress(data) if compress else data)
-        for errors in ("skip", "raise"):
-            with pytest.raises(ConlluError) as caught:
-                list(read_corpus(str(path), errors=errors))
-            assert str(caught.value).startswith(f"line {line}: invalid UTF-8 in {path} (")
-    for errors in ("skip", "raise"):
-        with pytest.raises(ConlluError, match=rf"^line {line}: invalid UTF-8 \("):
-            list(parse_conllu(io.BytesIO(data), errors=errors))
+        with pytest.raises(ConlluError) as caught:
+            list(read_corpus(str(path), errors="raise"))
+        assert str(caught.value).startswith(f"line {line}: invalid UTF-8 in {path} (")
+    with pytest.raises(ConlluError, match=rf"^line {line}: invalid UTF-8 \("):
+        list(parse_conllu(io.BytesIO(data), errors="raise"))
+
+
+def test_invalid_utf8_skips_its_sentence_in_both_readers(tmp_path, fig1_conllu_text, caplog):
+    # the bad byte sits far past the decoder's first block of text, between
+    # two sentences of their own
+    block = fig1_conllu_text + "\n"
+    before = block.replace("telescope", "lens")
+    bad = block.replace("4\tstars", "4\tst\udcffrs")
+    after = block.replace("scientist", "astronomer")
+    data = (block * 2000 + before + bad + after).encode("utf-8", "surrogateescape")
+    line = 2001 * block.count("\n") + 5
+    good, lens, astronomer = (parse_all(text)[0] for text in (block, before, after))
+    plain, zipped = tmp_path / "bad.conllu", tmp_path / "bad.conllu.gz"
+    plain.write_bytes(data)
+    zipped.write_bytes(gzip.compress(data))
+    readers = {
+        "plain": lambda stats: read_corpus(str(plain), stats=stats),
+        "gzip": lambda stats: read_corpus(str(zipped), stats=stats),
+        "bytes": lambda stats: parse_conllu(io.BytesIO(data), stats=stats),
+    }
+    for name, read in readers.items():
+        caplog.clear()
+        stats = {}
+        sentences = list(read(stats))
+        assert sentences == [good] * 2000 + [lens, astronomer], name
+        assert stats == {"skipped_sentences": 1}, name
+        assert f"skipping sentence: line {line}: invalid UTF-8 (byte 0xff)" in caplog.text
 
 
 def test_tokens_are_immutable(fig1_conllu_text):

@@ -124,6 +124,28 @@ def test_average_ranks():
     assert list(average_ranks([10.0, 20.0, 20.0, 30.0])) == [1.0, 2.5, 2.5, 4.0]
 
 
+def test_average_ranks_match_counting_ranks_with_signed_zeros_and_nan():
+    # -0.0 ties with 0.0; NaNs rank last, each on its own, in input order
+    def counting_ranks(xs):
+        finite = [u for u in xs if u == u]
+        ranks, nans = [], 0
+        for v in xs:
+            if v != v:
+                nans += 1
+                ranks.append(len(finite) + nans)
+            else:
+                smaller = sum(1 for u in finite if u < v)
+                ties = sum(1 for u in finite if u == v)
+                ranks.append((2 * smaller + ties + 1) / 2)
+        return ranks
+
+    rng = np.random.default_rng(5)
+    values = [-np.inf, -1.0, -0.0, 0.0, 0.5, 2.0, np.inf, np.nan]
+    for _ in range(200):
+        xs = rng.choice(values, size=int(rng.integers(0, 80)))
+        assert average_ranks(xs).tolist() == counting_ranks(xs.tolist())
+
+
 # -- evaluate --
 
 

@@ -654,6 +654,39 @@ def test_pooled_smoke_search_writes_what_one_process_writes(tmp_path, one_proces
     assert len(trained_here) < len(trained_alone) / 2
 
 
+def count_process_starts(monkeypatch) -> list:
+    """Record the name of every process this process starts."""
+    started = []
+    real_start = multiprocessing.process.BaseProcess.start
+
+    def counting_start(process):
+        started.append(process.name)
+        real_start(process)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
+    return started
+
+
+@needs_fork
+def test_one_worker_pool_per_search_and_none_for_a_cached_rerun(tmp_path, monkeypatch):
+    started = count_process_starts(monkeypatch)
+    smoke_search(tmp_path, cpus=2)
+    assert len(started) == 2  # one worker per CPU, shared by all three classes
+    started.clear()
+    _, trained = smoke_search(tmp_path, cpus=2)
+    assert started == [] and trained == []
+
+
+@needs_fork
+def test_search_class_alone_trains_in_this_process(tmp_path, monkeypatch):
+    started = count_process_starts(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    trained = count_trainings(monkeypatch)
+    exp = Experiment(load_experiment_config(write_config(tmp_path, classes="A", **SMOKE)))
+    exp.search_class("A")
+    assert started == [] and trained
+
+
 def test_search_writes_and_reads_no_model_files(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a search saved or loaded a model file")
@@ -718,7 +751,7 @@ def test_first_fitness_record_of_a_worker_trained_model_counts_its_training(
     dev = exp.fitness_function("N", folds.fold_a, 0)
     test = exp.fitness_function("N", folds.fold_b, 1)
     configs = [search.Configuration.from_bags([bag]) for bag in ("amod", "obj")]
-    with exp.training_scope():
+    with exp.worker_pool():
         dev.prefetch(configs)
         for config in configs:
             dev(config)
