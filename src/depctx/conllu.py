@@ -14,6 +14,7 @@ the ``\r`` of a CRLF line end is stripped. A :class:`Token` is a
 
 from __future__ import annotations
 
+import codecs
 import gzip
 import io
 import logging
@@ -26,10 +27,24 @@ logger = logging.getLogger(__name__)
 
 GZIP_MAGIC = b"\x1f\x8b"
 
-# The UTF-8 decoding of each ``errors`` mode. Under skip, a byte that is not
-# valid UTF-8 becomes a lone surrogate, which the token parser rejects.
-DECODE_ERRORS = {"skip": "surrogateescape", "raise": "strict"}
+# Under skip, a byte that is not valid UTF-8 decodes to a lone surrogate and
+# sets this process-wide flag. Only once it is set does the skip path search
+# token lines for such a surrogate, so valid input, ASCII or not, pays for no
+# search; strict decoding never yields one, so raise mode runs none either.
+_invalid_utf8_seen = False
 UNDECODABLE = re.compile("[\udc80-\udcff]")
+_surrogateescape = codecs.lookup_error("surrogateescape")
+
+
+def _escape_invalid_utf8(exc: UnicodeDecodeError) -> tuple[str, int]:
+    global _invalid_utf8_seen
+    _invalid_utf8_seen = True
+    return _surrogateescape(exc)
+
+
+codecs.register_error("depctx.conllu.skip", _escape_invalid_utf8)
+# The UTF-8 decoding of each ``errors`` mode.
+DECODE_ERRORS = {"skip": "depctx.conllu.skip", "raise": "strict"}
 
 
 class ConlluError(Exception):
@@ -77,11 +92,6 @@ class Sentence:
 
 def _parse_token(line: str, line_number: int) -> Token | None:
     """Parse one token line; returns None for multiword ranges / empty nodes."""
-    if not line.isascii():
-        bad = UNDECODABLE.search(line)
-        if bad is not None:
-            byte = ord(bad.group()) - 0xDC00
-            raise ConlluError(f"invalid UTF-8 (byte 0x{byte:02x})", line_number)
     try:
         tok_id, form, lemma, upos, _, _, head, deprel, _, _ = line.split("\t")
     except ValueError:
@@ -101,6 +111,14 @@ def _parse_token(line: str, line_number: int) -> Token | None:
     if not deprel:
         raise ConlluError("empty DEPREL", line_number)
     return new_token((index, form.lower(), lemma, upos, head_index, deprel))
+
+
+def _reject_undecodable(line: str, line_number: int) -> None:
+    """Raise if a line decoded under ``surrogateescape`` held invalid UTF-8."""
+    bad = UNDECODABLE.search(line)
+    if bad is not None:
+        byte = ord(bad.group()) - 0xDC00
+        raise ConlluError(f"invalid UTF-8 (byte 0x{byte:02x})", line_number)
 
 
 def _build_sentence(tokens: list[Token], line_number: int) -> Sentence:
@@ -136,10 +154,12 @@ def parse_conllu(
     dropped. On a malformed line the enclosing sentence is either skipped
     with a warning (``errors="skip"``, counted under
     ``stats["skipped_sentences"]``) or a :class:`ConlluError` is raised
-    (``errors="raise"``). A token line that is not valid UTF-8 is malformed.
+    (``errors="raise"``). A byte token line that is not valid UTF-8 is
+    malformed.
     """
     if errors not in DECODE_ERRORS:
         raise ValueError(f"errors must be 'skip' or 'raise', got {errors!r}")
+    skip = errors == "skip"
     tokens: list[Token] = []
     block_bad = False
     line_number = 0
@@ -155,7 +175,7 @@ def parse_conllu(
         try:
             sentence = _build_sentence(tokens, at_line)
         except ConlluError as exc:
-            if errors == "raise":
+            if not skip:
                 raise
             _count_skip(stats, exc)
             return None
@@ -181,9 +201,11 @@ def parse_conllu(
         if block_bad:
             continue
         try:
+            if _invalid_utf8_seen and skip and not line.isascii():
+                _reject_undecodable(line, line_number)
             token = _parse_token(line, line_number)
         except ConlluError as exc:
-            if errors == "raise":
+            if not skip:
                 raise
             _count_skip(stats, exc)
             block_bad = True

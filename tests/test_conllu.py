@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from depctx import conllu
 from depctx.conllu import (
     ConlluError,
     Sentence,
@@ -269,7 +270,9 @@ def test_invalid_utf8_raises_in_both_readers(tmp_path, fig1_conllu_text):
         list(parse_conllu(io.BytesIO(data), errors="raise"))
 
 
-def test_invalid_utf8_skips_its_sentence_in_both_readers(tmp_path, fig1_conllu_text, caplog):
+def test_invalid_utf8_skips_its_sentence_in_both_readers(
+    tmp_path, fig1_conllu_text, caplog, monkeypatch
+):
     # the bad byte sits far past the decoder's first block of text, between
     # two sentences of their own
     block = fig1_conllu_text + "\n"
@@ -288,12 +291,32 @@ def test_invalid_utf8_skips_its_sentence_in_both_readers(tmp_path, fig1_conllu_t
         "bytes": lambda stats: parse_conllu(io.BytesIO(data), stats=stats),
     }
     for name, read in readers.items():
+        # as in a process that has not yet decoded a bad byte
+        monkeypatch.setattr(conllu, "_invalid_utf8_seen", False)
         caplog.clear()
         stats = {}
         sentences = list(read(stats))
         assert sentences == [good] * 2000 + [lens, astronomer], name
         assert stats == {"skipped_sentences": 1}, name
         assert f"skipping sentence: line {line}: invalid UTF-8 (byte 0xff)" in caplog.text
+
+
+def test_valid_utf8_runs_no_surrogate_search(tmp_path, fig1_conllu_text, monkeypatch):
+    searched = []
+    monkeypatch.setattr(conllu, "_reject_undecodable", lambda line, n: searched.append(n))
+    text = fig1_conllu_text.replace("stars", "étoiles").replace("telescope", "télescope")
+    path = write_corpus(tmp_path / "accented.conllu", text + "\n")
+    expected = parse_all(text)
+    assert expected[0].token(4).form == "étoiles"
+    # valid non-ASCII input under skip, in a process that has seen no bad byte
+    monkeypatch.setattr(conllu, "_invalid_utf8_seen", False)
+    assert list(read_corpus(path)) == expected
+    assert list(parse_conllu(io.BytesIO(text.encode("utf-8")))) == expected
+    assert not conllu._invalid_utf8_seen
+    # raise decodes strictly, so it never searches, even after a bad byte
+    monkeypatch.setattr(conllu, "_invalid_utf8_seen", True)
+    assert list(read_corpus(path, errors="raise")) == expected
+    assert searched == []
 
 
 def test_tokens_are_immutable(fig1_conllu_text):
