@@ -4,8 +4,10 @@ Every fitness evaluation is a full SGNS training run, so everything is keyed
 by content hashes and cached on disk: bag files by extraction fingerprint,
 fitness values by (configuration, fold). A trained configuration is kept in
 memory only as its gold-pair cosines, which score it on every class and fold.
-Forked worker processes train one search step's independent configurations
-and return those cosines; this process alone writes the fitness cache.
+A search advances every (class, dev fold) run together, in rounds: each
+round trains what all runs asked for in one batch, in forked worker
+processes that return those cosines, and then every run scores its asks.
+This process alone writes the fitness cache.
 Reports deliberately exclude wall-clock times so identical experiments
 reproduce byte-identical report files; timings stay available in the fitness
 cache and via the report command's timing switch.
@@ -239,8 +241,6 @@ class Experiment:
         self._manifest: extraction.Manifest | None = None
         self._fitness_cache: search.FitnessCache | None = None
         self._extraction_fingerprint: str | None = None
-        # the worker pool of an open worker_pool block
-        self._pool = None
         # canonical -> (gold-pair cosines, training seconds no fitness record
         # has counted yet)
         self._trained: dict[str, tuple[np.ndarray, float]] = {}
@@ -345,9 +345,8 @@ class Experiment:
 
     @contextmanager
     def worker_pool(self):
-        """Let prefetches train in forked worker processes until the block
-        ends, which shuts the pool down. Outside it, on one CPU, or without
-        fork, training stays in this process.
+        """A pool of forked training workers for :meth:`prefetch`, shut down
+        when the block ends; None on one CPU or without fork.
 
         The executor forks its workers at its first submit, so a block that
         never trains two configurations at once starts no process.
@@ -357,49 +356,51 @@ class Experiment:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
+        pool = None
         if cpus > 1 and "fork" in multiprocessing.get_all_start_methods():
             # Forked workers inherit this experiment as it stands, its manifest
             # and gold dataset loaded, so a task sends only its configuration. A
             # spawned worker would import numpy and depctx afresh (about
             # 0.13 s), longer than most trainings of a small search.
             self.dataset
-            self._pool = ProcessPoolExecutor(
+            pool = ProcessPoolExecutor(
                 cpus, multiprocessing.get_context("fork"), _init_worker, (self,)
             )
         try:
-            yield
+            yield pool
         finally:
-            if self._pool is not None:
-                self._pool.shutdown(cancel_futures=True)
-                self._pool = None
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
 
-    def prefetch(self, configs, fold: str) -> None:
-        """Train in parallel the configurations that ``fold`` will score and
-        that have neither a fitness record there nor been trained yet.
+    def prefetch(self, pool, asks) -> None:
+        """Train in ``pool`` the configurations of ``asks``, (fold,
+        configuration) pairs, that have no fitness record on their fold and
+        have not been trained yet.
 
-        Only inside :meth:`worker_pool`, and only when two or more such
-        configurations are left; otherwise the fitness calls train them in
-        this process. Each worker returns the result of
-        :meth:`train_configuration` with its training seconds, so the
-        sequential fitness calls that follow train nothing and every value is
-        unchanged. A worker's failure is dropped: the sequential call trains
-        that configuration again and meets the same error.
+        Only when two or more such configurations are left; otherwise, or
+        with no pool, the fitness calls train them in this process. Each
+        worker returns the result of :meth:`train_configuration` with its
+        training seconds, so the fitness calls that follow train nothing and
+        every value is unchanged. A worker's failure is dropped: the fitness
+        call trains that configuration again and meets the same error.
         """
-        if self._pool is None:
+        if pool is None:
             return
-        todo = [
-            config for config in configs
-            if self.fitness_cache.get(config.canonical, fold) is None
-            and config.canonical not in self._trained
-        ]
+        todo: dict[str, search.Configuration] = {}
+        for fold, config in asks:
+            if (
+                config.canonical not in self._trained
+                and self.fitness_cache.get(config.canonical, fold) is None
+            ):
+                todo.setdefault(config.canonical, config)
         if len(todo) < 2:
             return
         from concurrent.futures import BrokenExecutor
 
         # largest first, so that no long training starts last
-        todo.sort(key=lambda config: self.manifest.total(config.bags), reverse=True)
+        configs = sorted(todo.values(), key=lambda c: self.manifest.total(c.bags), reverse=True)
         try:
-            futures = [(config, self._pool.submit(_train_in_worker, config)) for config in todo]
+            futures = [(config, pool.submit(_train_in_worker, config)) for config in configs]
         except BrokenExecutor:
             logger.debug("a training worker died earlier; training in this process")
             return
@@ -417,11 +418,11 @@ class Experiment:
     def fitness_function(self, word_class: str, fold_indices, fold_index: int):
         """Config -> Spearman rho on one fold, through the fitness cache.
 
-        A configuration is trained once per experiment, on its first fold.
-        Untrainable or unscorable configurations come back as -inf so they
-        lose to everything real instead of aborting the whole search. The
-        function's ``prefetch`` trains a batch of configurations ahead of
-        their calls (see :meth:`prefetch`).
+        A configuration is trained once per experiment, on its first fold:
+        in a worker, when the search round that asked for it trained it in
+        a batch with others, and in this process otherwise. Untrainable or
+        unscorable configurations come back as -inf so they lose to
+        everything real instead of aborting the whole search.
         """
         fold = self.fold_id(word_class, fold_index)
 
@@ -445,65 +446,91 @@ class Experiment:
             self.fitness_cache.put(config.canonical, fold, rho, wall, pair_count)
             return rho
 
-        fitness.prefetch = lambda configs: self.prefetch(configs, fold)
         return fitness
 
     # -- the search protocol --
 
     def search_class(self, word_class: str) -> ClassSearchResult:
+        """The search protocol over one class (see :meth:`_search_classes`),
+        trained in this process."""
+        return self._search_classes([word_class], None)[0]
+
+    def _search_classes(self, classes, pool) -> list[ClassSearchResult]:
         """Per-class protocol: 2-fold split, then per dev fold a pool build,
         descent and test score on the other fold; each fold is dev once.
 
-        Called alone it trains in this process; :meth:`run_search` opens the
-        worker pool around every class.
+        Every (class, dev fold) run advances together, in rounds. A round
+        trains in one :meth:`prefetch` batch on ``pool`` what all runs asked
+        for, then resumes each run in turn, which scores its asks on its dev
+        fold and asks for more, until every run has ended.
         """
         cfg = self.cfg
-        folds = evaluation.split_folds(self.dataset, word_class, cfg.fold_seed)
-        fold_indices = {0: folds.fold_a, 1: folds.fold_b}
-        result = ClassSearchResult(word_class=word_class)
-        runs = [(0, 1), (1, 0)]
-        logger.info(
-            "class %s: fold seed %d, runs %s (dev fold fixed for all search levels)",
-            word_class, cfg.fold_seed, runs,
-        )
-
-        strategy = search.strategy_functions()[cfg.strategy]
         all_bags = extraction.effective_bags(self.table, cfg.extraction_config())
-        test_rhos = []
-        for dev, test in runs:
-            dev_fitness = self.fitness_function(word_class, fold_indices[dev], dev)
-            memo = search.MemoizedFitness(dev_fitness)
-            probes = {bag: search.Configuration.from_bags([bag]) for bag in all_bags}
-            memo.prefetch(probes.values())
-            per_bag = {bag: memo(probe) for bag, probe in probes.items()}
-            run = dict(dev=dev, best=None, dev_rho=None, test_rho=None, per_bag_fitness=per_bag)
-            result.runs.append(run)
-            try:
-                space = search.build_pool(per_bag, cfg.threshold, all_bags)
-            except search.SearchInfeasibleError:
-                logger.warning(
-                    "class %s fold %d: no bag reaches threshold %.3f",
-                    word_class, dev, cfg.threshold,
-                )
-                continue
-            best, trace = strategy(space, memo)
-            dev_rho = memo(best)
-            test_fitness = self.fitness_function(word_class, fold_indices[test], test)
-            test_rho = test_fitness(best)
-            test_rhos.append(test_rho)
-            trace_path = Path(cfg.out_dir) / f"trace_{word_class}_dev{dev}.tsv"
-            trace_path.parent.mkdir(parents=True, exist_ok=True)
-            trace.to_tsv(trace_path)
-            run.update(best=best, dev_rho=dev_rho, test_rho=test_rho)
-        if test_rhos:
-            result.mean_test_rho, _ = fold_mean(test_rhos)
-        return result
+        dev_test = [(0, 1), (1, 0)]
+        results, runs = [], []
+        for word_class in classes:
+            folds = evaluation.split_folds(self.dataset, word_class, cfg.fold_seed)
+            fold_indices = {0: folds.fold_a, 1: folds.fold_b}
+            result = ClassSearchResult(word_class=word_class)
+            results.append(result)
+            logger.info(
+                "class %s: fold seed %d, runs %s (dev fold fixed for all search levels)",
+                word_class, cfg.fold_seed, dev_test,
+            )
+            for dev, test in dev_test:
+                run = dict(dev=dev, best=None, dev_rho=None, test_rho=None, per_bag_fitness=None)
+                result.runs.append(run)
+                asks = self._search_run(word_class, fold_indices, dev, test, all_bags, run)
+                runs.append((self.fold_id(word_class, dev), asks))
+
+        asked = dict.fromkeys(runs, ())
+        while asked:
+            self.prefetch(pool, [(fold, c) for (fold, _), configs in asked.items() for c in configs])
+            for run in list(asked):
+                try:
+                    asked[run] = run[1].send(None)
+                except StopIteration:
+                    del asked[run]
+
+        for result in results:
+            test_rhos = [run["test_rho"] for run in result.runs if run["best"] is not None]
+            if test_rhos:
+                result.mean_test_rho, _ = fold_mean(test_rhos)
+        return results
+
+    def _search_run(self, word_class, fold_indices, dev, test, all_bags, run):
+        """One run: probe every bag on the dev fold, build the pool, search it
+        and score the best on the test fold, filling in ``run``.
+
+        A generator of asks, each a list of configurations to score on the dev
+        fold; resumed, it scores them through its memoized dev fitness. The
+        test score reuses the best's cosines from its dev score.
+        """
+        cfg = self.cfg
+        memo = search.MemoizedFitness(self.fitness_function(word_class, fold_indices[dev], dev))
+        probes = {bag: search.Configuration.from_bags([bag]) for bag in all_bags}
+        yield list(probes.values())
+        per_bag = run["per_bag_fitness"] = {bag: memo(probe) for bag, probe in probes.items()}
+        try:
+            space = search.build_pool(per_bag, cfg.threshold, all_bags)
+        except search.SearchInfeasibleError:
+            logger.warning(
+                "class %s fold %d: no bag reaches threshold %.3f",
+                word_class, dev, cfg.threshold,
+            )
+            return
+        best, trace = yield from search.drive(search.STRATEGY_STEPS[cfg.strategy](space), memo)
+        test_rho = self.fitness_function(word_class, fold_indices[test], test)(best)
+        trace_path = Path(cfg.out_dir) / f"trace_{word_class}_dev{dev}.tsv"
+        trace_path.parent.mkdir(parents=True, exist_ok=True)
+        trace.to_tsv(trace_path)
+        run.update(best=best, dev_rho=memo(best), test_rho=test_rho)
 
     def run_search(self) -> list[ClassSearchResult]:
         """Run the full protocol for every configured class and write the report."""
         self.extract()
-        with self.worker_pool():
-            results = [self.search_class(word_class) for word_class in self.cfg.classes]
+        with self.worker_pool() as pool:
+            results = self._search_classes(self.cfg.classes, pool)
         self.write_search_report(results)
         self.write_resolved_config()
         return results

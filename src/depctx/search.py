@@ -13,7 +13,7 @@ import itertools
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Generator, Iterable, Iterator
 
 logger = logging.getLogger(__name__)
 
@@ -194,17 +194,6 @@ class MemoizedFitness:
         self.cache: dict[str, float] = {}
         self.evaluations: list[str] = []
 
-    def seed(self, config: Configuration, fitness: float) -> None:
-        self.cache.setdefault(config.canonical, fitness)
-
-    def prefetch(self, configs: Iterable[Configuration]) -> None:
-        """Announce configurations about to be evaluated, so that a fitness
-        function with a ``prefetch`` of its own can prepare the ones not
-        memoised yet in one batch. Values are the same either way."""
-        prefetch = getattr(self._fn, "prefetch", None)
-        if prefetch is not None:
-            prefetch([c for c in configs if c.canonical not in self.cache])
-
     def __call__(self, config: Configuration) -> float:
         key = config.canonical
         if key not in self.cache:
@@ -217,20 +206,41 @@ class MemoizedFitness:
         return self.cache[key]
 
 
-def _start_search(space: ConfigurationSpace, fitness_fn) -> tuple[MemoizedFitness, SearchTrace]:
-    """Memoize the fitness, then log the per-bag evaluations behind the pool in a new trace."""
-    memo = fitness_fn if isinstance(fitness_fn, MemoizedFitness) else MemoizedFitness(fitness_fn)
+# A strategy is a generator of asks (ask-and-tell, Collette et al. 2010, "On
+# Object-Oriented Programming of Optimizers"). Each ask lists, once each, the
+# configurations it needs values for next and that it has no value for yet.
+# It is sent back their values by canonical form, and returns the best
+# configuration and the trace.
+Steps = Generator[list[Configuration], dict[str, float], tuple[Configuration, SearchTrace]]
+
+
+def _ask(values: dict[str, float], configs: Iterable[Configuration]):
+    """Ask for those of ``configs`` that have no value in ``values`` yet,
+    then store the values sent back there; asks nothing when none is left."""
+    todo: dict[str, Configuration] = {}
+    for config in configs:
+        if config.canonical not in values:
+            todo.setdefault(config.canonical, config)
+    if todo:
+        told = yield list(todo.values())
+        values.update((key, told[key]) for key in todo)
+
+
+def _start_search(space: ConfigurationSpace):
+    """Ask for the pool 1-sets without a per-bag fitness, then log the per-bag
+    evaluations behind the pool in a new trace; returns the values known so
+    far, by canonical form, and the trace."""
+    singles = {bag: Configuration.from_bags([bag]) for bag in space.all_bags}
+    values = {singles[bag].canonical: fitness for bag, fitness in space.per_bag_fitness.items()}
+    yield from _ask(values, (singles[bag] for bag in space.pool))
     trace = SearchTrace()
     pool = set(space.pool)
     for bag in space.all_bags:
-        single = Configuration.from_bags([bag])
-        if bag in space.per_bag_fitness:
-            memo.seed(single, space.per_bag_fitness[bag])
         if bag in pool:
-            trace.record(single, memo(single), "pool")
+            trace.record(singles[bag], values[singles[bag].canonical], "pool")
         elif bag in space.per_bag_fitness:
-            trace.record(single, space.per_bag_fitness[bag], "pool-excluded")
-    return memo, trace
+            trace.record(singles[bag], space.per_bag_fitness[bag], "pool-excluded")
+    return values, trace
 
 
 def _finish_search(trace: SearchTrace) -> tuple[Configuration, SearchTrace]:
@@ -243,22 +253,21 @@ def _finish_search(trace: SearchTrace) -> tuple[Configuration, SearchTrace]:
     return best, trace
 
 
-def best_configuration_search(
-    space: ConfigurationSpace, fitness_fn
-) -> tuple[Configuration, SearchTrace]:
+def beam_steps(space: ConfigurationSpace) -> Steps:
     """Conservative top-down beam over the subset lattice (Algorithm 1).
 
     Starting from the full pool configuration, each level keeps every child
     (origin minus one bag) whose fitness is at least its origin's; children
-    are deduplicated by canonical form before evaluation. The descent stops
-    at the first level that keeps no child. The returned best is the argmax
-    over everything evaluated, the pool 1-sets included; ties break toward
-    smaller, then lexicographically earlier configurations.
+    are deduplicated by canonical form and asked for as one batch. The
+    descent stops at the first level that keeps no child. The returned best
+    is the argmax over everything evaluated, the pool 1-sets included; ties
+    break toward smaller, then lexicographically earlier configurations.
     """
-    memo, trace = _start_search(space, fitness_fn)
+    values, trace = yield from _start_search(space)
 
     root = Configuration.from_bags(space.pool)
-    trace.record(root, memo(root), "root")
+    yield from _ask(values, [root])
+    trace.record(root, values[root.canonical], "root")
     frontier = [root]
     level = root.size
 
@@ -271,12 +280,12 @@ def best_configuration_search(
                     edges[key][1].append(origin)
                 else:
                     edges[key] = (child, [origin])
-        memo.prefetch(edges[key][0] for key in sorted(edges))
+        yield from _ask(values, (edges[key][0] for key in sorted(edges)))
         next_frontier = []
         for key in sorted(edges):
             child, origins = edges[key]
-            child_fitness = memo(child)
-            qualifying = [o for o in origins if child_fitness >= memo(o)]
+            child_fitness = values[key]
+            qualifying = [o for o in origins if child_fitness >= values[o.canonical]]
             if qualifying:
                 trace.record(child, child_fitness, "kept", qualifying[0].canonical)
                 next_frontier.append(child)
@@ -288,19 +297,19 @@ def best_configuration_search(
     return _finish_search(trace)
 
 
-def greedy_search(
-    space: ConfigurationSpace, fitness_fn
-) -> tuple[Configuration, SearchTrace]:
+def greedy_steps(space: ConfigurationSpace) -> Steps:
     """Like the beam descent, but at most one configuration survives per level."""
-    memo, trace = _start_search(space, fitness_fn)
+    values, trace = yield from _start_search(space)
 
     current = Configuration.from_bags(space.pool)
-    trace.record(current, memo(current), "root")
+    yield from _ask(values, [current])
+    trace.record(current, values[current.canonical], "root")
 
     while current.size > 1:
-        current_fitness = memo(current)
-        memo.prefetch(current.children())
-        scored = [(child, memo(child)) for child in current.children()]
+        current_fitness = values[current.canonical]
+        children = list(current.children())
+        yield from _ask(values, children)
+        scored = [(child, values[child.canonical]) for child in children]
         best_child, best_fitness = min(scored, key=lambda it: (-it[1], it[0].sort_key()))
         for child, child_fitness in scored:
             if child is best_child and child_fitness >= current_fitness:
@@ -314,12 +323,10 @@ def greedy_search(
     return _finish_search(trace)
 
 
-def exhaustive_search(
-    space: ConfigurationSpace, fitness_fn
-) -> tuple[Configuration, SearchTrace]:
-    """Evaluate every nonempty subset of the pool; the true optimum.
+def exhaustive_steps(space: ConfigurationSpace) -> Steps:
+    """Evaluate every nonempty subset of the pool, one size per ask; the true optimum.
 
-    Pools above EXHAUSTIVE_GUARD bags raise ValueError before any evaluation.
+    Pools above EXHAUSTIVE_GUARD bags raise ValueError before the first ask.
     """
     if space.K > EXHAUSTIVE_GUARD:
         raise ValueError(
@@ -327,30 +334,65 @@ def exhaustive_search(
             f"it is limited to pools of at most {EXHAUSTIVE_GUARD} bags: "
             "use strategy alg1 or greedy, or raise threshold"
         )
-    memo, trace = _start_search(space, fitness_fn)
+    values, trace = yield from _start_search(space)
     pool = sorted(space.pool)
     for size in range(1, len(pool) + 1):
         configs = [Configuration.from_bags(c) for c in itertools.combinations(pool, size)]
-        memo.prefetch(configs)
+        yield from _ask(values, configs)
         for config in configs:
-            trace.record(config, memo(config), "visited")
+            trace.record(config, values[config.canonical], "visited")
     return _finish_search(trace)
 
 
-def strategy_functions() -> dict[str, Callable]:
-    """Strategy name -> search function.
+STRATEGY_STEPS = {"alg1": beam_steps, "greedy": greedy_steps, "exhaustive": exhaustive_steps}
+STRATEGIES = tuple(STRATEGY_STEPS)
 
-    The functions are looked up at call time, so a search function replaced
-    on this module (say, by a tracing wrapper) is the one that runs.
+
+def drive(steps: Steps, fitness_fn):
+    """Answer each ask of ``steps`` through ``fitness_fn``, memoized, in the
+    order asked; returns the strategy's best configuration and trace.
+
+    A generator: it yields each ask before answering it, so that a caller
+    advancing several searches together can prepare what they all asked for
+    at once. A failed evaluation raises RuntimeError naming the configuration.
     """
-    return {
-        "alg1": best_configuration_search,
-        "greedy": greedy_search,
-        "exhaustive": exhaustive_search,
-    }
+    memo = fitness_fn if isinstance(fitness_fn, MemoizedFitness) else MemoizedFitness(fitness_fn)
+    told = None
+    while True:
+        try:
+            asked = steps.send(told)
+        except StopIteration as done:
+            return done.value
+        yield asked
+        told = {config.canonical: memo(config) for config in asked}
 
 
-STRATEGIES = tuple(strategy_functions())
+def _search_alone(steps: Steps, fitness_fn) -> tuple[Configuration, SearchTrace]:
+    driven = drive(steps, fitness_fn)
+    while True:
+        try:
+            next(driven)
+        except StopIteration as done:
+            return done.value
+
+
+def best_configuration_search(
+    space: ConfigurationSpace, fitness_fn
+) -> tuple[Configuration, SearchTrace]:
+    """Algorithm 1 (see :func:`beam_steps`), evaluating through ``fitness_fn``."""
+    return _search_alone(beam_steps(space), fitness_fn)
+
+
+def greedy_search(space: ConfigurationSpace, fitness_fn) -> tuple[Configuration, SearchTrace]:
+    """The greedy descent (see :func:`greedy_steps`), evaluating through ``fitness_fn``."""
+    return _search_alone(greedy_steps(space), fitness_fn)
+
+
+def exhaustive_search(
+    space: ConfigurationSpace, fitness_fn
+) -> tuple[Configuration, SearchTrace]:
+    """Every pool subset (see :func:`exhaustive_steps`), evaluated through ``fitness_fn``."""
+    return _search_alone(exhaustive_steps(space), fitness_fn)
 
 
 def count_space(M: int, K: int) -> int:

@@ -650,8 +650,10 @@ def test_pooled_smoke_search_writes_what_one_process_writes(tmp_path, one_proces
     written, trained_here = smoke_search(tmp_path, cpus=2)
     assert written == expected
     assert len({canonical for canonical, _ in expected["records"]}) == len(trained_alone) == 37
-    # workers trained the rest: each root, and each level with one new child, stays here
-    assert len(trained_here) < len(trained_alone) / 2
+    # Only a round whose asks, over all six runs, leave exactly one
+    # configuration to train trains here. The rounds of this search leave
+    # 13 probes, 5 roots, then 10 and 9 children, so none does.
+    assert trained_here == []
 
 
 def count_process_starts(monkeypatch) -> list:
@@ -734,6 +736,27 @@ def test_diverging_training_fails_the_search_alike_with_and_without_workers(tmp_
 
 
 @needs_fork
+def test_two_diverging_trainings_in_one_round_fail_alike_with_and_without_workers(tmp_path):
+    # Both probes train in the same round; the workers train subj (the
+    # largest bag) first, but the search tells acl first, so acl's failure
+    # is the one raised, on one CPU as on two.
+    real_train = sgns.train
+
+    def diverging_train(stream, config):
+        if stream.bags in (("acl",), ("subj",)):
+            raise sgns.TrainingDivergedError("non-finite parameters during training")
+        return real_train(stream, config)
+
+    messages = []
+    for cpus in (1, 2):
+        with pytest.raises(RuntimeError, match="fitness evaluation failed") as caught:
+            smoke_search(tmp_path / f"cpus{cpus}", cpus, train=diverging_train)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+    assert "acl: non-finite" in messages[0]
+
+
+@needs_fork
 def test_first_fitness_record_of_a_worker_trained_model_counts_its_training(
     tmp_path, monkeypatch
 ):
@@ -751,8 +774,8 @@ def test_first_fitness_record_of_a_worker_trained_model_counts_its_training(
     dev = exp.fitness_function("N", folds.fold_a, 0)
     test = exp.fitness_function("N", folds.fold_b, 1)
     configs = [search.Configuration.from_bags([bag]) for bag in ("amod", "obj")]
-    with exp.worker_pool():
-        dev.prefetch(configs)
+    with exp.worker_pool() as pool:
+        exp.prefetch(pool, [("N:0", config) for config in configs])
         for config in configs:
             dev(config)
             test(config)

@@ -8,11 +8,14 @@ from depctx.search import (
     FitnessCache,
     MemoizedFitness,
     SearchInfeasibleError,
+    beam_steps,
     best_configuration_search,
     build_pool,
     count_space,
     exhaustive_search,
+    exhaustive_steps,
     greedy_search,
+    greedy_steps,
 )
 
 ALL_13 = (
@@ -359,37 +362,75 @@ def test_exhaustive_dominates_alg1_on_random_landscapes():
     assert strict >= 1  # the beam is not guaranteed to be globally optimal
 
 
-@pytest.mark.parametrize("strategy", [best_configuration_search, greedy_search, exhaustive_search])
-def test_strategies_announce_what_they_evaluate_next(strategy):
-    # every evaluation but the root's was announced to the fitness function's
-    # prefetch, once, before it; nothing announced goes unevaluated
+def random_landscape(rng):
+    k = int(rng.integers(2, 6))
+    bags = [f"b{i}" for i in range(k)]
+    table = {}
+    for size in range(1, k + 1):
+        for combo in itertools.combinations(bags, size):
+            table[Configuration.from_bags(combo).canonical] = float(rng.random())
+    return bags, table
+
+
+def tell_table(steps, table, asks):
+    """Advance ``steps`` by one ask, told from ``table``; logs the ask in
+    ``asks`` and returns the result once the strategy ends, else None."""
+    try:
+        asked = steps.send({c.canonical: table[c.canonical] for c in asks[-1]} if asks else None)
+    except StopIteration as done:
+        return done.value
+    asks.append(asked)
+    return None
+
+
+def as_rows(result):
+    best, trace = result
+    return best.canonical, [vars(entry) for entry in trace]
+
+
+@pytest.mark.parametrize(
+    "steps,search",
+    [
+        (beam_steps, best_configuration_search),
+        (greedy_steps, greedy_search),
+        (exhaustive_steps, exhaustive_search),
+    ],
+    ids=["alg1", "greedy", "exhaustive"],
+)
+def test_strategies_ask_each_configuration_once_and_interleave_like_alone(steps, search):
     rng = np.random.default_rng(99)
-    for _ in range(20):
-        k = int(rng.integers(2, 6))
-        bags = [f"b{i}" for i in range(k)]
-        table = {}
-        for size in range(1, k + 1):
-            for combo in itertools.combinations(bags, size):
-                table[Configuration.from_bags(combo).canonical] = float(rng.random())
-        log = []
+    for _ in range(30):
+        bags, table = random_landscape(rng)
+        # one bag's fitness as the threshold keeps that bag and may leave others out
+        space = build_pool({b: table[b] for b in bags}, threshold=table[rng.choice(bags)])
+        other_bags, other_table = random_landscape(rng)
+        other_space = build_pool({b: other_table[b] for b in other_bags}, threshold=-1.0)
 
-        def fitness(config):
-            log.append(("evaluate", config.canonical))
-            return table[config.canonical]
+        asks, other_asks = [], []
+        mine, other = steps(space), beam_steps(other_space)
+        result = other_result = None
+        while result is None or other_result is None:
+            if result is None:
+                result = tell_table(mine, table, asks)
+            if other_result is None:
+                other_result = tell_table(other, other_table, other_asks)
 
-        fitness.prefetch = lambda configs: log.extend(("prefetch", c.canonical) for c in configs)
-        space = build_pool({b: table[b] for b in bags}, threshold=-1.0)
-        strategy(space, MemoizedFitness(fitness))
-        root = Configuration.from_bags(bags).canonical
-        announced, evaluated = set(), set()
-        for kind, canonical in log:
-            if kind == "prefetch":
-                assert canonical not in announced | evaluated
-                announced.add(canonical)
-            else:
-                assert canonical in announced or canonical == root
-                evaluated.add(canonical)
-        assert announced <= evaluated
+        answered = set(space.per_bag_fitness)
+        for asked in asks:
+            keys = [c.canonical for c in asked]
+            assert asked and len(keys) == len(set(keys)), "an ask repeats a configuration"
+            assert not answered & set(keys), "an ask holds a configuration with a value"
+            answered |= set(keys)
+        # every asked configuration enters the trace with its value
+        logged = {entry.canonical: entry.fitness for entry in result[1]}
+        assert all(logged[key] == table[key] for key in answered)
+        # driven alone, the search evaluates exactly what it asked for
+        memo = MemoizedFitness(dict_fitness(table))
+        assert as_rows(result) == as_rows(search(space, memo))
+        assert sorted(memo.evaluations) == sorted(answered - set(space.per_bag_fitness))
+        assert as_rows(other_result) == as_rows(
+            best_configuration_search(other_space, dict_fitness(other_table))
+        )
 
 
 # -- count_space --
