@@ -87,6 +87,13 @@ class BagMappingTable:
     def __init__(self, rules: list[tuple[str, str]]):
         if not rules or rules[-1][0] != "*":
             raise ValueError("mapping table requires a final catch-all '*' rule")
+        for pattern, target in rules:
+            # "+" joins bags in a configuration's name and "/" would leave the bag directory
+            if not target or "+" in target or "/" in target:
+                raise ValueError(
+                    f"bad bag label in rule {pattern!r} -> {target!r}: "
+                    "a label must be nonempty and hold no '+' or '/'"
+                )
         self.rules = list(rules)
         # Exact rules, then every label a prefix scan has resolved.
         self._mapped: dict[str, str] = {}

@@ -6,7 +6,8 @@ fitness values by (configuration, fold). A trained configuration is kept in
 memory only as its gold-pair cosines, which score it on every class and fold.
 A search advances every (class, dev fold) run together, in rounds: each
 round trains what all runs asked for in one batch, in forked worker
-processes that return those cosines, and then every run scores its asks.
+processes that return those cosines, and then every run is told the scores
+of its asks (:func:`search.run_rounds`).
 This process alone writes the fitness cache.
 Reports deliberately exclude wall-clock times so identical experiments
 reproduce byte-identical report files; timings stay available in the fitness
@@ -459,58 +460,53 @@ class Experiment:
         """Per-class protocol: 2-fold split, then per dev fold a pool build,
         descent and test score on the other fold; each fold is dev once.
 
-        Every (class, dev fold) run advances together, in rounds. A round
-        trains in one :meth:`prefetch` batch on ``pool`` what all runs asked
-        for, then resumes each run in turn, which scores its asks on its dev
-        fold and asks for more, until every run has ended.
+        Every (class, dev fold) run advances together, in the rounds of
+        :func:`search.run_rounds`: a round trains in one :meth:`prefetch`
+        batch on ``pool`` what all runs asked for, then each run is told the
+        values of its asks on its dev fold and asks for more.
         """
         cfg = self.cfg
         all_bags = extraction.effective_bags(self.table, cfg.extraction_config())
         dev_test = [(0, 1), (1, 0)]
-        results, runs = [], []
+        results, runs, dev_folds = [], [], []
         for word_class in classes:
             folds = evaluation.split_folds(self.dataset, word_class, cfg.fold_seed)
             fold_indices = {0: folds.fold_a, 1: folds.fold_b}
-            result = ClassSearchResult(word_class=word_class)
-            results.append(result)
+            results.append(ClassSearchResult(word_class=word_class))
             logger.info(
                 "class %s: fold seed %d, runs %s (dev fold fixed for all search levels)",
                 word_class, cfg.fold_seed, dev_test,
             )
             for dev, test in dev_test:
-                run = dict(dev=dev, best=None, dev_rho=None, test_rho=None, per_bag_fitness=None)
-                result.runs.append(run)
-                asks = self._search_run(word_class, fold_indices, dev, test, all_bags, run)
-                runs.append((self.fold_id(word_class, dev), asks))
+                steps = self._search_run(word_class, fold_indices, dev, test, all_bags)
+                runs.append((steps, self.fitness_function(word_class, fold_indices[dev], dev)))
+                dev_folds.append(self.fold_id(word_class, dev))
 
-        asked = dict.fromkeys(runs, ())
-        while asked:
-            self.prefetch(pool, [(fold, c) for (fold, _), configs in asked.items() for c in configs])
-            for run in list(asked):
-                try:
-                    asked[run] = run[1].send(None)
-                except StopIteration:
-                    del asked[run]
+        def before_round(asks):
+            self.prefetch(pool, [(dev_folds[index], config) for index, config in asks])
 
+        done = iter(search.run_rounds(runs, before_round))
         for result in results:
+            result.runs = [next(done) for _ in dev_test]
             test_rhos = [run["test_rho"] for run in result.runs if run["best"] is not None]
             if test_rhos:
                 result.mean_test_rho, _ = fold_mean(test_rhos)
         return results
 
-    def _search_run(self, word_class, fold_indices, dev, test, all_bags, run):
+    def _search_run(self, word_class, fold_indices, dev, test, all_bags):
         """One run: probe every bag on the dev fold, build the pool, search it
-        and score the best on the test fold, filling in ``run``.
+        and score the best on the test fold; returns the run's summary.
 
-        A generator of asks, each a list of configurations to score on the dev
-        fold; resumed, it scores them through its memoized dev fitness. The
-        test score reuses the best's cosines from its dev score.
+        An ask-and-tell generator (see :func:`search.run_rounds`) whose asks
+        are scored on the dev fold. The test score reuses the best's cosines
+        from its dev score. An infeasible run's trace lists every probe as
+        pool-excluded.
         """
         cfg = self.cfg
-        memo = search.MemoizedFitness(self.fitness_function(word_class, fold_indices[dev], dev))
         probes = {bag: search.Configuration.from_bags([bag]) for bag in all_bags}
-        yield list(probes.values())
-        per_bag = run["per_bag_fitness"] = {bag: memo(probe) for bag, probe in probes.items()}
+        told = yield list(probes.values())
+        per_bag = {bag: told[probe.canonical] for bag, probe in probes.items()}
+        run = dict(dev=dev, best=None, dev_rho=None, test_rho=None, per_bag_fitness=per_bag)
         try:
             space = search.build_pool(per_bag, cfg.threshold, all_bags)
         except search.SearchInfeasibleError:
@@ -518,13 +514,20 @@ class Experiment:
                 "class %s fold %d: no bag reaches threshold %.3f",
                 word_class, dev, cfg.threshold,
             )
-            return
-        best, trace = yield from search.drive(search.STRATEGY_STEPS[cfg.strategy](space), memo)
-        test_rho = self.fitness_function(word_class, fold_indices[test], test)(best)
+            trace = search.SearchTrace()
+            for bag in sorted(per_bag):
+                trace.record(probes[bag], per_bag[bag], "pool-excluded")
+        else:
+            best, trace = yield from search.STRATEGY_STEPS[cfg.strategy](space)
+            run.update(
+                best=best,
+                dev_rho=next(entry.fitness for entry in trace if entry.status == "best"),
+                test_rho=self.fitness_function(word_class, fold_indices[test], test)(best),
+            )
         trace_path = Path(cfg.out_dir) / f"trace_{word_class}_dev{dev}.tsv"
         trace_path.parent.mkdir(parents=True, exist_ok=True)
         trace.to_tsv(trace_path)
-        run.update(best=best, dev_rho=memo(best), test_rho=test_rho)
+        return run
 
     def run_search(self) -> list[ClassSearchResult]:
         """Run the full protocol for every configured class and write the report."""

@@ -209,8 +209,8 @@ class MemoizedFitness:
 # A strategy is a generator of asks (ask-and-tell, Collette et al. 2010, "On
 # Object-Oriented Programming of Optimizers"). Each ask lists, once each, the
 # configurations it needs values for next and that it has no value for yet.
-# It is sent back their values by canonical form, and returns the best
-# configuration and the trace.
+# It is sent back their values by canonical form, by :func:`run_rounds`, and
+# returns the best configuration and the trace.
 Steps = Generator[list[Configuration], dict[str, float], tuple[Configuration, SearchTrace]]
 
 
@@ -348,51 +348,48 @@ STRATEGY_STEPS = {"alg1": beam_steps, "greedy": greedy_steps, "exhaustive": exha
 STRATEGIES = tuple(STRATEGY_STEPS)
 
 
-def drive(steps: Steps, fitness_fn):
-    """Answer each ask of ``steps`` through ``fitness_fn``, memoized, in the
-    order asked; returns the strategy's best configuration and trace.
+def run_rounds(runs, before_round=None) -> list:
+    """Drive (ask-and-tell generator, fitness function) pairs together, in
+    rounds; returns each generator's result, in the order of ``runs``.
 
-    A generator: it yields each ask before answering it, so that a caller
-    advancing several searches together can prepare what they all asked for
-    at once. A failed evaluation raises RuntimeError naming the configuration.
+    A round collects every unfinished run's ask, passes them to
+    ``before_round`` as (run index, configuration) pairs, then tells each run,
+    in run order, its ask's values through its fitness function, memoized. A
+    failed evaluation raises RuntimeError naming the configuration.
     """
-    memo = fitness_fn if isinstance(fitness_fn, MemoizedFitness) else MemoizedFitness(fitness_fn)
-    told = None
-    while True:
-        try:
-            asked = steps.send(told)
-        except StopIteration as done:
-            return done.value
-        yield asked
-        told = {config.canonical: memo(config) for config in asked}
-
-
-def _search_alone(steps: Steps, fitness_fn) -> tuple[Configuration, SearchTrace]:
-    driven = drive(steps, fitness_fn)
-    while True:
-        try:
-            next(driven)
-        except StopIteration as done:
-            return done.value
+    memos = [fn if isinstance(fn, MemoizedFitness) else MemoizedFitness(fn) for _, fn in runs]
+    results = [None] * len(runs)
+    told = dict.fromkeys(range(len(runs)))
+    while told:
+        asks = {}
+        for index, values in told.items():
+            try:
+                asks[index] = runs[index][0].send(values)
+            except StopIteration as done:
+                results[index] = done.value
+        if before_round is not None and asks:
+            before_round([(index, config) for index, ask in asks.items() for config in ask])
+        told = {index: {c.canonical: memos[index](c) for c in ask} for index, ask in asks.items()}
+    return results
 
 
 def best_configuration_search(
     space: ConfigurationSpace, fitness_fn
 ) -> tuple[Configuration, SearchTrace]:
     """Algorithm 1 (see :func:`beam_steps`), evaluating through ``fitness_fn``."""
-    return _search_alone(beam_steps(space), fitness_fn)
+    return run_rounds([(beam_steps(space), fitness_fn)])[0]
 
 
 def greedy_search(space: ConfigurationSpace, fitness_fn) -> tuple[Configuration, SearchTrace]:
     """The greedy descent (see :func:`greedy_steps`), evaluating through ``fitness_fn``."""
-    return _search_alone(greedy_steps(space), fitness_fn)
+    return run_rounds([(greedy_steps(space), fitness_fn)])[0]
 
 
 def exhaustive_search(
     space: ConfigurationSpace, fitness_fn
 ) -> tuple[Configuration, SearchTrace]:
     """Every pool subset (see :func:`exhaustive_steps`), evaluated through ``fitness_fn``."""
-    return _search_alone(exhaustive_steps(space), fitness_fn)
+    return run_rounds([(exhaustive_steps(space), fitness_fn)])[0]
 
 
 def count_space(M: int, K: int) -> int:
@@ -441,9 +438,11 @@ class FitnessCache:
             if len(fields) != 5:
                 raise ValueError(f"{self.path}:{line_no}: expected 5 fields")
             canonical, fold, rho, wall, pairs = fields
-            self._records.setdefault(
-                (canonical, fold), CacheRecord(float(rho), float(wall), int(pairs))
-            )
+            try:
+                record = CacheRecord(float(rho), float(wall), int(pairs))
+            except ValueError as exc:
+                raise ValueError(f"{self.path}:{line_no}: {exc}") from None
+            self._records.setdefault((canonical, fold), record)
 
     def __len__(self) -> int:
         return len(self._records)

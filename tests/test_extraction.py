@@ -1,4 +1,5 @@
 import collections
+import re
 
 import numpy as np
 import pytest
@@ -81,6 +82,20 @@ def test_table_from_file_rejects_bad_rows(tmp_path):
     path.write_text("amod amod\n*\tDISCARD\n", encoding="utf-8")
     with pytest.raises(ValueError):
         BagMappingTable.from_file(path)
+
+
+@pytest.mark.parametrize("target", ["amod+obj", "../amod", "a/b", ""])
+def test_table_rejects_labels_that_clash_with_names_or_paths(tmp_path, target):
+    rule = re.escape(f"rule 'amod' -> {target!r}")
+    with pytest.raises(ValueError, match=rule):
+        BagMappingTable([("amod", target), ("*", DISCARD)])
+    if target:  # a file line cannot end in an empty target: the line is stripped
+        path = tmp_path / "table.tsv"
+        path.write_text(f"nsubj\tsubj\namod\t{target}\n*\tDISCARD\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rule):
+            BagMappingTable.from_file(path)
+    # the same characters in a rule's pattern are fine
+    assert BagMappingTable([("a/b+c", "amod"), ("*", DISCARD)]).map_label("a/b+c") == "amod"
 
 
 # -- prepositional arc collapsing --

@@ -418,6 +418,26 @@ def test_search_writes_trace_files(tmp_path, monkeypatch):
     assert any("amod+conj" in line and "best" in line for line in trace)
 
 
+def test_infeasible_run_replaces_a_stale_trace(tmp_path, monkeypatch):
+    inject_oracle(monkeypatch, ADJ_ORACLE)
+    exp = Experiment(load_experiment_config(write_config(tmp_path, classes="A")))
+    exp.run_search()
+    out = Path(exp.cfg.out_dir)
+    assert "\tbest\t" in (out / "trace_A_dev1.tsv").read_text()
+
+    # the same out_dir, now at a threshold no bag reaches
+    exp = Experiment(load_experiment_config(write_config(tmp_path, classes="A", threshold=0.99)))
+    (result,) = exp.run_search()
+    assert result.infeasible
+    for run in result.runs:
+        lines = (out / f"trace_A_dev{run['dev']}.tsv").read_text().splitlines()
+        assert lines[0] == "configuration\tlevel\tfitness\tstatus\torigin"
+        rows = [line.split("\t") for line in lines[1:]]
+        assert [row[0] for row in rows] == sorted(run["per_bag_fitness"])
+        assert all(row[1] == "1" and row[3] == "pool-excluded" and row[4] == "-" for row in rows)
+        assert {row[0]: float(row[2]) for row in rows} == run["per_bag_fitness"]
+
+
 # -- fitness caching against the real trainer --
 
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from depctx.search import (
     exhaustive_steps,
     greedy_search,
     greedy_steps,
+    run_rounds,
 )
 
 ALL_13 = (
@@ -433,6 +435,111 @@ def test_strategies_ask_each_configuration_once_and_interleave_like_alone(steps,
         )
 
 
+# -- run_rounds --
+
+
+def random_runs(rng, n):
+    """``n`` (strategy, space, table) triples over random landscapes."""
+    runs = []
+    for strategy in rng.choice([beam_steps, greedy_steps, exhaustive_steps], n):
+        bags, table = random_landscape(rng)
+        space = build_pool({b: table[b] for b in bags}, threshold=table[rng.choice(bags)])
+        runs.append((strategy, space, table))
+    return runs
+
+
+def test_run_rounds_tells_runs_together_what_they_get_alone():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        runs = random_runs(rng, int(rng.integers(2, 5)))
+        events = []
+
+        def logged(index, table):
+            def fn(config):
+                events.append((index, config.canonical))
+                return table[config.canonical]
+
+            return fn
+
+        together = [(make(space), logged(i, table)) for i, (make, space, table) in enumerate(runs)]
+        results = run_rounds(together, lambda a: events.append([(i, c.canonical) for i, c in a]))
+        rounds = [event for event in events if isinstance(event, list)]
+        for index, ((make, space, table), result) in enumerate(zip(runs, results)):
+            steps, asks, alone = make(space), [], None
+            while alone is None:
+                alone = tell_table(steps, table, asks)
+            assert as_rows(result) == as_rows(alone)
+            # its asks reach before_round in the rounds it made them in, and no later
+            mine = [[c for i, c in asked if i == index] for asked in rounds]
+            empty = [[]] * (len(rounds) - len(asks))
+            assert mine == [[c.canonical for c in asked] for asked in asks] + empty
+        assert all(rounds)
+
+        # each round announces every run's ask, then evaluates exactly those,
+        # in (run, ask) order
+        position = 0
+        for asked in rounds:
+            assert events[position] == asked
+            assert events[position + 1 : position + 1 + len(asked)] == asked
+            assert [i for i, _ in asked] == sorted(i for i, _ in asked)
+            position += 1 + len(asked)
+        assert position == len(events)
+
+
+def test_run_rounds_raises_the_first_failure_in_run_order():
+    space = build_pool(ADJ_FITNESS, threshold=0.4, all_bags=["amod", "conjll", "conjlr"])
+    later_calls = []
+
+    def fails_on(canonical, calls):
+        def fn(config):
+            calls.append(config.canonical)
+            if config.canonical == canonical:
+                raise FloatingPointError("diverged")
+            return ADJ_FITNESS[config.canonical]
+
+        return fn
+
+    # both runs first ask for the three pairs; the second run's first pair
+    # fails, but the first run's second pair comes first in (run, ask) order
+    runs = [
+        (exhaustive_steps(space), fails_on("amod+conjlr", [])),
+        (exhaustive_steps(space), fails_on("amod+conjll", later_calls)),
+    ]
+    with pytest.raises(RuntimeError, match="evaluation failed for amod[+]conjlr: diverged"):
+        run_rounds(runs)
+    assert later_calls == []
+
+
+def test_run_rounds_memoizes_plain_functions_and_keeps_a_passed_memo():
+    space = build_pool(ADJ_FITNESS, threshold=0.4, all_bags=["amod", "conjll", "conjlr"])
+    calls = []
+
+    def counted(config):
+        calls.append(config.canonical)
+        return ADJ_FITNESS[config.canonical]
+
+    # a plain function gets a memo per run, so two runs evaluate everything twice
+    alone, again = run_rounds([(beam_steps(space), counted), (beam_steps(space), counted)])
+    assert as_rows(alone) == as_rows(again)
+    assert len(calls) == 2 * len(set(calls))
+    # a MemoizedFitness is used as it is, and so is shared between runs
+    memo = MemoizedFitness(counted)
+    memo.cache["amod+conj"] = 0.9  # a value it already holds is not evaluated again
+    calls.clear()
+    best, _ = run_rounds([(beam_steps(space), memo), (beam_steps(space), memo)])[0]
+    assert best.canonical == "amod+conj"
+    assert sorted(calls) == sorted(set(calls)) == sorted(memo.evaluations)
+    assert "amod+conj" not in calls
+
+    # either way a failure is reported once, naming the configuration
+    def fails(config):
+        raise ValueError("boom")
+
+    for fn in (fails, MemoizedFitness(fails)):
+        with pytest.raises(RuntimeError, match=r"^fitness evaluation failed for amod\+conj: boom$"):
+            run_rounds([(beam_steps(space), fn)])
+
+
 # -- count_space --
 
 
@@ -498,6 +605,16 @@ def test_fitness_cache_handles_minus_inf(tmp_path):
     path = tmp_path / "fitness.tsv"
     FitnessCache(path).put("nummod", "V:1", float("-inf"), 0.1, 3)
     assert FitnessCache(path).get("nummod", "V:1").rho == float("-inf")
+
+
+def test_fitness_cache_names_the_line_of_a_corrupt_record(tmp_path):
+    path = tmp_path / "fitness.tsv"
+    FitnessCache(path).put("amod", "A:0", 0.4, wall_time=1.0, pair_count=5)
+    with open(path, "a", encoding="utf-8") as f:
+        f.write("obj\tA:0\tabc\t1.000\t7\nsubj\tA:0\t0.1\t1.000\t3\n")
+    message = f"{path}:2: could not convert string to float: 'abc'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        FitnessCache(path)
 
 
 def test_fitness_cache_drops_torn_tail(tmp_path, caplog):
