@@ -25,7 +25,6 @@ from .extraction import (
     PairStream,
     collapse_prepositions,
     extract_bow_pairs,
-    extract_conj_pairs,
     extract_deps_pairs,
     extract_posit_pairs,
     write_bag_files,
@@ -81,7 +80,6 @@ __all__ = [
     "evaluate",
     "exhaustive_search",
     "extract_bow_pairs",
-    "extract_conj_pairs",
     "extract_deps_pairs",
     "extract_posit_pairs",
     "greedy_search",

@@ -5,10 +5,14 @@ arc collapsing and label merging; coordination arcs come in two directional
 variants. Window-based (BOW/POSIT) baseline contexts live here too, sharing
 the pair-stream shape so the trainer does not care where pairs came from.
 
+A :class:`DependencyPair` is ``(word, context, bag)``: the context is the
+typed string a bag file stores, such as ``australian_amod`` or
+``scientist_amod-1`` (``-1`` marks the inverse arc), built once per arc.
+
 Extraction touches every pair of a corpus, so it keeps the Python work per
-pair small: a :class:`DependencyPair` is a ``NamedTuple`` built with
-``tuple.__new__``, collapsing rebuilds only the tokens whose deprel changes,
-and :meth:`BagMappingTable.map_label` runs each label's prefix scan once.
+pair small: a pair is a ``NamedTuple`` built with ``tuple.__new__``,
+collapsing rebuilds only the tokens whose deprel changes, and
+:meth:`BagMappingTable.map_label` runs each label's prefix scan once.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from __future__ import annotations
 import logging
 import os
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import partial
 from importlib import resources
 from pathlib import Path
@@ -27,8 +30,8 @@ from .conllu import Sentence, Token, new_token
 logger = logging.getLogger(__name__)
 
 DISCARD = "DISCARD"
-# Routing label: conj arcs are split into the conjlr/conjll bags by variant,
-# not by the mapping table itself.
+# Routing label: the arcs the bag table maps here, and only those, are split
+# into the conjlr/conjll bags by variant.
 CONJ_ROUTE = "conj"
 # Deprel assigned to case arcs consumed by collapsing; never extracted.
 COLLAPSED = "_collapsed"
@@ -40,40 +43,15 @@ INCOMPLETE_MARKER = "_INCOMPLETE"
 PAIR_FILE_SUFFIX = ".pairs"
 
 
-class Direction(Enum):
-    NORMAL = "normal"
-    INVERSE = "inverse"
-
-
-# Plain names for the members: an Enum member lookup runs Python code.
-NORMAL, INVERSE = Direction.NORMAL, Direction.INVERSE
-
-
 class DependencyPair(NamedTuple):
-    """One (word, context) training pair from a single dependency arc.
-
-    ``relation`` keeps the raw label (e.g. ``prep:with``); the serialized
-    context string subsumes all ``prep:X`` into plain ``prep`` so vocabulary
-    statistics match bag granularity, and marks inverse arcs with ``-1``.
-    """
+    """One (word, context) training pair from a single dependency arc, and its bag."""
 
     word: str
-    context_token: str
-    relation: str
+    context: str
     bag: str
-    direction: Direction
-
-    @property
-    def context(self) -> str:
-        rel = "prep" if self.relation.startswith("prep:") else self.relation
-        marker = "-1" if self.direction is INVERSE else ""
-        return f"{self.context_token}_{rel}{marker}"
-
-    def as_tuple(self) -> tuple[str, str]:
-        return (self.word, self.context)
 
 
-# DependencyPair from one 5-tuple, without NamedTuple.__new__'s Python frame.
+# DependencyPair from one 3-tuple, without NamedTuple.__new__'s Python frame.
 _new_pair = partial(tuple.__new__, DependencyPair)
 
 
@@ -204,21 +182,13 @@ def collapse_prepositions(
 
 
 def _conj_arc_pairs(head: Token, dep: Token, variant: str) -> Iterator[DependencyPair]:
+    """conjlr marks the head-direction pair inverse, conjll does not."""
     if variant in ("conjlr", "both"):
-        yield _new_pair((head.form, dep.form, "conj", "conjlr", NORMAL))
-        yield _new_pair((dep.form, head.form, "conj", "conjlr", INVERSE))
+        yield _new_pair((head.form, dep.form + "_conj", "conjlr"))
+        yield _new_pair((dep.form, head.form + "_conj-1", "conjlr"))
     if variant in ("conjll", "both"):
-        yield _new_pair((head.form, dep.form, "conj", "conjll", NORMAL))
-        yield _new_pair((dep.form, head.form, "conj", "conjll", NORMAL))
-
-
-def extract_conj_pairs(sentence: Sentence, variant: str = "both") -> Iterator[DependencyPair]:
-    """Coordination pairs: conjlr marks the head-direction pair inverse, conjll does not."""
-    if variant not in CONJ_VARIANTS:
-        raise ValueError(f"variant must be one of {CONJ_VARIANTS}")
-    for tok in sentence:
-        if tok.head != 0 and _base_label(tok.deprel) == "conj":
-            yield from _conj_arc_pairs(sentence.token(tok.head), tok, variant)
+        yield _new_pair((head.form, dep.form + "_conj", "conjll"))
+        yield _new_pair((dep.form, head.form + "_conj", "conjll"))
 
 
 def extract_deps_pairs(
@@ -228,8 +198,10 @@ def extract_deps_pairs(
 ) -> Iterator[DependencyPair]:
     """All dependency pairs of one sentence, both arc directions.
 
-    Every non-discarded arc h --r--> m yields (h, m_r) and (m, h_r-1);
-    conj arcs are routed through the coordination variants instead.
+    Every non-discarded arc h --r--> m yields (h, m_r) and (m, h_r-1), with
+    every ``prep:X`` written as plain ``prep`` so contexts match bag
+    granularity; arcs the table maps to ``conj`` are routed through the
+    coordination variants instead.
     """
     tokens = sentence.tokens
     for tok in tokens:
@@ -242,8 +214,9 @@ def extract_deps_pairs(
         if bag == CONJ_ROUTE:
             yield from _conj_arc_pairs(head, tok, conj_variant)
             continue
-        yield _new_pair((head.form, tok.form, tok.deprel, bag, NORMAL))
-        yield _new_pair((tok.form, head.form, tok.deprel, bag, INVERSE))
+        rel = "prep" if tok.deprel.startswith("prep:") else tok.deprel
+        yield _new_pair((head.form, f"{tok.form}_{rel}", bag))
+        yield _new_pair((tok.form, f"{head.form}_{rel}-1", bag))
 
 
 def extract_bow_pairs(sentence: Sentence, window: int = 2) -> Iterator[tuple[str, str]]:
@@ -378,9 +351,9 @@ def write_bag_files(
     try:
         for sentence in corpus:
             sentence = collapse_prepositions(sentence, config.collapse_targets)
-            for pair in extract_deps_pairs(sentence, table, config.conj_variant):
-                handles[pair.bag].write(f"{pair.word}\t{pair.context}\n")
-                counts[pair.bag] += 1
+            for word, context, bag in extract_deps_pairs(sentence, table, config.conj_variant):
+                handles[bag].write(f"{word}\t{context}\n")
+                counts[bag] += 1
     finally:
         for h in handles.values():
             h.close()

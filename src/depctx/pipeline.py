@@ -152,11 +152,18 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ExperimentConfigError(f"{name} path does not exist: {p}")
     if cfg.strategy not in search.STRATEGIES:
         raise ExperimentConfigError(f"unknown strategy {cfg.strategy!r}")
-    for cls in cfg.classes:
+    for i, cls in enumerate(cfg.classes):
         if cls not in evaluation.WORD_CLASSES + ("ALL",):
             raise ExperimentConfigError(f"unknown word class {cls!r}")
-    cfg.extraction_config()
-    cfg.trainer_config()
+        if cls in cfg.classes[:i]:
+            raise ExperimentConfigError(f"word class {cls!r} is listed twice")
+    if cfg.fold_seed < 0:
+        raise ExperimentConfigError(f"fold_seed must be >= 0, got {cfg.fold_seed}")
+    try:
+        cfg.extraction_config()
+        cfg.trainer_config()
+    except ValueError as exc:
+        raise ExperimentConfigError(str(exc)) from None
 
 
 def _sha256_update_file(h, path: str) -> None:

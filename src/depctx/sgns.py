@@ -101,6 +101,8 @@ class TrainerConfig:
             raise ValueError("epochs must be >= 1")
         if self.subsample <= 0:
             raise ValueError("subsample must be positive (use 1.0 to disable)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -19,7 +19,6 @@ from depctx import cli
 from depctx.extraction import (
     BagMappingTable,
     collapse_prepositions,
-    extract_conj_pairs,
     extract_deps_pairs,
 )
 from depctx.pipeline import Experiment, bundled_path, load_experiment_config
@@ -70,10 +69,15 @@ def test_extraction_golden(fig1_sentence, boys_and_girls):
             "scientist_nsubj", "stars_dobj", "telescope_prep",
         }
 
-        conjlr = {(p.word, p.context) for p in extract_conj_pairs(boys_and_girls, "conjlr")}
-        assert conjlr == {("boys", "girls_conj"), ("girls", "boys_conj-1")}
-        conjll = {(p.word, p.context) for p in extract_conj_pairs(boys_and_girls, "conjll")}
-        assert conjll == {("boys", "girls_conj"), ("girls", "boys_conj")}
+        def conj(variant):
+            return {
+                (p.word, p.context)
+                for p in extract_deps_pairs(boys_and_girls, table, conj_variant=variant)
+                if p.bag == variant
+            }
+
+        assert conj("conjlr") == {("boys", "girls_conj"), ("girls", "boys_conj-1")}
+        assert conj("conjll") == {("boys", "girls_conj"), ("girls", "boys_conj")}
 
 
 def test_search_space_sizes():

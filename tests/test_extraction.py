@@ -7,19 +7,18 @@ import pytest
 from depctx.extraction import (
     BagMappingTable,
     DISCARD,
-    Direction,
     ExtractionConfig,
     Manifest,
     PairStream,
     collapse_prepositions,
     extract_bow_pairs,
-    extract_conj_pairs,
     extract_deps_pairs,
     extract_posit_pairs,
     write_bag_files,
     write_window_pairs,
 )
 from conftest import make_sentence
+from depctx.pipeline import bundled_path
 
 TABLE = BagMappingTable.default()
 
@@ -208,7 +207,7 @@ def test_single_token_sentence_is_empty():
 
 
 def test_pair_symmetry_property():
-    """Every NORMAL pair from an arc has the matching INVERSE pair."""
+    """Every pair from an arc has the matching inverse pair, whose context ends in -1."""
     rng = np.random.default_rng(11)
     labels = ["amod", "nsubj", "dobj", "nmod", "advmod", "compound", "appos", "punct"]
     for _ in range(50):
@@ -223,40 +222,97 @@ def test_pair_symmetry_property():
                 rows.append((i, f"w{i}", "X", head, str(rng.choice(labels))))
         sent = make_sentence(rows)
         pairs = list(extract_deps_pairs(sent, TABLE))
-        normals = {(p.word, p.context_token, p.relation) for p in pairs if p.direction is Direction.NORMAL}
-        inverses = {(p.context_token, p.word, p.relation) for p in pairs if p.direction is Direction.INVERSE}
+        normals = set()
+        inverses = set()
+        for p in pairs:
+            token, _, relation = p.context.rpartition("_")
+            if relation.endswith("-1"):
+                inverses.add((token, p.word, relation[:-2]))
+            else:
+                normals.add((p.word, token, relation))
         assert normals == inverses
 
 
 # -- coordination variants --
 
 
+def conj_pairs(sentence, variant):
+    return [
+        p for p in extract_deps_pairs(sentence, TABLE, conj_variant=variant)
+        if p.bag in ("conjlr", "conjll")
+    ]
+
+
 def test_conjlr_pairs(boys_and_girls):
-    pairs = list(extract_conj_pairs(boys_and_girls, "conjlr"))
+    pairs = conj_pairs(boys_and_girls, "conjlr")
     assert pair_set(pairs) == {("boys", "girls_conj"), ("girls", "boys_conj-1")}
     assert all(p.bag == "conjlr" for p in pairs)
 
 
 def test_conjll_pairs(boys_and_girls):
-    pairs = list(extract_conj_pairs(boys_and_girls, "conjll"))
+    pairs = conj_pairs(boys_and_girls, "conjll")
     assert pair_set(pairs) == {("boys", "girls_conj"), ("girls", "boys_conj")}
     assert all(p.bag == "conjll" for p in pairs)
 
 
 def test_conj_both_is_the_union(boys_and_girls):
-    pairs = list(extract_conj_pairs(boys_and_girls, "both"))
+    pairs = conj_pairs(boys_and_girls, "both")
     assert len(pairs) == 4
     by_bag = collections.Counter(p.bag for p in pairs)
     assert by_bag == {"conjlr": 2, "conjll": 2}
 
 
 def test_no_conj_arcs_empty(fig1_sentence):
-    assert list(extract_conj_pairs(fig1_sentence, "both")) == []
+    assert conj_pairs(fig1_sentence, "both") == []
 
 
 def test_deps_extraction_routes_conj(boys_and_girls):
     pairs = list(extract_deps_pairs(boys_and_girls, TABLE, conj_variant="conjlr"))
     assert pair_set(pairs) == {("boys", "girls_conj"), ("girls", "boys_conj-1")}
+
+
+def copied_table(tmp_path, old, new):
+    """The default bag table file, copied with one text edit."""
+    text = bundled_path("default_bag_table.tsv").read_text(encoding="utf-8")
+    assert old in text
+    path = tmp_path / "table.tsv"
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    return BagMappingTable.from_file(path)
+
+
+def bag_file_pairs(out_dir):
+    """The set of (word, context) lines of each nonempty bag file."""
+    return {
+        path.stem: {tuple(line.split("\t")) for line in path.read_text(encoding="utf-8").splitlines()}
+        for path in out_dir.glob("*.pairs")
+        if path.stat().st_size
+    }
+
+
+def test_the_bag_table_alone_routes_a_subtyped_conj_arc(tmp_path):
+    and_arc = make_sentence(
+        [(1, "boys", "NOUN", 0, "root"), (2, "and", "CONJ", 3, "cc"),
+         (3, "girls", "NOUN", 1, "conj:and")]
+    )
+    assert list(extract_deps_pairs(and_arc, TABLE)) == []  # the default table discards it
+    table = copied_table(tmp_path, "conj\tconj\n", "conj\tconj\nconj:*\tconj\n")
+    manifest = write_bag_files([and_arc], table, ExtractionConfig(), tmp_path / "bags")
+    assert manifest.counts["conjlr"] == manifest.counts["conjll"] == 2
+    assert bag_file_pairs(tmp_path / "bags") == {
+        "conjlr": {("boys", "girls_conj"), ("girls", "boys_conj-1")},
+        "conjll": {("boys", "girls_conj"), ("girls", "boys_conj")},
+    }
+
+
+def test_a_conj_arc_mapped_to_a_plain_label_is_an_ordinary_arc(boys_and_girls, tmp_path):
+    table = copied_table(tmp_path, "conj\tconj\n", "conj\tcoord\n")
+    manifest = write_bag_files([boys_and_girls], table, ExtractionConfig(), tmp_path / "bags")
+    assert manifest.counts["coord"] == 2
+    assert not {"conjlr", "conjll"} & set(manifest.counts)
+    assert not list((tmp_path / "bags").glob("conj*"))
+    assert bag_file_pairs(tmp_path / "bags") == {
+        "coord": {("boys", "girls_conj"), ("girls", "boys_conj-1")},
+    }
 
 
 # -- BOW and POSIT windows --
@@ -355,7 +411,7 @@ def test_deps_all_equals_union_of_13_bags(fig1_sentence, boys_and_girls, tmp_pat
     for sent in corpus:
         collapsed = collapse_prepositions(sent)
         for p in extract_deps_pairs(collapsed, TABLE, "both"):
-            direct[p.as_tuple()] += 1
+            direct[(p.word, p.context)] += 1
     assert composed == direct
     assert len(stream) == sum(manifest.counts.values())
 
@@ -403,11 +459,11 @@ def test_extraction_config_validation():
 
 def test_dependency_pairs_are_immutable(fig1_sentence):
     pair = next(extract_deps_pairs(fig1_sentence, TABLE))
-    assert pair == ("scientist", "australian", "amod", "amod", Direction.NORMAL)
+    assert pair == ("scientist", "australian_amod", "amod")
     with pytest.raises(AttributeError):
         pair.bag = "subj"
     with pytest.raises(TypeError):
-        pair[3] = "subj"
+        pair[2] = "subj"
 
 
 def test_map_label_memo_leaves_the_rules_alone():

@@ -550,6 +550,25 @@ def test_cli_missing_corpus_exits_2(tmp_path, capsys):
     assert "corpus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "setting,message",
+    [
+        (dict(dim=0), "dim must be >= 1"),
+        (dict(epochs=0), "epochs must be >= 1"),
+        (dict(window=0), "window must be >= 1"),
+        (dict(conj_variant="sideways"), "conj_variant must be one of"),
+        (dict(seed=-1), "seed must be >= 0"),
+        (dict(fold_seed=-1), "fold_seed must be >= 0"),
+        (dict(classes="A,V,A"), "word class 'A' is listed twice"),
+    ],
+)
+def test_cli_rejected_settings_exit_2(tmp_path, capsys, setting, message):
+    config = write_config(tmp_path, **setting)
+    assert cli.main(["extract", "-c", str(config)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "cache").exists()
+
+
 def test_cli_bad_subcommand_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

@@ -516,6 +516,12 @@ def test_trainer_config_validation():
             TrainerConfig(**bad)
 
 
+def test_config_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        TrainerConfig(seed=-1)
+    assert TrainerConfig(seed=0).seed == 0
+
+
 # -- persistence --
 
 
