@@ -34,11 +34,8 @@ from .search import (
     ConfigurationSpace,
     FitnessCache,
     SearchTrace,
-    best_configuration_search,
     build_pool,
     count_space,
-    exhaustive_search,
-    greedy_search,
 )
 from .sgns import (
     EmbeddingStore,
@@ -71,18 +68,15 @@ __all__ = [
     "TrainerConfig",
     "Vocabulary",
     "WordPairDataset",
-    "best_configuration_search",
     "build_pool",
     "build_vocab",
     "collapse_prepositions",
     "cosine",
     "count_space",
     "evaluate",
-    "exhaustive_search",
     "extract_bow_pairs",
     "extract_deps_pairs",
     "extract_posit_pairs",
-    "greedy_search",
     "load_embeddings",
     "parse_conllu",
     "read_corpus",

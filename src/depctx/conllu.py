@@ -4,12 +4,12 @@ Sentences are parsed lazily, one blank-line-delimited block at a time, so
 memory stays bounded by the largest sentence rather than the corpus. Surface
 forms are lowercased at parse time; lemma and POS columns are kept as-is.
 
-:func:`read_corpus` decodes UTF-8 in C, in an ``io.TextIOWrapper`` with
-``newline="\n"`` over the (possibly gzipped) byte stream. Only ``\n`` ends a
-line there, as it does for the byte lines :func:`parse_conllu` also accepts:
-a form holding U+2028, a form feed or a lone ``\r`` stays in one token, and
-the ``\r`` of a CRLF line end is stripped. A :class:`Token` is a
-``NamedTuple``, built by one C call to ``tuple.__new__``.
+:func:`parse_conllu` takes text lines; :func:`read_corpus` is the one UTF-8
+decoder, in C, through an ``io.TextIOWrapper`` with ``newline="\n"`` over
+the (possibly gzipped) byte stream. Only ``\n`` ends a line there: a form
+holding U+2028, a form feed or a lone ``\r`` stays in one token, and the
+``\r`` of a CRLF line end is stripped. A :class:`Token` is a ``NamedTuple``,
+built by one C call to ``tuple.__new__``.
 """
 
 from __future__ import annotations
@@ -143,19 +143,18 @@ def _build_sentence(tokens: list[Token], line_number: int) -> Sentence:
 
 
 def parse_conllu(
-    stream: Iterable,
+    stream: Iterable[str],
     errors: str = "skip",
     stats: dict | None = None,
 ) -> Iterator[Sentence]:
     """Yield one Sentence per CoNLL-U block read from ``stream``.
 
-    ``stream`` is any iterable of lines (bytes or text); byte lines are
-    decoded as UTF-8. Comment lines, multiword ranges and empty nodes are
-    dropped. On a malformed line the enclosing sentence is either skipped
-    with a warning (``errors="skip"``, counted under
-    ``stats["skipped_sentences"]``) or a :class:`ConlluError` is raised
-    (``errors="raise"``). A byte token line that is not valid UTF-8 is
-    malformed.
+    ``stream`` is any iterable of text lines. Comment lines, multiword
+    ranges and empty nodes are dropped. On a malformed line the enclosing
+    sentence is either skipped with a warning (``errors="skip"``, counted
+    under ``stats["skipped_sentences"]``) or a :class:`ConlluError` is raised
+    (``errors="raise"``). Under skip, a token line holding a byte that
+    :func:`read_corpus` could not decode is malformed.
     """
     if errors not in DECODE_ERRORS:
         raise ValueError(f"errors must be 'skip' or 'raise', got {errors!r}")
@@ -185,11 +184,6 @@ def parse_conllu(
 
     for raw in stream:
         line_number += 1
-        if isinstance(raw, bytes):
-            try:
-                raw = raw.decode("utf-8", DECODE_ERRORS[errors])
-            except UnicodeDecodeError as exc:
-                raise ConlluError(f"invalid UTF-8 ({exc.reason})", line_number) from None
         line = raw.rstrip("\r\n")
         if not line:
             sentence = finish(line_number)

@@ -36,7 +36,9 @@ CONJ_ROUTE = "conj"
 # Deprel assigned to case arcs consumed by collapsing; never extracted.
 COLLAPSED = "_collapsed"
 
-CONJ_VARIANTS = ("conjlr", "conjll", "both")
+# The bags of the coordination variants; no rule may target them directly.
+CONJ_BAGS = ("conjlr", "conjll")
+CONJ_VARIANTS = (*CONJ_BAGS, "both")
 
 MANIFEST_NAME = "manifest.txt"
 INCOMPLETE_MARKER = "_INCOMPLETE"
@@ -72,6 +74,11 @@ class BagMappingTable:
                     f"bad bag label in rule {pattern!r} -> {target!r}: "
                     "a label must be nonempty and hold no '+' or '/'"
                 )
+            if target in CONJ_BAGS:
+                raise ValueError(
+                    f"bad bag label in rule {pattern!r} -> {target!r}: conjlr and conjll are "
+                    f"reserved for the conj variants; map coordination arcs to {CONJ_ROUTE!r}"
+                )
         self.rules = list(rules)
         # Exact rules, then every label a prefix scan has resolved.
         self._mapped: dict[str, str] = {}
@@ -93,15 +100,6 @@ class BagMappingTable:
                 return target
         raise AssertionError("catch-all rule failed to match")  # pragma: no cover
 
-    @property
-    def bag_labels(self) -> frozenset[str]:
-        """Effective bag labels: the rule image with conj split into its variants."""
-        labels = {t for _, t in self.rules if t != DISCARD}
-        if CONJ_ROUTE in labels:
-            labels.discard(CONJ_ROUTE)
-            labels.update(("conjlr", "conjll"))
-        return frozenset(labels)
-
     @classmethod
     def from_file(cls, path: str | Path) -> "BagMappingTable":
         rules = []
@@ -122,6 +120,11 @@ class BagMappingTable:
             return cls.from_file(path)
 
 
+def _check_conj_variant(variant: str) -> None:
+    if variant not in CONJ_VARIANTS:
+        raise ValueError(f"conj_variant must be one of {CONJ_VARIANTS}, got {variant!r}")
+
+
 @dataclass(frozen=True)
 class ExtractionConfig:
     """Knobs for pair extraction.
@@ -138,8 +141,7 @@ class ExtractionConfig:
     def __post_init__(self):
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
-        if self.conj_variant not in CONJ_VARIANTS:
-            raise ValueError(f"conj_variant must be one of {CONJ_VARIANTS}")
+        _check_conj_variant(self.conj_variant)
 
 
 def _base_label(deprel: str) -> str:
@@ -201,8 +203,9 @@ def extract_deps_pairs(
     Every non-discarded arc h --r--> m yields (h, m_r) and (m, h_r-1), with
     every ``prep:X`` written as plain ``prep`` so contexts match bag
     granularity; arcs the table maps to ``conj`` are routed through the
-    coordination variants instead.
+    coordination variants instead. An unknown ``conj_variant`` raises ValueError.
     """
+    _check_conj_variant(conj_variant)
     tokens = sentence.tokens
     for tok in tokens:
         if tok.head == 0 or tok.deprel == COLLAPSED:
@@ -277,12 +280,12 @@ def write_window_pairs(
 
 
 def effective_bags(table: BagMappingTable, config: ExtractionConfig) -> tuple[str, ...]:
-    """Bag labels actually produced under the given config, sorted."""
-    labels = set(table.bag_labels)
-    if config.conj_variant == "conjlr":
-        labels.discard("conjll")
-    elif config.conj_variant == "conjll":
-        labels.discard("conjlr")
+    """Bag labels actually produced under the given config, sorted: the
+    table's targets, DISCARD aside, with conj replaced by its variants' bags."""
+    labels = {target for _, target in table.rules if target != DISCARD}
+    if CONJ_ROUTE in labels:
+        labels.discard(CONJ_ROUTE)
+        labels.update(CONJ_BAGS if config.conj_variant == "both" else (config.conj_variant,))
     return tuple(sorted(labels))
 
 

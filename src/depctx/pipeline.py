@@ -229,22 +229,20 @@ class ClassSearchResult:
     runs: list[dict] = field(default_factory=list)  # per-run summary
     mean_test_rho: float | None = None
 
-    @property
-    def infeasible(self) -> bool:
-        """Whether some run's pool was empty, so it found no configuration."""
-        return any(run["best"] is None for run in self.runs)
-
 
 class Experiment:
     """Everything one experiment definition needs, lazily constructed."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        self.table = (
-            extraction.BagMappingTable.default()
-            if cfg.bag_table == "default"
-            else extraction.BagMappingTable.from_file(cfg.bag_table)
-        )
+        try:
+            self.table = (
+                extraction.BagMappingTable.default()
+                if cfg.bag_table == "default"
+                else extraction.BagMappingTable.from_file(cfg.bag_table)
+            )
+        except ValueError as exc:
+            raise ExperimentConfigError(f"bag table {cfg.bag_table}: {exc}") from None
         self._dataset: evaluation.WordPairDataset | None = None
         self._manifest: extraction.Manifest | None = None
         self._fitness_cache: search.FitnessCache | None = None
@@ -269,11 +267,10 @@ class Experiment:
         parts = ["trainer", f"batch={sgns.BATCH_SIZE}", *settings]
         return _short_hash(parts)
 
-    def model_scope(self) -> str:
-        return _short_hash(["models", self.extraction_fingerprint(), self.trainer_fingerprint()])
-
     def fitness_scope(self) -> str:
-        parts = ["fitness", self.model_scope(), str(self.cfg.fold_seed)]
+        # hashed in two steps, so that existing fitness caches keep their names
+        models = _short_hash(["models", self.extraction_fingerprint(), self.trainer_fingerprint()])
+        parts = ["fitness", models, str(self.cfg.fold_seed)]
         return _short_hash(parts, [self.cfg.dataset] if self.cfg.dataset else [])
 
     @property
@@ -457,11 +454,6 @@ class Experiment:
         return fitness
 
     # -- the search protocol --
-
-    def search_class(self, word_class: str) -> ClassSearchResult:
-        """The search protocol over one class (see :meth:`_search_classes`),
-        trained in this process."""
-        return self._search_classes([word_class], None)[0]
 
     def _search_classes(self, classes, pool) -> list[ClassSearchResult]:
         """Per-class protocol: 2-fold split, then per dev fold a pool build,

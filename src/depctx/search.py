@@ -91,17 +91,12 @@ class ConfigurationSpace:
 
     all_bags: tuple[str, ...]
     pool: tuple[str, ...]
-    threshold: float = DEFAULT_THRESHOLD
     per_bag_fitness: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         unknown = set(self.pool) - set(self.all_bags)
         if unknown:
             raise ValueError(f"pool bags not in all_bags: {sorted(unknown)}")
-
-    @property
-    def M(self) -> int:
-        return len(self.all_bags)
 
     @property
     def K(self) -> int:
@@ -128,7 +123,6 @@ def build_pool(
     return ConfigurationSpace(
         all_bags=bags,
         pool=pool,
-        threshold=threshold,
         per_bag_fitness={b: per_bag_fitness[b] for b in bags},
     )
 
@@ -371,25 +365,6 @@ def run_rounds(runs, before_round=None) -> list:
             before_round([(index, config) for index, ask in asks.items() for config in ask])
         told = {index: {c.canonical: memos[index](c) for c in ask} for index, ask in asks.items()}
     return results
-
-
-def best_configuration_search(
-    space: ConfigurationSpace, fitness_fn
-) -> tuple[Configuration, SearchTrace]:
-    """Algorithm 1 (see :func:`beam_steps`), evaluating through ``fitness_fn``."""
-    return run_rounds([(beam_steps(space), fitness_fn)])[0]
-
-
-def greedy_search(space: ConfigurationSpace, fitness_fn) -> tuple[Configuration, SearchTrace]:
-    """The greedy descent (see :func:`greedy_steps`), evaluating through ``fitness_fn``."""
-    return run_rounds([(greedy_steps(space), fitness_fn)])[0]
-
-
-def exhaustive_search(
-    space: ConfigurationSpace, fitness_fn
-) -> tuple[Configuration, SearchTrace]:
-    """Every pool subset (see :func:`exhaustive_steps`), evaluated through ``fitness_fn``."""
-    return run_rounds([(exhaustive_steps(space), fitness_fn)])[0]
 
 
 def count_space(M: int, K: int) -> int:

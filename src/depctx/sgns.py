@@ -54,11 +54,11 @@ class Vocabulary:
     """Dense ids and raw counts for words and contexts, min-count filtered.
 
     Ids are assigned by descending count, ties broken lexicographically, so
-    a vocabulary is a pure function of the pair multiset.
+    a vocabulary is a pure function of the pair multiset; a context's id is
+    its position in ``contexts``.
     """
 
     word_index: dict[str, int]
-    context_index: dict[str, int]
     word_counts: np.ndarray
     context_counts: np.ndarray
     words: list[str]
@@ -157,7 +157,6 @@ def _count(
         )
     vocab = Vocabulary(
         word_index={tok: i for i, tok in enumerate(words)},
-        context_index={tok: i for i, tok in enumerate(contexts)},
         word_counts=word_counts,
         context_counts=ctx_counts,
         words=words,
@@ -448,7 +447,6 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
             raise EmbeddingFormatError(f"{path}: header declares {count} rows, found {len(words)}")
     vocab = Vocabulary(
         word_index={w: i for i, w in enumerate(words)},
-        context_index={},
         word_counts=np.zeros(len(words), dtype=np.int64),
         context_counts=np.zeros(0, dtype=np.int64),
         words=words,

@@ -25,11 +25,12 @@ from depctx.pipeline import Experiment, bundled_path, load_experiment_config
 from depctx.search import (
     Configuration,
     MemoizedFitness,
-    best_configuration_search,
+    beam_steps,
     build_pool,
     count_space,
-    exhaustive_search,
-    greedy_search,
+    exhaustive_steps,
+    greedy_steps,
+    run_rounds,
 )
 from depctx.sgns import TrainerConfig, pair_loss_and_grad, train
 from depctx.evaluation import spearman
@@ -112,7 +113,7 @@ def test_adjective_walkthrough():
         }
         space = build_pool({k: table[k] for k in ("amod", "conjlr", "conjll")}, 0.2)
         memo = MemoizedFitness(lambda c: table[c.canonical])
-        best, trace = best_configuration_search(space, memo)
+        best, trace = run_rounds([(beam_steps(space), memo)])[0]
         assert best.canonical == "amod+conj"
         assert table[best.canonical] == 0.546
         level2 = [e for e in trace if e.level == 2]
@@ -137,9 +138,9 @@ def test_strategy_ordering_over_random_landscapes():
 
             outcomes = {}
             for name, strategy in (
-                ("exhaustive", exhaustive_search),
-                ("alg1", best_configuration_search),
-                ("greedy", greedy_search),
+                ("exhaustive", exhaustive_steps),
+                ("alg1", beam_steps),
+                ("greedy", greedy_steps),
             ):
                 calls = []
 
@@ -150,7 +151,7 @@ def test_strategy_ordering_over_random_landscapes():
                 memo = MemoizedFitness(counted)
                 per_bag = {b: memo(Configuration.from_bags([b])) for b in bags}
                 space = build_pool(per_bag, threshold=-1.0)
-                best, _ = strategy(space, memo)
+                best, _ = run_rounds([(strategy(space), memo)])[0]
                 assert len(calls) == len(set(calls)), "configuration evaluated twice"
                 outcomes[name] = table[best.canonical]
 

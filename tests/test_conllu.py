@@ -120,11 +120,6 @@ def test_non_consecutive_indices_rejected():
         parse_all(text, errors="raise")
 
 
-def test_bytes_stream_accepted(fig1_conllu_text):
-    stream = io.BytesIO(fig1_conllu_text.encode("utf-8"))
-    assert len(list(parse_conllu(stream))) == 1
-
-
 def test_round_trip_fig1(fig1_conllu_text):
     sent = parse_all(fig1_conllu_text)[0]
     again = parse_all(sentence_to_conllu(sent) + "\n")[0]
@@ -219,8 +214,6 @@ def test_crlf_corpus_parses_like_its_lf_twin(tmp_path, fig1_conllu_text):
     expected = list(read_corpus(lf))
     assert len(expected) == 2
     assert list(read_corpus(crlf)) == expected
-    crlf_bytes = io.BytesIO(text.replace("\n", "\r\n").encode("utf-8"))
-    assert list(parse_conllu(crlf_bytes)) == expected
 
 
 def test_gzip_and_plain_agree_on_a_malformed_block(tmp_path, fig1_conllu_text):
@@ -251,7 +244,6 @@ def test_only_newline_ends_a_line(tmp_path, odd):
     assert len(sentence) == 1
     assert sentence.token(1).form == form.lower()
     assert sentence.token(1).lemma == form
-    assert list(parse_conllu(io.BytesIO(text.encode("utf-8")), errors="raise")) == [sentence]
 
 
 def test_invalid_utf8_raises_in_both_readers(tmp_path, fig1_conllu_text):
@@ -266,8 +258,6 @@ def test_invalid_utf8_raises_in_both_readers(tmp_path, fig1_conllu_text):
         with pytest.raises(ConlluError) as caught:
             list(read_corpus(str(path), errors="raise"))
         assert str(caught.value).startswith(f"line {line}: invalid UTF-8 in {path} (")
-    with pytest.raises(ConlluError, match=rf"^line {line}: invalid UTF-8 \("):
-        list(parse_conllu(io.BytesIO(data), errors="raise"))
 
 
 def test_invalid_utf8_skips_its_sentence_in_both_readers(
@@ -288,7 +278,6 @@ def test_invalid_utf8_skips_its_sentence_in_both_readers(
     readers = {
         "plain": lambda stats: read_corpus(str(plain), stats=stats),
         "gzip": lambda stats: read_corpus(str(zipped), stats=stats),
-        "bytes": lambda stats: parse_conllu(io.BytesIO(data), stats=stats),
     }
     for name, read in readers.items():
         # as in a process that has not yet decoded a bad byte
@@ -311,7 +300,6 @@ def test_valid_utf8_runs_no_surrogate_search(tmp_path, fig1_conllu_text, monkeyp
     # valid non-ASCII input under skip, in a process that has seen no bad byte
     monkeypatch.setattr(conllu, "_invalid_utf8_seen", False)
     assert list(read_corpus(path)) == expected
-    assert list(parse_conllu(io.BytesIO(text.encode("utf-8")))) == expected
     assert not conllu._invalid_utf8_seen
     # raise decodes strictly, so it never searches, even after a bad byte
     monkeypatch.setattr(conllu, "_invalid_utf8_seen", True)

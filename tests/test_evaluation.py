@@ -29,7 +29,6 @@ def store_from_vectors(vectors: dict[str, np.ndarray]) -> EmbeddingStore:
     dim = len(next(iter(vectors.values())))
     vocab = Vocabulary(
         word_index={w: i for i, w in enumerate(words)},
-        context_index={},
         word_counts=np.ones(len(words), dtype=np.int64),
         context_counts=np.zeros(0, dtype=np.int64),
         words=words,

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from depctx.extraction import (
+    CONJ_VARIANTS,
     BagMappingTable,
     DISCARD,
     ExtractionConfig,
     Manifest,
     PairStream,
     collapse_prepositions,
+    effective_bags,
     extract_bow_pairs,
     extract_deps_pairs,
     extract_posit_pairs,
@@ -40,7 +42,10 @@ def pair_set(pairs):
 
 
 def test_default_table_image_is_the_13_bags():
-    assert TABLE.bag_labels == frozenset(BAG13)
+    assert effective_bags(TABLE, ExtractionConfig(conj_variant="both")) == tuple(sorted(BAG13))
+    for variant, other in (("conjlr", "conjll"), ("conjll", "conjlr")):
+        bags = effective_bags(TABLE, ExtractionConfig(conj_variant=variant))
+        assert bags == tuple(sorted(BAG13 - {other})), variant
 
 
 @pytest.mark.parametrize(
@@ -83,7 +88,7 @@ def test_table_from_file_rejects_bad_rows(tmp_path):
         BagMappingTable.from_file(path)
 
 
-@pytest.mark.parametrize("target", ["amod+obj", "../amod", "a/b", ""])
+@pytest.mark.parametrize("target", ["amod+obj", "../amod", "a/b", "", "conjlr", "conjll"])
 def test_table_rejects_labels_that_clash_with_names_or_paths(tmp_path, target):
     rule = re.escape(f"rule 'amod' -> {target!r}")
     with pytest.raises(ValueError, match=rule):
@@ -264,6 +269,13 @@ def test_conj_both_is_the_union(boys_and_girls):
 
 def test_no_conj_arcs_empty(fig1_sentence):
     assert conj_pairs(fig1_sentence, "both") == []
+
+
+@pytest.mark.parametrize("variant", ["conjLR", "sideways", ""])
+def test_unknown_conj_variant_raises(boys_and_girls, fig1_sentence, variant):
+    for sentence in (boys_and_girls, fig1_sentence):
+        with pytest.raises(ValueError, match=re.escape(str(CONJ_VARIANTS))):
+            list(extract_deps_pairs(sentence, TABLE, variant))
 
 
 def test_deps_extraction_routes_conj(boys_and_girls):

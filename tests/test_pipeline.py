@@ -181,6 +181,15 @@ def test_extraction_bytes_are_golden(tmp_path):
     assert written == GOLDEN_SHA256
 
 
+def test_bundled_smoke_experiment_cache_names_are_pinned(tmp_path, monkeypatch):
+    # a user's cache of the bundled experiment is found again only under these
+    # names; a change to how scopes are hashed orphans it
+    monkeypatch.setenv(pipeline.CACHE_ENV_VAR, str(tmp_path))
+    exp = Experiment(load_experiment_config(bundled_path("smoke_experiment.txt")))
+    assert exp.bag_dir == tmp_path / GOLDEN_BAG_DIR
+    assert exp.fitness_cache.path == tmp_path / "fitness-4cf920becc3aa377.tsv"
+
+
 def test_extract_config_change_invalidates_cache(tmp_path):
     cfg_a = load_experiment_config(write_config(tmp_path))
     exp_a = Experiment(cfg_a)
@@ -208,15 +217,13 @@ def test_trainer_keys_scope_models_but_not_bags(tmp_path, monkeypatch):
     for key, value in changed.items():
         exp = Experiment(load_experiment_config(write_config(tmp_path, **{key: value})))
         assert exp.bag_dir == base.bag_dir, key
-        assert exp.model_scope() != base.model_scope(), key
         assert exp.fitness_scope() != base.fitness_scope(), key
     # models trained by another SGD kernel are not reused either
-    scopes = base.model_scope(), base.fitness_scope()
+    scope = base.fitness_scope()
     monkeypatch.setattr(sgns, "BATCH_SIZE", sgns.BATCH_SIZE + 1)
     exp = Experiment(load_experiment_config(write_config(tmp_path)))
     assert exp.bag_dir == base.bag_dir
-    assert exp.model_scope() != scopes[0]
-    assert exp.fitness_scope() != scopes[1]
+    assert exp.fitness_scope() != scope
 
 
 def test_component_settings_read_from_same_named_keys(tmp_path):
@@ -261,7 +268,6 @@ def test_corpus_hashed_once_per_experiment(tmp_path, monkeypatch):
     exp = Experiment(load_experiment_config(write_config(tmp_path)))
     assert hashed == []  # constructing an experiment hashes nothing
     exp.extract()
-    exp.model_scope()
     exp.fitness_scope()
     exp.bag_dir
     assert [p for p in hashed if p in exp.cfg.corpus] == list(exp.cfg.corpus)
@@ -310,7 +316,7 @@ def test_search_reproduces_adjective_walkthrough(tmp_path, monkeypatch):
     results = exp.run_search()
     assert len(results) == 1
     res = results[0]
-    assert not res.infeasible
+    assert all(run["best"] is not None for run in res.runs)
     assert [run["best"].canonical for run in res.runs] == ["amod+conj", "amod+conj"]
     assert res.mean_test_rho == pytest.approx(0.546)
     # per dev fold: 13 one-sets + root + 3 children, then 1 test evaluation
@@ -344,7 +350,7 @@ def test_search_infeasible_pool_reports_cleanly(tmp_path, monkeypatch):
     inject_oracle(monkeypatch, {}, default=-0.5)
     exp = Experiment(load_experiment_config(write_config(tmp_path, classes="V")))
     results = exp.run_search()
-    assert results[0].infeasible
+    assert any(run["best"] is None for run in results[0].runs)
     report = (Path(exp.cfg.out_dir) / "search_report.tsv").read_text()
     assert "INFEASIBLE" in report
 
@@ -392,9 +398,10 @@ def test_infeasible_per_bag_table_belongs_to_its_run(tmp_path, monkeypatch, caps
         return fitness
 
     monkeypatch.setattr(Experiment, "fitness_function", fold_dependent)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     config = write_config(tmp_path, classes="A")
     exp = Experiment(load_experiment_config(config))
-    result = exp.search_class("A")
+    (result,) = exp.run_search()
     infeasible, feasible = result.runs
     assert infeasible["best"] is None and set(infeasible["per_bag_fitness"].values()) == {-0.25}
     assert feasible["best"].canonical == "amod"
@@ -428,7 +435,7 @@ def test_infeasible_run_replaces_a_stale_trace(tmp_path, monkeypatch):
     # the same out_dir, now at a threshold no bag reaches
     exp = Experiment(load_experiment_config(write_config(tmp_path, classes="A", threshold=0.99)))
     (result,) = exp.run_search()
-    assert result.infeasible
+    assert any(run["best"] is None for run in result.runs)
     for run in result.runs:
         lines = (out / f"trace_A_dev{run['dev']}.tsv").read_text().splitlines()
         assert lines[0] == "configuration\tlevel\tfitness\tstatus\torigin"
@@ -560,9 +567,16 @@ def test_cli_missing_corpus_exits_2(tmp_path, capsys):
         (dict(seed=-1), "seed must be >= 0"),
         (dict(fold_seed=-1), "fold_seed must be >= 0"),
         (dict(classes="A,V,A"), "word class 'A' is listed twice"),
+        # bag_table gives the rules of a table file that ends in the catch-all
+        (dict(bag_table="amod\tconjlr", conj_variant="conjll"), "conjll are reserved"),
+        (dict(bag_table="amod\ta+b"), "hold no '+' or '/'"),
     ],
 )
 def test_cli_rejected_settings_exit_2(tmp_path, capsys, setting, message):
+    if "bag_table" in setting:
+        table = tmp_path / "table.tsv"
+        table.write_text(f"{setting['bag_table']}\n*\tDISCARD\n", encoding="utf-8")
+        setting = dict(setting, bag_table=table)
     config = write_config(tmp_path, **setting)
     assert cli.main(["extract", "-c", str(config)]) == 2
     assert message in capsys.readouterr().err
@@ -718,13 +732,9 @@ def test_one_worker_pool_per_search_and_none_for_a_cached_rerun(tmp_path, monkey
     assert started == [] and trained == []
 
 
-@needs_fork
-def test_search_class_alone_trains_in_this_process(tmp_path, monkeypatch):
+def test_search_on_one_cpu_trains_in_this_process(tmp_path, monkeypatch):
     started = count_process_starts(monkeypatch)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    trained = count_trainings(monkeypatch)
-    exp = Experiment(load_experiment_config(write_config(tmp_path, classes="A", **SMOKE)))
-    exp.search_class("A")
+    _, trained = smoke_search(tmp_path, cpus=1, classes="A")
     assert started == [] and trained
 
 

@@ -10,12 +10,9 @@ from depctx.search import (
     MemoizedFitness,
     SearchInfeasibleError,
     beam_steps,
-    best_configuration_search,
     build_pool,
     count_space,
-    exhaustive_search,
     exhaustive_steps,
-    greedy_search,
     greedy_steps,
     run_rounds,
 )
@@ -72,6 +69,11 @@ class CountingFitness:
         return self.table[config.canonical]
 
 
+def run_alone(steps, space, fitness_fn):
+    """Drive one strategy alone through run_rounds; returns (best, trace)."""
+    return run_rounds([(steps(space), fitness_fn)])[0]
+
+
 def adjective_space():
     return build_pool(
         {k: ADJ_FITNESS[k] for k in ("amod", "conjlr", "conjll")}, threshold=0.2
@@ -114,7 +116,7 @@ def test_verb_pool_from_published_fitness():
     assert set(space.pool) == {"prep", "acl", "obj", "comp", "adv", "conjlr", "conjll"}
     for bag in ("amod", "compound", "nummod", "subj", "appos", "nmod"):
         assert bag not in space.pool
-    assert space.M == 13
+    assert len(space.all_bags) == 13
     assert space.K == 7
     assert space.per_bag_fitness["prep"] == 0.344
 
@@ -132,7 +134,7 @@ def test_pool_all_below_threshold_is_infeasible():
 
 def test_pool_threshold_minus_one_keeps_everything():
     space = build_pool(VERB_BAG_FITNESS, threshold=-1.0)
-    assert space.K == space.M == 13
+    assert space.K == len(space.all_bags) == 13
 
 
 # -- Algorithm-1 style search --
@@ -140,7 +142,7 @@ def test_pool_threshold_minus_one_keeps_everything():
 
 def test_adjective_walkthrough_returns_pool_all():
     fitness = CountingFitness(ADJ_FITNESS)
-    best, trace = best_configuration_search(adjective_space(), fitness)
+    best, trace = run_alone(beam_steps, adjective_space(), fitness)
     assert best.canonical == "amod+conj"
     level2 = [e for e in trace if e.level == 2]
     assert len(level2) == 3
@@ -153,7 +155,7 @@ def test_adjective_walkthrough_returns_pool_all():
 def test_k_equals_one_returns_single_set_immediately():
     space = build_pool({"amod": 0.5, "obj": 0.1}, threshold=0.2, all_bags=["amod", "obj"])
     fitness = CountingFitness({"amod": 0.5})
-    best, trace = best_configuration_search(space, fitness)
+    best, trace = run_alone(beam_steps, space, fitness)
     assert best.canonical == "amod"
     assert fitness.calls == []  # seeded from pool construction
 
@@ -168,7 +170,7 @@ def test_additive_fitness_returns_pool_and_visits_k_children():
     space = build_pool(per_bag, threshold=0.2)
     assert space.K == 4
     memo = MemoizedFitness(additive)
-    best, trace = best_configuration_search(space, memo)
+    best, trace = run_alone(beam_steps, space, memo)
     assert best.canonical == "a+b+c+d"
     children = [e for e in trace if e.level == space.K - 1]
     assert len(children) == space.K
@@ -188,7 +190,7 @@ def test_argmax_includes_pool_one_sets():
         "a+b": 0.2,
     }
     space = build_pool({"a": 0.6, "b": 0.3}, threshold=0.2)
-    best, trace = best_configuration_search(space, dict_fitness(table))
+    best, trace = run_alone(beam_steps, space, dict_fitness(table))
     assert best.canonical == "a"
     statuses = {e.canonical: e.status for e in trace}
     assert statuses["a"] == "best"
@@ -201,7 +203,7 @@ def test_tie_breaks_to_smaller_then_lexicographic():
         "a+b": 0.5,
     }
     space = build_pool({"a": 0.5, "b": 0.5}, threshold=0.2)
-    best, _ = best_configuration_search(space, dict_fitness(table))
+    best, _ = run_alone(beam_steps, space, dict_fitness(table))
     assert best.canonical == "a"
 
 
@@ -219,7 +221,7 @@ def test_frontier_deduplicates_shared_children():
     }
     counting = CountingFitness(table)
     space = build_pool({k: table[k] for k in "abc"}, threshold=0.2)
-    best, trace = best_configuration_search(space, counting)
+    best, trace = run_alone(beam_steps, space, counting)
     assert counting.calls.count("b") <= 1
     assert len(counting.calls) == len(set(counting.calls))
     canonicals = [e.canonical for e in trace]
@@ -237,7 +239,7 @@ def test_kept_children_satisfy_line_11_predicate():
         per_bag = {b: table[b] for b in bags}
         space = build_pool(per_bag, threshold=-1.0)
         memo = MemoizedFitness(dict_fitness(table))
-        best, trace = best_configuration_search(space, memo)
+        best, trace = run_alone(beam_steps, space, memo)
         for entry in trace:
             if entry.status == "kept":
                 assert entry.origin is not None
@@ -257,7 +259,7 @@ def test_failed_evaluations_poison_descent_but_not_search():
         "a+b": float("-inf"),  # e.g. untrainable configuration
     }
     space = build_pool({"a": 0.5, "b": 0.4}, threshold=0.2)
-    best, trace = best_configuration_search(space, dict_fitness(table))
+    best, trace = run_alone(beam_steps, space, dict_fitness(table))
     assert best.canonical == "a"
 
 
@@ -267,7 +269,7 @@ def test_fitness_failure_names_configuration():
 
     space = build_pool({"a": 0.5, "b": 0.4}, threshold=0.2)
     with pytest.raises(RuntimeError, match="a\\+b"):
-        best_configuration_search(space, explode)
+        run_alone(beam_steps, space, explode)
 
 
 # -- greedy variant --
@@ -275,7 +277,7 @@ def test_fitness_failure_names_configuration():
 
 def test_greedy_matches_alg1_on_adjective_fixture():
     fitness = CountingFitness(ADJ_FITNESS)
-    best, trace = greedy_search(adjective_space(), fitness)
+    best, trace = run_alone(greedy_steps, adjective_space(), fitness)
     assert best.canonical == "amod+conj"
     level2 = [e for e in trace if e.level == 2]
     assert len(level2) == 3
@@ -295,8 +297,8 @@ def test_greedy_strictly_worse_on_trap_landscape():
     per_bag = {b: GREEDY_TRAP[b] for b in "abcd"}
     space = build_pool(per_bag, threshold=0.2)
     fitness = dict_fitness(GREEDY_TRAP)
-    alg1_best, _ = best_configuration_search(space, fitness)
-    greedy_best, _ = greedy_search(space, fitness)
+    alg1_best, _ = run_alone(beam_steps, space, fitness)
+    greedy_best, _ = run_alone(greedy_steps, space, fitness)
     assert GREEDY_TRAP[alg1_best.canonical] == 0.7
     assert GREEDY_TRAP[greedy_best.canonical] == 0.48
     assert GREEDY_TRAP[greedy_best.canonical] < GREEDY_TRAP[alg1_best.canonical]
@@ -304,7 +306,7 @@ def test_greedy_strictly_worse_on_trap_landscape():
 
 def test_greedy_k_equals_one():
     space = build_pool({"a": 0.5, "b": 0.1}, threshold=0.2, all_bags=["a", "b"])
-    best, _ = greedy_search(space, dict_fitness({"a": 0.5}))
+    best, _ = run_alone(greedy_steps, space, dict_fitness({"a": 0.5}))
     assert best.canonical == "a"
 
 
@@ -313,7 +315,7 @@ def test_greedy_k_equals_one():
 
 def test_exhaustive_k3_evaluates_7_subsets():
     memo = MemoizedFitness(dict_fitness(ADJ_FITNESS))
-    best, trace = exhaustive_search(adjective_space(), memo)
+    best, trace = run_alone(exhaustive_steps, adjective_space(), memo)
     assert best.canonical == "amod+conj"
     subsets = {e.canonical for e in trace}
     assert len(subsets) == 7
@@ -332,7 +334,7 @@ def test_exhaustive_k10_counts_1023():
     per_bag = {b: 0.5 for b in bags}
     space = build_pool(per_bag, threshold=0.2)
     memo = MemoizedFitness(fitness)
-    _, trace = exhaustive_search(space, memo)
+    _, trace = run_alone(exhaustive_steps, space, memo)
     assert len({e.canonical for e in trace}) == 1023
 
 
@@ -340,7 +342,7 @@ def test_exhaustive_guard():
     bags = [f"b{i:02d}" for i in range(13)]
     space = build_pool({b: 0.5 for b in bags}, threshold=0.2)
     with pytest.raises(ValueError, match="at most 12 bags"):
-        exhaustive_search(space, dict_fitness({}))
+        run_alone(exhaustive_steps, space, dict_fitness({}))
 
 
 def test_exhaustive_dominates_alg1_on_random_landscapes():
@@ -355,9 +357,9 @@ def test_exhaustive_dominates_alg1_on_random_landscapes():
                 table[Configuration.from_bags(combo).canonical] = float(rng.random())
         space = build_pool({b: table[b] for b in bags}, threshold=-1.0)
         fitness = dict_fitness(table)
-        exh_best, _ = exhaustive_search(space, fitness)
-        alg1_best, _ = best_configuration_search(space, fitness)
-        greedy_best, _ = greedy_search(space, fitness)
+        exh_best, _ = run_alone(exhaustive_steps, space, fitness)
+        alg1_best, _ = run_alone(beam_steps, space, fitness)
+        greedy_best, _ = run_alone(greedy_steps, space, fitness)
         assert table[exh_best.canonical] >= table[alg1_best.canonical]
         assert table[alg1_best.canonical] >= table[greedy_best.canonical]
         strict += table[exh_best.canonical] > table[alg1_best.canonical]
@@ -391,15 +393,9 @@ def as_rows(result):
 
 
 @pytest.mark.parametrize(
-    "steps,search",
-    [
-        (beam_steps, best_configuration_search),
-        (greedy_steps, greedy_search),
-        (exhaustive_steps, exhaustive_search),
-    ],
-    ids=["alg1", "greedy", "exhaustive"],
+    "steps", [beam_steps, greedy_steps, exhaustive_steps], ids=["alg1", "greedy", "exhaustive"]
 )
-def test_strategies_ask_each_configuration_once_and_interleave_like_alone(steps, search):
+def test_strategies_ask_each_configuration_once_and_interleave_like_alone(steps):
     rng = np.random.default_rng(99)
     for _ in range(30):
         bags, table = random_landscape(rng)
@@ -428,10 +424,10 @@ def test_strategies_ask_each_configuration_once_and_interleave_like_alone(steps,
         assert all(logged[key] == table[key] for key in answered)
         # driven alone, the search evaluates exactly what it asked for
         memo = MemoizedFitness(dict_fitness(table))
-        assert as_rows(result) == as_rows(search(space, memo))
+        assert as_rows(result) == as_rows(run_alone(steps, space, memo))
         assert sorted(memo.evaluations) == sorted(answered - set(space.per_bag_fitness))
         assert as_rows(other_result) == as_rows(
-            best_configuration_search(other_space, dict_fitness(other_table))
+            run_alone(beam_steps, other_space, dict_fitness(other_table))
         )
 
 
@@ -572,9 +568,9 @@ def test_visited_never_exceeds_count_space():
         except SearchInfeasibleError:
             continue
         memo = MemoizedFitness(dict_fitness(table))
-        best_configuration_search(space, memo)
+        run_alone(beam_steps, space, memo)
         # evaluations beyond the M pool probes stay within the lattice budget
-        assert len(memo.evaluations) <= count_space(space.M, space.K)
+        assert len(memo.evaluations) <= count_space(len(space.all_bags), space.K)
 
 
 # -- persistent fitness cache --

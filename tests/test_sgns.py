@@ -63,14 +63,14 @@ def test_min_count_boundary():
     vocab = build_vocab(pairs, min_count=100)
     assert "a" not in vocab.word_index
     assert "b" in vocab.word_index
-    assert vocab.context_counts[vocab.context_index["c"]] == 199
+    assert vocab.context_counts[vocab.contexts.index("c")] == 199
 
 
 def test_min_count_one_keeps_everything():
     pairs = [("a", "x"), ("b", "y"), ("a", "y")]
     vocab = build_vocab(pairs, min_count=1)
     assert set(vocab.word_index) == {"a", "b"}
-    assert set(vocab.context_index) == {"x", "y"}
+    assert set(vocab.contexts) == {"x", "y"}
 
 
 def test_fig1_times_100_all_retained():
@@ -78,7 +78,7 @@ def test_fig1_times_100_all_retained():
     assert set(vocab.word_index) == {
         "scientist", "australian", "discovers", "stars", "telescope",
     }
-    assert len(vocab.context_index) == 8
+    assert len(vocab.contexts) == 8
     assert all(n == 100 for n in vocab.context_counts)
     # words appearing in several pairs accumulate
     assert vocab.word_counts[vocab.word_index["discovers"]] == 300
@@ -141,11 +141,11 @@ def test_one_pass_ids_equal_two_pass_encoding():
     assert vocab.context_counts.tolist() == [n for _, n in kept_ctxs]
     assert vocab.word_counts.dtype == vocab.context_counts.dtype == np.int64
     assert vocab.word_index == {tok: i for i, tok in enumerate(vocab.words)}
-    assert vocab.context_index == {tok: i for i, tok in enumerate(vocab.contexts)}
+    context_index = {tok: i for i, tok in enumerate(vocab.contexts)}
     expected = [
-        (vocab.word_index[w], vocab.context_index[c])
+        (vocab.word_index[w], context_index[c])
         for w, c in pairs
-        if w in vocab.word_index and c in vocab.context_index
+        if w in vocab.word_index and c in context_index
     ]
     assert word_ids.dtype == ctx_ids.dtype == np.int32
     assert list(zip(word_ids.tolist(), ctx_ids.tolist())) == expected
@@ -566,7 +566,7 @@ def test_saved_bytes_match_per_value_formatting(tmp_path):
     W = np.array([edge, edge[::-1]], dtype=np.float32)
     C = -W[:1]
     vocab = Vocabulary(
-        word_index={"a": 0, "b%s": 1}, context_index={"x": 0},
+        word_index={"a": 0, "b%s": 1},
         word_counts=np.ones(2, np.int64), context_counts=np.ones(1, np.int64),
         words=["a", "b%s"], contexts=["x"],
     )
@@ -612,7 +612,7 @@ def test_load_round_trips_float32_edge_values(tmp_path):
     edge = [0.0, -0.0, 1e-45, float(np.finfo(np.float32).max), -1 / 3, 1e7, np.nan, -np.inf]
     W = np.array([edge, edge[::-1]], dtype=np.float32)
     vocab = Vocabulary(
-        word_index={"a": 0, "#b": 1}, context_index={},
+        word_index={"a": 0, "#b": 1},
         word_counts=np.ones(2, np.int64), context_counts=np.zeros(0, np.int64),
         words=["a", "#b"], contexts=[],
     )
