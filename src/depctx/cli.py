@@ -111,8 +111,17 @@ def cmd_train(args) -> int:
             exp.extract_window_pairs(args.bags)
         store = sgns.train(extraction.read_pairs(path), exp.cfg.trainer_config())
     else:
-        exp.extract()
-        config = search.Configuration.from_string(args.bags)
+        manifest = exp.extract()
+        try:
+            config = search.Configuration.from_string(args.bags)
+        except ValueError as exc:
+            raise pipeline.ExperimentConfigError(str(exc)) from None
+        unknown = sorted(config.bags - manifest.counts.keys())
+        if unknown:
+            raise pipeline.ExperimentConfigError(
+                f"unknown bag label(s): {', '.join(unknown)}; "
+                f"the extracted bags are: {', '.join(sorted(manifest.counts))}"
+            )
         stream = exp.pair_stream(config.bags)
         store = sgns.train(stream, exp.cfg.trainer_config())
     sgns.save_embeddings(store, args.out, include_context=args.save_context)
@@ -159,7 +168,6 @@ def cmd_search(args) -> int:
 
 def cmd_report(args) -> int:
     exp = _experiment(args)
-    exp.extract()
     print(pipeline.render_report(exp.report_rows(), timing=args.timing), end="")
     return EXIT_OK
 

@@ -4,12 +4,16 @@ Sentences are parsed lazily, one blank-line-delimited block at a time, so
 memory stays bounded by the largest sentence rather than the corpus. Surface
 forms are lowercased at parse time; lemma and POS columns are kept as-is.
 
+A sentence with a malformed line is skipped, and each skip logs one
+``skipping sentence: line N: <reason>`` warning on this module's logger;
+that warning is the one count of skipped sentences.
+
 :func:`parse_conllu` takes text lines; :func:`read_corpus` is the one UTF-8
 decoder, in C, through an ``io.TextIOWrapper`` with ``newline="\n"`` over
 the (possibly gzipped) byte stream. Only ``\n`` ends a line there: a form
 holding U+2028, a form feed or a lone ``\r`` stays in one token, and the
-``\r`` of a CRLF line end is stripped. A :class:`Token` is a ``NamedTuple``,
-built by one C call to ``tuple.__new__``.
+``\r`` of a CRLF line end is stripped. A :class:`Token` is a
+``NamedTuple``, built by one C call to ``tuple.__new__``.
 """
 
 from __future__ import annotations
@@ -27,10 +31,9 @@ logger = logging.getLogger(__name__)
 
 GZIP_MAGIC = b"\x1f\x8b"
 
-# Under skip, a byte that is not valid UTF-8 decodes to a lone surrogate and
-# sets this process-wide flag. Only once it is set does the skip path search
-# token lines for such a surrogate, so valid input, ASCII or not, pays for no
-# search; strict decoding never yields one, so raise mode runs none either.
+# A byte that is not valid UTF-8 decodes to a lone surrogate and sets this
+# process-wide flag. Only once it is set does the parser search token lines
+# for such a surrogate, so valid input, ASCII or not, pays for no search.
 _invalid_utf8_seen = False
 UNDECODABLE = re.compile("[\udc80-\udcff]")
 _surrogateescape = codecs.lookup_error("surrogateescape")
@@ -43,16 +46,13 @@ def _escape_invalid_utf8(exc: UnicodeDecodeError) -> tuple[str, int]:
 
 
 codecs.register_error("depctx.conllu.skip", _escape_invalid_utf8)
-# The UTF-8 decoding of each ``errors`` mode.
-DECODE_ERRORS = {"skip": "depctx.conllu.skip", "raise": "strict"}
 
 
 class ConlluError(Exception):
-    """Malformed CoNLL-U input, carrying the 1-based line number."""
+    """Malformed CoNLL-U input; the message leads with the 1-based line number."""
 
     def __init__(self, message: str, line_number: int):
         super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
 
 
 class Token(NamedTuple):
@@ -142,23 +142,16 @@ def _build_sentence(tokens: list[Token], line_number: int) -> Sentence:
     return Sentence(tuple(tokens))
 
 
-def parse_conllu(
-    stream: Iterable[str],
-    errors: str = "skip",
-    stats: dict | None = None,
-) -> Iterator[Sentence]:
+def parse_conllu(stream: Iterable[str]) -> Iterator[Sentence]:
     """Yield one Sentence per CoNLL-U block read from ``stream``.
 
     ``stream`` is any iterable of text lines. Comment lines, multiword
-    ranges and empty nodes are dropped. On a malformed line the enclosing
-    sentence is either skipped with a warning (``errors="skip"``, counted
-    under ``stats["skipped_sentences"]``) or a :class:`ConlluError` is raised
-    (``errors="raise"``). Under skip, a token line holding a byte that
-    :func:`read_corpus` could not decode is malformed.
+    ranges and empty nodes are dropped. A sentence with a malformed line is
+    skipped with one ``skipping sentence`` warning, which names the line
+    that failed (for a fault of the whole block, the line after it). A
+    token line holding a byte that :func:`read_corpus` could not decode is
+    malformed.
     """
-    if errors not in DECODE_ERRORS:
-        raise ValueError(f"errors must be 'skip' or 'raise', got {errors!r}")
-    skip = errors == "skip"
     tokens: list[Token] = []
     block_bad = False
     line_number = 0
@@ -174,9 +167,7 @@ def parse_conllu(
         try:
             sentence = _build_sentence(tokens, at_line)
         except ConlluError as exc:
-            if not skip:
-                raise
-            _count_skip(stats, exc)
+            logger.warning("skipping sentence: %s", exc)
             return None
         finally:
             tokens.clear()
@@ -184,7 +175,13 @@ def parse_conllu(
 
     for raw in stream:
         line_number += 1
-        line = raw.rstrip("\r\n")
+        try:
+            line = raw.rstrip("\r\n")
+        except TypeError:
+            raise TypeError(
+                f"line {line_number}: parse_conllu takes text lines, got "
+                f"{type(raw).__name__}; read a corpus file with read_corpus"
+            ) from None
         if not line:
             sentence = finish(line_number)
             if sentence is not None:
@@ -195,13 +192,11 @@ def parse_conllu(
         if block_bad:
             continue
         try:
-            if _invalid_utf8_seen and skip and not line.isascii():
+            if _invalid_utf8_seen and not line.isascii():
                 _reject_undecodable(line, line_number)
             token = _parse_token(line, line_number)
         except ConlluError as exc:
-            if not skip:
-                raise
-            _count_skip(stats, exc)
+            logger.warning("skipping sentence: %s", exc)
             block_bad = True
             continue
         if token is not None:
@@ -209,12 +204,6 @@ def parse_conllu(
     sentence = finish(line_number + 1)
     if sentence is not None:
         yield sentence
-
-
-def _count_skip(stats: dict | None, exc: ConlluError) -> None:
-    logger.warning("skipping sentence: %s", exc)
-    if stats is not None:
-        stats["skipped_sentences"] = stats.get("skipped_sentences", 0) + 1
 
 
 def sentence_to_conllu(sentence: Sentence) -> str:
@@ -253,30 +242,13 @@ def open_corpus(path: str) -> IO[bytes]:
     return open(path, "rb")
 
 
-def read_corpus(
-    path: str,
-    errors: str = "skip",
-    stats: dict | None = None,
-) -> Iterator[Sentence]:
+def read_corpus(path: str) -> Iterator[Sentence]:
     """Parse sentences from a (possibly gzipped) UTF-8 CoNLL-U file.
 
-    Under ``errors="skip"`` a token line that is not valid UTF-8 skips its
-    sentence like any malformed line; under ``errors="raise"`` invalid UTF-8
-    anywhere raises :class:`ConlluError` naming the file and the line.
+    A token line that is not valid UTF-8 skips its sentence like any
+    malformed line.
     """
-    decoding = DECODE_ERRORS.get(errors, "strict")
-    try:
-        with io.TextIOWrapper(
-            open_corpus(path), encoding="utf-8", errors=decoding, newline="\n"
-        ) as stream:
-            yield from parse_conllu(stream, errors=errors, stats=stats)
-    except UnicodeDecodeError as exc:
-        # The decoder works on blocks of many lines, so find the line again
-        # in the raw bytes; valid input never comes here.
-        with open_corpus(path) as raw:
-            for line_number, line in enumerate(raw, start=1):
-                try:
-                    line.decode("utf-8")
-                except UnicodeDecodeError:
-                    break
-        raise ConlluError(f"invalid UTF-8 in {path} ({exc.reason})", line_number) from None
+    with io.TextIOWrapper(
+        open_corpus(path), encoding="utf-8", errors="depctx.conllu.skip", newline="\n"
+    ) as stream:
+        yield from parse_conllu(stream)

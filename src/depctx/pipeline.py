@@ -23,6 +23,7 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, fields, replace
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -243,9 +244,6 @@ class Experiment:
             )
         except ValueError as exc:
             raise ExperimentConfigError(f"bag table {cfg.bag_table}: {exc}") from None
-        self._dataset: evaluation.WordPairDataset | None = None
-        self._manifest: extraction.Manifest | None = None
-        self._fitness_cache: search.FitnessCache | None = None
         self._extraction_fingerprint: str | None = None
         # canonical -> (gold-pair cosines, training seconds no fitness record
         # has counted yet)
@@ -277,20 +275,15 @@ class Experiment:
     def bag_dir(self) -> Path:
         return Path(self.cfg.cache_dir) / f"bags-{self.extraction_fingerprint()}"
 
-    @property
+    @cached_property
     def fitness_cache(self) -> search.FitnessCache:
-        if self._fitness_cache is None:
-            path = Path(self.cfg.cache_dir) / f"fitness-{self.fitness_scope()}.tsv"
-            self._fitness_cache = search.FitnessCache(path)
-        return self._fitness_cache
+        return search.FitnessCache(Path(self.cfg.cache_dir) / f"fitness-{self.fitness_scope()}.tsv")
 
-    @property
+    @cached_property
     def dataset(self) -> evaluation.WordPairDataset:
-        if self._dataset is None:
-            if not self.cfg.dataset:
-                raise ExperimentConfigError("this command requires a dataset path")
-            self._dataset = evaluation.WordPairDataset.load(self.cfg.dataset)
-        return self._dataset
+        if not self.cfg.dataset:
+            raise ExperimentConfigError("this command requires a dataset path")
+        return evaluation.WordPairDataset.load(self.cfg.dataset)
 
     # -- extraction --
 
@@ -312,39 +305,41 @@ class Experiment:
             else:
                 if manifest.meta.get("config_hash") == fingerprint:
                     logger.info("extraction cache hit: %s", out)
-                    self._manifest = manifest
+                    self.manifest = manifest
                     return manifest
         logger.info("extracting to %s", out)
         manifest = extraction.write_bag_files(
             self.sentences(), self.table, self.cfg.extraction_config(), out, fingerprint
         )
-        self._manifest = manifest
+        self.manifest = manifest
         return manifest
 
     def extract_window_pairs(self, kind: str) -> Path:
         """Write BOW or POSIT baseline pairs next to the bag files."""
         return extraction.write_window_pairs(self.sentences(), kind, self.cfg.window, self.bag_dir)
 
-    @property
+    @cached_property
     def manifest(self) -> extraction.Manifest:
-        if self._manifest is None:
-            self._manifest = self.extract()
-        return self._manifest
+        return self.extract()
 
     # -- training --
 
     def pair_stream(self, bags) -> extraction.PairStream:
         return extraction.PairStream(self.bag_dir, bags, self.manifest)
 
-    def train_configuration(self, config: search.Configuration) -> np.ndarray:
+    def train_configuration(self, config: search.Configuration) -> tuple[np.ndarray, float]:
         """Train one configuration; returns the cosine of every gold pair, NaN
-        where a word is out of vocabulary and everywhere when none is left."""
+        where a word is out of vocabulary and everywhere when none is left,
+        and the seconds it took."""
+        start = time.perf_counter()
         try:
             store = sgns.train(self.pair_stream(config.bags), self.cfg.trainer_config())
         except sgns.VocabularyError as exc:
             logger.info("configuration %s cannot be trained: %s", config, exc)
-            return np.full(len(self.dataset), np.nan)
-        return evaluation.pair_cosines(store, self.dataset)
+            cosines = np.full(len(self.dataset), np.nan)
+        else:
+            cosines = evaluation.pair_cosines(store, self.dataset)
+        return cosines, time.perf_counter() - start
 
     # -- parallel training --
 
@@ -354,7 +349,7 @@ class Experiment:
         when the block ends; None on one CPU or without fork.
 
         The executor forks its workers at its first submit, so a block that
-        never trains two configurations at once starts no process.
+        trains nothing starts no process.
         """
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
         # imported here, so that commands which never search do not pay for it
@@ -382,12 +377,11 @@ class Experiment:
         configuration) pairs, that have no fitness record on their fold and
         have not been trained yet.
 
-        Only when two or more such configurations are left; otherwise, or
-        with no pool, the fitness calls train them in this process. Each
-        worker returns the result of :meth:`train_configuration` with its
-        training seconds, so the fitness calls that follow train nothing and
-        every value is unchanged. A worker's failure is dropped: the fitness
-        call trains that configuration again and meets the same error.
+        With no pool, the fitness calls train them in this process. Each
+        worker returns the result of :meth:`train_configuration`, so the
+        fitness calls that follow train nothing and every value is
+        unchanged. A worker's failure is dropped: the fitness call trains
+        that configuration again and meets the same error.
         """
         if pool is None:
             return
@@ -398,8 +392,6 @@ class Experiment:
                 and self.fitness_cache.get(config.canonical, fold) is None
             ):
                 todo.setdefault(config.canonical, config)
-        if len(todo) < 2:
-            return
         from concurrent.futures import BrokenExecutor
 
         # largest first, so that no long training starts last
@@ -424,10 +416,10 @@ class Experiment:
         """Config -> Spearman rho on one fold, through the fitness cache.
 
         A configuration is trained once per experiment, on its first fold:
-        in a worker, when the search round that asked for it trained it in
-        a batch with others, and in this process otherwise. Untrainable or
-        unscorable configurations come back as -inf so they lose to
-        everything real instead of aborting the whole search.
+        in a worker, when a search round with a worker pool asked for it,
+        and in this process otherwise. Untrainable or unscorable
+        configurations come back as -inf so they lose to everything real
+        instead of aborting the whole search.
         """
         fold = self.fold_id(word_class, fold_index)
 
@@ -436,12 +428,12 @@ class Experiment:
             if record is not None:
                 return record.rho
             pair_count = self.manifest.total(config.bags)
-            start = time.perf_counter()
             if config.canonical not in self._trained:
-                self._trained[config.canonical] = self.train_configuration(config), 0.0
-            # a worker's training seconds count toward the first record only
+                self._trained[config.canonical] = self.train_configuration(config)
+            # the training seconds count toward the first record only
             cosines, train_s = self._trained[config.canonical]
             self._trained[config.canonical] = cosines, 0.0
+            start = time.perf_counter()
             try:
                 rho = evaluation.correlate(cosines, self.dataset, word_class, fold_indices).rho
             except evaluation.UndefinedCorrelationError as exc:
@@ -502,20 +494,18 @@ class Experiment:
         pool-excluded.
         """
         cfg = self.cfg
-        probes = {bag: search.Configuration.from_bags([bag]) for bag in all_bags}
-        told = yield list(probes.values())
-        per_bag = {bag: told[probe.canonical] for bag, probe in probes.items()}
+        # a 1-set's canonical form is its bag
+        told = yield [search.Configuration.from_bags([bag]) for bag in all_bags]
+        per_bag = {bag: told[bag] for bag in all_bags}
         run = dict(dev=dev, best=None, dev_rho=None, test_rho=None, per_bag_fitness=per_bag)
         try:
-            space = search.build_pool(per_bag, cfg.threshold, all_bags)
+            space = search.build_pool(per_bag, cfg.threshold)
         except search.SearchInfeasibleError:
             logger.warning(
                 "class %s fold %d: no bag reaches threshold %.3f",
                 word_class, dev, cfg.threshold,
             )
-            trace = search.SearchTrace()
-            for bag in sorted(per_bag):
-                trace.record(probes[bag], per_bag[bag], "pool-excluded")
+            trace = search.probe_trace(per_bag)
         else:
             best, trace = yield from search.STRATEGY_STEPS[cfg.strategy](space)
             run.update(
@@ -584,11 +574,8 @@ class Experiment:
         for canonical, by_fold in grouped.items():
             rhos = {fold: rec.rho for fold, rec in by_fold.items()}
             mean, complete = fold_mean(rhos.values())
-            config = search.Configuration.from_string(canonical)
-            try:
-                pair_count = self.manifest.total(config.bags)
-            except KeyError:
-                pair_count = -1
+            # every fold's record stores the configuration's manifest total
+            pair_count = next(iter(by_fold.values())).pair_count
             wall = sum(rec.wall_time for rec in by_fold.values())
             rows.append(ReportRow(canonical, rhos, mean, complete, pair_count, wall))
         rows.sort(key=lambda r: (not r.complete, -r.mean_rho, r.configuration))
@@ -605,10 +592,7 @@ def _init_worker(experiment: Experiment) -> None:
 
 
 def _train_in_worker(config: search.Configuration) -> tuple[np.ndarray, float]:
-    """Train one configuration; returns its gold-pair cosines and training seconds."""
-    start = time.perf_counter()
-    cosines = _worker_experiment.train_configuration(config)
-    return cosines, time.perf_counter() - start
+    return _worker_experiment.train_configuration(config)
 
 
 def render_report(rows: list[ReportRow], timing: bool = False) -> str:

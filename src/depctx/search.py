@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Generator, Iterable, Iterator
 
@@ -76,6 +76,8 @@ class Configuration:
     @classmethod
     def from_string(cls, canonical: str) -> "Configuration":
         labels = set(canonical.split("+"))
+        if "" in labels:
+            raise ValueError(f"empty bag label in configuration {canonical!r}")
         if CONJ_MERGED in labels:
             labels.discard(CONJ_MERGED)
             labels |= CONJ_PAIR
@@ -91,7 +93,7 @@ class ConfigurationSpace:
 
     all_bags: tuple[str, ...]
     pool: tuple[str, ...]
-    per_bag_fitness: dict[str, float] = field(default_factory=dict)
+    per_bag_fitness: dict[str, float]
 
     def __post_init__(self):
         unknown = set(self.pool) - set(self.all_bags)
@@ -104,19 +106,14 @@ class ConfigurationSpace:
 
 
 def build_pool(
-    per_bag_fitness: dict[str, float],
-    threshold: float = DEFAULT_THRESHOLD,
-    all_bags: Iterable[str] | None = None,
+    per_bag_fitness: dict[str, float], threshold: float = DEFAULT_THRESHOLD
 ) -> ConfigurationSpace:
     """Keep the bags whose standalone fitness reaches the threshold.
 
-    Every bag needs a fitness value (one 1-set evaluation each); an empty
-    pool raises :class:`SearchInfeasibleError` carrying the full table.
+    The table's keys are the bag inventory (one 1-set evaluation each); an
+    empty pool raises :class:`SearchInfeasibleError` carrying the table.
     """
-    bags = tuple(sorted(all_bags)) if all_bags is not None else tuple(sorted(per_bag_fitness))
-    missing = [b for b in bags if b not in per_bag_fitness]
-    if missing:
-        raise KeyError(f"missing per-bag fitness for: {', '.join(missing)}")
+    bags = tuple(sorted(per_bag_fitness))
     pool = tuple(b for b in bags if per_bag_fitness[b] >= threshold)
     if not pool:
         raise SearchInfeasibleError(per_bag_fitness, threshold)
@@ -220,21 +217,21 @@ def _ask(values: dict[str, float], configs: Iterable[Configuration]):
         values.update((key, told[key]) for key in todo)
 
 
-def _start_search(space: ConfigurationSpace):
-    """Ask for the pool 1-sets without a per-bag fitness, then log the per-bag
-    evaluations behind the pool in a new trace; returns the values known so
-    far, by canonical form, and the trace."""
-    singles = {bag: Configuration.from_bags([bag]) for bag in space.all_bags}
-    values = {singles[bag].canonical: fitness for bag, fitness in space.per_bag_fitness.items()}
-    yield from _ask(values, (singles[bag] for bag in space.pool))
+def probe_trace(per_bag_fitness: dict[str, float], pool: Iterable[str] = ()) -> SearchTrace:
+    """A new trace of the per-bag probes, in bag order: "pool" for the bags
+    of ``pool``, "pool-excluded" for the others."""
+    pool = set(pool)
     trace = SearchTrace()
-    pool = set(space.pool)
-    for bag in space.all_bags:
-        if bag in pool:
-            trace.record(singles[bag], values[singles[bag].canonical], "pool")
-        elif bag in space.per_bag_fitness:
-            trace.record(singles[bag], space.per_bag_fitness[bag], "pool-excluded")
-    return values, trace
+    for bag in sorted(per_bag_fitness):
+        status = "pool" if bag in pool else "pool-excluded"
+        trace.record(Configuration.from_bags([bag]), per_bag_fitness[bag], status)
+    return trace
+
+
+def _start_search(space: ConfigurationSpace) -> tuple[dict[str, float], SearchTrace]:
+    """The values known before the search, by canonical form (a 1-set's is
+    its bag), and a trace of the probes behind the pool."""
+    return dict(space.per_bag_fitness), probe_trace(space.per_bag_fitness, space.pool)
 
 
 def _finish_search(trace: SearchTrace) -> tuple[Configuration, SearchTrace]:
@@ -257,7 +254,7 @@ def beam_steps(space: ConfigurationSpace) -> Steps:
     is the argmax over everything evaluated, the pool 1-sets included; ties
     break toward smaller, then lexicographically earlier configurations.
     """
-    values, trace = yield from _start_search(space)
+    values, trace = _start_search(space)
 
     root = Configuration.from_bags(space.pool)
     yield from _ask(values, [root])
@@ -293,7 +290,7 @@ def beam_steps(space: ConfigurationSpace) -> Steps:
 
 def greedy_steps(space: ConfigurationSpace) -> Steps:
     """Like the beam descent, but at most one configuration survives per level."""
-    values, trace = yield from _start_search(space)
+    values, trace = _start_search(space)
 
     current = Configuration.from_bags(space.pool)
     yield from _ask(values, [current])
@@ -328,7 +325,7 @@ def exhaustive_steps(space: ConfigurationSpace) -> Steps:
             f"it is limited to pools of at most {EXHAUSTIVE_GUARD} bags: "
             "use strategy alg1 or greedy, or raise threshold"
         )
-    values, trace = yield from _start_search(space)
+    values, trace = _start_search(space)
     pool = sorted(space.pool)
     for size in range(1, len(pool) + 1):
         configs = [Configuration.from_bags(c) for c in itertools.combinations(pool, size)]

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from depctx import conllu
 from depctx.conllu import (
-    ConlluError,
     Sentence,
     Token,
     open_corpus,
@@ -19,8 +18,16 @@ from depctx.conllu import (
 )
 
 
-def parse_all(text, **kwargs):
-    return list(parse_conllu(io.StringIO(text), **kwargs))
+def parse_all(text):
+    return list(parse_conllu(io.StringIO(text)))
+
+
+def skip_warnings(caplog):
+    """The ``skipping sentence`` warnings logged so far, the one skip count."""
+    return [
+        r.getMessage() for r in caplog.records
+        if r.name == "depctx.conllu" and r.getMessage().startswith("skipping sentence")
+    ]
 
 
 def test_fig1_block(fig1_conllu_text):
@@ -69,55 +76,86 @@ def test_multiword_and_empty_nodes_skipped():
     assert [t.form for t in sentences[0]] == ["de", "el"]
 
 
-def test_nine_column_line_raises_with_line_number():
-    bad = "1\ta\ta\tX\t_\t_\t0\troot\t_\n"
-    with pytest.raises(ConlluError) as exc:
-        parse_all(bad, errors="raise")
-    assert exc.value.line_number == 1
-    assert "columns" in str(exc.value)
-
-
-def test_nine_column_line_skip_mode_continues(fig1_conllu_text):
+def test_nine_column_line_skip_mode_continues(fig1_conllu_text, caplog):
     bad_block = "1\ta\ta\tX\t_\t_\t0\troot\t_\n"
-    stats = {}
-    sentences = parse_all(bad_block + "\n" + fig1_conllu_text, stats=stats)
+    sentences = parse_all(bad_block + "\n" + fig1_conllu_text)
     assert len(sentences) == 1
     assert len(sentences[0]) == 6
-    assert stats["skipped_sentences"] == 1
+    assert len(skip_warnings(caplog)) == 1
 
 
-@pytest.mark.parametrize(
-    "row",
-    [
-        "x\ta\ta\tX\t_\t_\t0\troot\t_\t_",  # non-numeric ID
-        "1\ta\ta\tX\t_\t_\tz\troot\t_\t_",  # non-numeric HEAD
-        "1\ta\ta\tX\t_\t_\t0\t\t_\t_",  # empty DEPREL
-        "1\ta\ta\tX\t_\t_\t5\tdep\t_\t_",  # HEAD out of range (also no root)
-        "1\ta\ta\tX\t_\t_\t1\tdep\t_\t_",  # self-headed
-    ],
+def test_bytes_lines_raise_a_type_error_naming_the_line():
+    stream = io.BytesIO(b"1\ta\ta\tX\t_\t_\t0\troot\t_\t_\n")
+    with pytest.raises(TypeError, match="^line 1: parse_conllu takes text lines, got bytes;"):
+        list(parse_conllu(stream))
+
+
+def row(*columns):
+    """One token line of 10 columns, unless given another count."""
+    return "\t".join(columns if len(columns) != 8 else (*columns, "_", "_"))
+
+
+# (reader, malformed block, warning after "skipping sentence: "); a fault of
+# the whole block names the blank line after it
+MALFORMED = {
+    "non-numeric-id": (
+        "text", row("x", "a", "a", "X", "_", "_", "0", "root"), "line 1: non-numeric token ID 'x'"
+    ),
+    "non-numeric-head": (
+        "text", row("1", "a", "a", "X", "_", "_", "z", "root"), "line 1: non-numeric HEAD 'z'"
+    ),
+    "empty-deprel": ("text", row("1", "a", "a", "X", "_", "_", "0", ""), "line 1: empty DEPREL"),
+    # also no root
+    "head-out-of-range": (
+        "text", row("1", "a", "a", "X", "_", "_", "5", "dep"), "line 2: HEAD 5 out of range (n=1)"
+    ),
+    "self-headed": (
+        "text", row("1", "a", "a", "X", "_", "_", "1", "dep"), "line 2: token 1 is its own head"
+    ),
+    "nine-columns": (
+        "text", row("1", "a", "a", "X", "_", "_", "0", "root", "_"),
+        "line 1: expected 10 columns, got 9",
+    ),
+    "two-roots": (
+        "text",
+        row("1", "a", "a", "X", "_", "_", "0", "root") + "\n"
+        + row("2", "b", "b", "X", "_", "_", "0", "root"),
+        "line 3: expected exactly one root, got 2",
+    ),
+    "non-consecutive": (
+        "text",
+        row("1", "a", "a", "X", "_", "_", "0", "root") + "\n"
+        + row("3", "b", "b", "X", "_", "_", "1", "dep"),
+        "line 3: token indices not consecutive: expected 2, got 3",
+    ),
+}
+# the surrogate is written back as the byte 0xff
+INVALID_UTF8 = (
+    row("1", "a", "a", "X", "_", "_", "2", "amod") + "\n"
+    + row("2", "st\udcffrs", "star", "X", "_", "_", "0", "root"),
+    "line 2: invalid UTF-8 (byte 0xff)",
 )
-def test_malformed_rows_raise(row):
-    with pytest.raises(ConlluError):
-        parse_all(row + "\n", errors="raise")
+MALFORMED["invalid-utf8-plain"] = ("plain", *INVALID_UTF8)
+MALFORMED["invalid-utf8-gzip"] = ("gzip", *INVALID_UTF8)
 
 
-def test_two_roots_rejected():
-    text = (
-        "1\ta\ta\tX\t_\t_\t0\troot\t_\t_\n"
-        "2\tb\tb\tX\t_\t_\t0\troot\t_\t_\n"
-    )
-    with pytest.raises(ConlluError):
-        parse_all(text, errors="raise")
-    assert parse_all(text, errors="skip") == []
-
-
-def test_non_consecutive_indices_rejected():
-    text = (
-        "1\ta\ta\tX\t_\t_\t0\troot\t_\t_\n"
-        "3\tb\tb\tX\t_\t_\t1\tdep\t_\t_\n"
-    )
-    with pytest.raises(ConlluError):
-        parse_all(text, errors="raise")
+@pytest.mark.parametrize("reader,bad,reason", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_sentence_is_skipped_with_one_warning(
+    tmp_path, fig1_conllu_text, caplog, monkeypatch, reader, bad, reason
+):
+    expected = parse_all(fig1_conllu_text)
+    text = bad + "\n\n" + fig1_conllu_text
+    if reader == "text":
+        sentences = parse_all(text)
+    else:
+        # as in a process that has not yet decoded a bad byte
+        monkeypatch.setattr(conllu, "_invalid_utf8_seen", False)
+        data = text.encode("utf-8", "surrogateescape")
+        path = tmp_path / "bad.conllu"
+        path.write_bytes(gzip.compress(data) if reader == "gzip" else data)
+        sentences = list(read_corpus(str(path)))
+    assert sentences == expected
+    assert skip_warnings(caplog) == [f"skipping sentence: {reason}"]
 
 
 def test_round_trip_fig1(fig1_conllu_text):
@@ -178,7 +216,7 @@ def valid_sentences(draw):
 @settings(max_examples=80)
 def test_round_trip_random_sentences(sentence):
     text = sentence_to_conllu(sentence) + "\n"
-    parsed = parse_all(text, errors="raise")
+    parsed = parse_all(text)
     assert parsed == [sentence]
 
 
@@ -186,7 +224,7 @@ def test_round_trip_random_sentences(sentence):
 @settings(max_examples=40)
 def test_token_invariants_hold_on_parsed_output(sentences):
     corpus = "\n\n".join(sentence_to_conllu(s) for s in sentences) + "\n"
-    for sent in parse_all(corpus, errors="raise"):
+    for sent in parse_all(corpus):
         n = len(sent)
         roots = 0
         for pos, tok in enumerate(sent, start=1):
@@ -216,23 +254,19 @@ def test_crlf_corpus_parses_like_its_lf_twin(tmp_path, fig1_conllu_text):
     assert list(read_corpus(crlf)) == expected
 
 
-def test_gzip_and_plain_agree_on_a_malformed_block(tmp_path, fig1_conllu_text):
+def test_gzip_and_plain_agree_on_a_malformed_block(tmp_path, fig1_conllu_text, caplog):
     bad = "1\ta\ta\tX\t_\t_\t0\troot\t_\t_\n2\tb\tb\tX\t_\t_\tz\tdep\t_\t_\n"
     text = fig1_conllu_text + "\n" + bad + "\n" + fig1_conllu_text
     plain = write_corpus(tmp_path / "plain.conllu", text)
     zipped = write_corpus(tmp_path / "zipped.conllu.gz", text, compress=True)
     runs = []
     for path in (plain, zipped):
-        stats = {}
-        sentences = list(read_corpus(path, stats=stats))
-        with pytest.raises(ConlluError) as exc:
-            list(read_corpus(path, errors="raise"))
-        runs.append((sentences, stats, exc.value.line_number))
+        caplog.clear()
+        runs.append((list(read_corpus(path)), skip_warnings(caplog)))
     assert runs[0] == runs[1]
-    sentences, stats, line_number = runs[0]
+    sentences, warned = runs[0]
     assert len(sentences) == 2
-    assert stats == {"skipped_sentences": 1}
-    assert line_number == 10
+    assert warned == ["skipping sentence: line 10: non-numeric HEAD 'z'"]
 
 
 @pytest.mark.parametrize("odd", ["\u2028", "\u2029", "\x0c", "\r", "\x85", "\x1c"])
@@ -240,24 +274,10 @@ def test_only_newline_ends_a_line(tmp_path, odd):
     form = f"a{odd}b"
     text = f"1\t{form}\t{form}\tX\t_\t_\t0\troot\t_\t_\n"
     path = write_corpus(tmp_path / "odd.conllu", text)
-    (sentence,) = read_corpus(path, errors="raise")
+    (sentence,) = read_corpus(path)
     assert len(sentence) == 1
     assert sentence.token(1).form == form.lower()
     assert sentence.token(1).lemma == form
-
-
-def test_invalid_utf8_raises_in_both_readers(tmp_path, fig1_conllu_text):
-    # the bad byte sits far past the decoder's first block of text
-    block = fig1_conllu_text + "\n"
-    bad = block.replace("4\tstars", "4\tst\udcffrs")
-    data = (block * 2000 + bad + block).encode("utf-8", "surrogateescape")
-    line = 2000 * block.count("\n") + 5
-    for compress in (False, True):
-        path = tmp_path / f"bad{'.gz' if compress else ''}.conllu"
-        path.write_bytes(gzip.compress(data) if compress else data)
-        with pytest.raises(ConlluError) as caught:
-            list(read_corpus(str(path), errors="raise"))
-        assert str(caught.value).startswith(f"line {line}: invalid UTF-8 in {path} (")
 
 
 def test_invalid_utf8_skips_its_sentence_in_both_readers(
@@ -275,19 +295,15 @@ def test_invalid_utf8_skips_its_sentence_in_both_readers(
     plain, zipped = tmp_path / "bad.conllu", tmp_path / "bad.conllu.gz"
     plain.write_bytes(data)
     zipped.write_bytes(gzip.compress(data))
-    readers = {
-        "plain": lambda stats: read_corpus(str(plain), stats=stats),
-        "gzip": lambda stats: read_corpus(str(zipped), stats=stats),
-    }
-    for name, read in readers.items():
+    for path in (plain, zipped):
         # as in a process that has not yet decoded a bad byte
         monkeypatch.setattr(conllu, "_invalid_utf8_seen", False)
         caplog.clear()
-        stats = {}
-        sentences = list(read(stats))
-        assert sentences == [good] * 2000 + [lens, astronomer], name
-        assert stats == {"skipped_sentences": 1}, name
-        assert f"skipping sentence: line {line}: invalid UTF-8 (byte 0xff)" in caplog.text
+        sentences = list(read_corpus(str(path)))
+        assert sentences == [good] * 2000 + [lens, astronomer], path.name
+        assert skip_warnings(caplog) == [
+            f"skipping sentence: line {line}: invalid UTF-8 (byte 0xff)"
+        ], path.name
 
 
 def test_valid_utf8_runs_no_surrogate_search(tmp_path, fig1_conllu_text, monkeypatch):
@@ -297,14 +313,15 @@ def test_valid_utf8_runs_no_surrogate_search(tmp_path, fig1_conllu_text, monkeyp
     path = write_corpus(tmp_path / "accented.conllu", text + "\n")
     expected = parse_all(text)
     assert expected[0].token(4).form == "étoiles"
-    # valid non-ASCII input under skip, in a process that has seen no bad byte
+    # valid non-ASCII input, in a process that has seen no bad byte
     monkeypatch.setattr(conllu, "_invalid_utf8_seen", False)
     assert list(read_corpus(path)) == expected
     assert not conllu._invalid_utf8_seen
-    # raise decodes strictly, so it never searches, even after a bad byte
-    monkeypatch.setattr(conllu, "_invalid_utf8_seen", True)
-    assert list(read_corpus(path, errors="raise")) == expected
     assert searched == []
+    # after a bad byte, only the non-ASCII token lines are searched
+    monkeypatch.setattr(conllu, "_invalid_utf8_seen", True)
+    assert list(read_corpus(path)) == expected
+    assert searched == [5, 7]  # the lines of tokens 4 and 6
 
 
 def test_tokens_are_immutable(fig1_conllu_text):

@@ -514,10 +514,11 @@ def test_report_rows_sorted_and_additive(tmp_path):
     exp = Experiment(load_experiment_config(write_config(tmp_path)))
     manifest = exp.extract()
     cache = exp.fitness_cache
-    cache.put("amod", "A:0", 0.3, 0.1, manifest.counts["amod"])
-    cache.put("amod", "A:1", 0.5, 0.1, manifest.counts["amod"])
-    cache.put("amod+conj", "A:0", 0.8, 0.4, 0)
-    cache.put("obj", "N:0", 0.6, 0.2, 0)
+    # each record stores its configuration's manifest total, as a search writes it
+    cache.put("amod", "A:0", 0.3, 0.1, manifest.total(["amod"]))
+    cache.put("amod", "A:1", 0.5, 0.1, manifest.total(["amod"]))
+    cache.put("amod+conj", "A:0", 0.8, 0.4, manifest.total(["amod", "conjlr", "conjll"]))
+    cache.put("obj", "N:0", 0.6, 0.2, manifest.total(["obj"]))
     rows = exp.report_rows()
     assert [r.configuration for r in rows] == ["amod+conj", "obj", "amod"]
     assert rows[2].mean_rho == pytest.approx(0.4)
@@ -527,6 +528,7 @@ def test_report_rows_sorted_and_additive(tmp_path):
         manifest.counts["amod"] + manifest.counts["conjlr"] + manifest.counts["conjll"]
     )
     assert by_name["amod+conj"].pair_count == expected_union
+    assert by_name["obj"].pair_count == manifest.counts["obj"]
     text = render_report(rows)
     assert text.splitlines()[0] == "configuration\tfolds\tmean_rho\tpairs"
     assert "wall" not in text
@@ -534,10 +536,14 @@ def test_report_rows_sorted_and_additive(tmp_path):
     assert timed.splitlines()[0].endswith("wall_time_s")
 
 
-def test_report_empty_cache_is_header_only(tmp_path):
-    exp = Experiment(load_experiment_config(write_config(tmp_path)))
-    exp.extract()
+def test_report_empty_cache_is_header_only(tmp_path, capsys):
+    config = write_config(tmp_path)
+    exp = Experiment(load_experiment_config(config))
     assert render_report(exp.report_rows()) == "configuration\tfolds\tmean_rho\tpairs\n"
+    # the report reads the fitness cache alone, so it extracts nothing
+    assert cli.main(["report", "-c", str(config)]) == 0
+    assert capsys.readouterr().out == "configuration\tfolds\tmean_rho\tpairs\n"
+    assert not list((tmp_path / "cache").glob("bags-*"))
 
 
 # -- CLI surface --
@@ -622,6 +628,24 @@ def test_cli_eval_keeps_an_uncovered_class_to_four_columns(tmp_path, capsys):
     assert "class N: rho undefined: only 0 of 2 pairs in vocabulary" in captured.err
 
 
+@pytest.mark.parametrize(
+    "bags,message",
+    [
+        ("amod+nosuch", "unknown bag label(s): nosuch; the extracted bags are: acl, adv, amod,"),
+        ("amod+", "empty bag label in configuration 'amod+'"),
+        ("", "empty bag label in configuration ''"),
+    ],
+)
+def test_cli_train_rejects_an_unknown_or_empty_bag_label_with_exit_2(
+    tmp_path, capsys, bags, message
+):
+    config = write_config(tmp_path)
+    vectors = tmp_path / "vectors.txt"
+    assert cli.main(["train", "-c", str(config), "--bags", bags, "--out", str(vectors)]) == 2
+    assert message in capsys.readouterr().err
+    assert not vectors.exists()
+
+
 def test_cli_train_bow_baseline(tmp_path):
     config = write_config(tmp_path)
     vectors = tmp_path / "bow.txt"
@@ -703,9 +727,7 @@ def test_pooled_smoke_search_writes_what_one_process_writes(tmp_path, one_proces
     written, trained_here = smoke_search(tmp_path, cpus=2)
     assert written == expected
     assert len({canonical for canonical, _ in expected["records"]}) == len(trained_alone) == 37
-    # Only a round whose asks, over all six runs, leave exactly one
-    # configuration to train trains here. The rounds of this search leave
-    # 13 probes, 5 roots, then 10 and 9 children, so none does.
+    # with a pool, the workers train every configuration
     assert trained_here == []
 
 
@@ -803,6 +825,24 @@ def test_two_diverging_trainings_in_one_round_fail_alike_with_and_without_worker
         messages.append(str(caught.value))
     assert messages[0] == messages[1]
     assert "acl: non-finite" in messages[0]
+
+
+@needs_fork
+def test_a_lone_untrained_configuration_trains_in_a_worker(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    trained = count_trainings(monkeypatch)
+    exp = Experiment(load_experiment_config(write_config(tmp_path)))
+    exp.extract()
+    folds = evaluation.split_folds(exp.dataset, "N", exp.cfg.fold_seed)
+    config = search.Configuration.from_bags(["amod"])
+    with exp.worker_pool() as pool:
+        exp.prefetch(pool, [("N:0", config)])
+        rho = exp.fitness_function("N", folds.fold_a, 0)(config)
+    assert trained == []
+    (tmp_path / "alone").mkdir()
+    alone = Experiment(load_experiment_config(write_config(tmp_path / "alone")))
+    assert alone.fitness_function("N", folds.fold_a, 0)(config) == rho
+    assert trained == [("amod",)]
 
 
 @needs_fork
