@@ -93,37 +93,32 @@ def _experiment(args) -> pipeline.Experiment:
 
 def cmd_extract(args) -> int:
     exp = _experiment(args)
-    if args.context_type == "deps":
+    kind = args.context_type
+    if kind == "deps":
         manifest = exp.extract(force=args.force)
-        total = sum(manifest.counts.values())
-        print(f"bags: {len(manifest.counts)}  pairs: {total}  dir: {exp.bag_dir}")
     else:
-        path = exp.extract_window_pairs(args.context_type)
-        print(f"wrote {path}")
+        manifest = exp.extract_window_pairs(kind, force=args.force)
+    print(f"bags: {len(manifest.counts)}  pairs: {manifest.total()}  dir: {exp.bag_dir(kind)}")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
     exp = _experiment(args)
-    if args.bags in extraction.WINDOW_EXTRACTORS:
-        path = exp.bag_dir / f"{args.bags}{extraction.PAIR_FILE_SUFFIX}"
-        if not path.exists():
-            exp.extract_window_pairs(args.bags)
-        store = sgns.train(extraction.read_pairs(path), exp.cfg.trainer_config())
-    else:
-        manifest = exp.extract()
-        try:
-            config = search.Configuration.from_string(args.bags)
-        except ValueError as exc:
-            raise pipeline.ExperimentConfigError(str(exc)) from None
-        unknown = sorted(config.bags - manifest.counts.keys())
-        if unknown:
-            raise pipeline.ExperimentConfigError(
-                f"unknown bag label(s): {', '.join(unknown)}; "
-                f"the extracted bags are: {', '.join(sorted(manifest.counts))}"
-            )
-        stream = exp.pair_stream(config.bags)
-        store = sgns.train(stream, exp.cfg.trainer_config())
+    # a window baseline is a configuration of one bag, named by its kind
+    kind = args.bags if args.bags in extraction.WINDOW_EXTRACTORS else "deps"
+    manifest = exp.extract() if kind == "deps" else exp.extract_window_pairs(kind)
+    try:
+        config = search.Configuration.from_string(args.bags)
+    except ValueError as exc:
+        raise pipeline.ExperimentConfigError(str(exc)) from None
+    unknown = sorted(config.bags - manifest.counts.keys())
+    if unknown:
+        raise pipeline.ExperimentConfigError(
+            f"unknown bag label(s): {', '.join(unknown)}; "
+            f"the extracted bags are: {', '.join(sorted(manifest.counts))}"
+        )
+    stream = extraction.PairStream(exp.bag_dir(kind), config.bags, manifest)
+    store = sgns.train(stream, exp.cfg.trainer_config())
     sgns.save_embeddings(store, args.out, include_context=args.save_context)
     print(f"trained {store.vocab.n_words} words ({store.dim}d) -> {args.out}")
     return EXIT_OK

@@ -2,8 +2,9 @@
 
 Dependency arcs are grouped into labeled context bags after prepositional
 arc collapsing and label merging; coordination arcs come in two directional
-variants. Window-based (BOW/POSIT) baseline contexts live here too, sharing
-the pair-stream shape so the trainer does not care where pairs came from.
+variants. The window-based BOW and POSIT baseline contexts live here too.
+:func:`write_bag_files` stores the ``(word, context, bag)`` triples of either
+as bag files plus a manifest, a baseline as one bag named by its kind.
 
 A :class:`DependencyPair` is ``(word, context, bag)``: the context is the
 typed string a bag file stores, such as ``australian_amod`` or
@@ -11,23 +12,20 @@ typed string a bag file stores, such as ``australian_amod`` or
 
 Extraction touches every pair of a corpus, so it keeps the Python work per
 pair small: a pair is a ``NamedTuple`` built with ``tuple.__new__``,
-collapsing rebuilds only the tokens whose deprel changes, and
-:meth:`BagMappingTable.map_label` runs each label's prefix scan once.
+collapsing rebuilds only the tokens whose deprel changes,
+:meth:`BagMappingTable.map_label` runs each label's prefix scan once, and
+:func:`write_bag_files` writes each bag's lines once per batch of sentences.
 """
 
 from __future__ import annotations
 
-import logging
-import os
 from dataclasses import dataclass, field
 from functools import partial
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .conllu import Sentence, Token, new_token
-
-logger = logging.getLogger(__name__)
 
 DISCARD = "DISCARD"
 # Routing label: the arcs the bag table maps here, and only those, are split
@@ -39,6 +37,10 @@ COLLAPSED = "_collapsed"
 # The bags of the coordination variants; no rule may target them directly.
 CONJ_BAGS = ("conjlr", "conjll")
 CONJ_VARIANTS = (*CONJ_BAGS, "both")
+
+# write_bag_files writes each bag's lines once per this many sentences: one
+# write per pair costs more than building the pair's line
+_FLUSH_SENTENCES = 256
 
 MANIFEST_NAME = "manifest.txt"
 INCOMPLETE_MARKER = "_INCOMPLETE"
@@ -127,20 +129,17 @@ def _check_conj_variant(variant: str) -> None:
 
 @dataclass(frozen=True)
 class ExtractionConfig:
-    """Knobs for pair extraction.
+    """Knobs for dependency pair extraction.
 
     ``collapse_targets`` lists the base labels whose case-marked dependents
     get collapsed into prep pseudo-arcs; add "obl" for UD v2 corpora. An
     empty tuple turns collapsing off.
     """
 
-    window: int = 2
     conj_variant: str = "both"
     collapse_targets: tuple[str, ...] = ("nmod",)
 
     def __post_init__(self):
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
         _check_conj_variant(self.conj_variant)
 
 
@@ -253,32 +252,6 @@ def extract_posit_pairs(sentence: Sentence, window: int = 2) -> Iterator[tuple[s
 WINDOW_EXTRACTORS = {"bow": extract_bow_pairs, "posit": extract_posit_pairs}
 
 
-def write_window_pairs(
-    corpus: Iterable[Sentence], kind: str, window: int, out_dir: str | Path
-) -> Path:
-    """Write the BOW or POSIT baseline pairs of a corpus to ``<kind>.pairs`` in out_dir."""
-    if kind not in WINDOW_EXTRACTORS:
-        raise ValueError(f"kind must be one of {tuple(WINDOW_EXTRACTORS)}")
-    extract = WINDOW_EXTRACTORS[kind]
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{kind}{PAIR_FILE_SUFFIX}"
-    # a kill mid-write must not leave a truncated pair file under the final name
-    tmp = path.with_name(path.name + ".tmp")
-    n = 0
-    try:
-        with open(tmp, "w", encoding="utf-8") as f:
-            for sentence in corpus:
-                lines = [f"{word}\t{context}\n" for word, context in extract(sentence, window)]
-                f.write("".join(lines))
-                n += len(lines)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-    logger.info("wrote %d %s pairs to %s", n, kind, path)
-    return path
-
-
 def effective_bags(table: BagMappingTable, config: ExtractionConfig) -> tuple[str, ...]:
     """Bag labels actually produced under the given config, sorted: the
     table's targets, DISCARD aside, with conj replaced by its variants' bags."""
@@ -333,30 +306,41 @@ class Manifest:
 
 def write_bag_files(
     corpus: Iterable[Sentence],
-    table: BagMappingTable,
-    config: ExtractionConfig,
+    pairs_of: Callable[[Sentence], Iterable[tuple[str, str, str]]],
+    bags: Iterable[str],
     out_dir: str | Path,
     config_hash: str = "",
 ) -> Manifest:
     """Stream a corpus into one append-only pair file per bag, plus a manifest.
 
-    Lines are "word<TAB>context". An ``_INCOMPLETE`` marker guards the output
-    directory while writing, so an aborted run is detected on reload.
+    ``pairs_of(sentence)`` gives that sentence's (word, context, bag) triples;
+    every bag it names must be in ``bags``, and every bag in ``bags`` gets a
+    file, empty or not. Lines are "word<TAB>context". An ``_INCOMPLETE``
+    marker guards the output directory while writing, so an aborted run is
+    detected on reload.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     marker = out / INCOMPLETE_MARKER
     marker.write_text("extraction in progress\n", encoding="utf-8")
 
-    bags = effective_bags(table, config)
     counts = {bag: 0 for bag in bags}
-    handles = {bag: open(out / f"{bag}{PAIR_FILE_SUFFIX}", "w", encoding="utf-8") for bag in bags}
+    pending = {bag: [] for bag in counts}
+    handles = {bag: open(out / f"{bag}{PAIR_FILE_SUFFIX}", "w", encoding="utf-8") for bag in counts}
+
+    def flush():
+        for bag, lines in pending.items():
+            handles[bag].write("".join(lines))
+            counts[bag] += len(lines)
+            lines.clear()
+
     try:
-        for sentence in corpus:
-            sentence = collapse_prepositions(sentence, config.collapse_targets)
-            for word, context, bag in extract_deps_pairs(sentence, table, config.conj_variant):
-                handles[bag].write(f"{word}\t{context}\n")
-                counts[bag] += 1
+        for n, sentence in enumerate(corpus, 1):
+            for word, context, bag in pairs_of(sentence):
+                pending[bag].append(f"{word}\t{context}\n")
+            if n % _FLUSH_SENTENCES == 0:
+                flush()
+        flush()
     finally:
         for h in handles.values():
             h.close()
@@ -365,14 +349,6 @@ def write_bag_files(
     manifest.save(out)
     marker.unlink()
     return manifest
-
-
-def read_pairs(path: str | Path) -> Iterator[tuple[str, str]]:
-    """Yield the (word, context) pairs of one "word<TAB>context" pair file."""
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            word, _, context = line.rstrip("\n").partition("\t")
-            yield (word, context)
 
 
 class PairStream:
@@ -399,5 +375,8 @@ class PairStream:
 
     def __iter__(self) -> Iterator[tuple[str, str]]:
         for bag in self.bags:
-            yield from read_pairs(self.bag_dir / f"{bag}{PAIR_FILE_SUFFIX}")
+            with open(self.bag_dir / f"{bag}{PAIR_FILE_SUFFIX}", encoding="utf-8") as f:
+                for line in f:
+                    word, _, context = line.rstrip("\n").partition("\t")
+                    yield (word, context)
 

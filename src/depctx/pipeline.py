@@ -2,8 +2,10 @@
 
 Every fitness evaluation is a full SGNS training run, so everything is keyed
 by content hashes and cached on disk: bag files by extraction fingerprint,
-fitness values by (configuration, fold). A trained configuration is kept in
-memory only as its gold-pair cosines, which score it on every class and fold.
+fitness values by (configuration, fold). The dependency bags and each window
+baseline have their own bag directory, keyed by the corpus bytes and the
+settings that extraction reads. A trained configuration is kept in memory
+only as its gold-pair cosines, which score it on every class and fold.
 A search advances every (class, dev fold) run together, in rounds: each
 round trains what all runs asked for in one batch, in forked worker
 processes that return those cosines, and then every run is told the scores
@@ -55,7 +57,7 @@ class ExperimentConfig:
 
     corpus: tuple[str, ...] = ()
     bag_table: str = "default"
-    window: int = extraction.ExtractionConfig.window
+    window: int = 2
     conj_variant: str = extraction.ExtractionConfig.conj_variant
     collapse_targets: tuple[str, ...] = extraction.ExtractionConfig.collapse_targets
     dim: int = sgns.TrainerConfig.dim
@@ -160,6 +162,8 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ExperimentConfigError(f"word class {cls!r} is listed twice")
     if cfg.fold_seed < 0:
         raise ExperimentConfigError(f"fold_seed must be >= 0, got {cfg.fold_seed}")
+    if cfg.window < 1:
+        raise ExperimentConfigError(f"window must be >= 1, got {cfg.window}")
     try:
         cfg.extraction_config()
         cfg.trainer_config()
@@ -244,20 +248,26 @@ class Experiment:
             )
         except ValueError as exc:
             raise ExperimentConfigError(f"bag table {cfg.bag_table}: {exc}") from None
-        self._extraction_fingerprint: str | None = None
         # canonical -> (gold-pair cosines, training seconds no fitness record
         # has counted yet)
         self._trained: dict[str, tuple[np.ndarray, float]] = {}
 
     # -- fingerprints and directories --
 
-    def extraction_fingerprint(self) -> str:
-        """Hash of the corpus bytes, extraction settings and bag table; computed once."""
-        if self._extraction_fingerprint is None:
+    @cached_property
+    def _corpus_hash(self) -> str:
+        return _short_hash(["corpus"], list(self.cfg.corpus))
+
+    def extraction_fingerprint(self, kind: str = "deps") -> str:
+        """Hash of the corpus bytes and of what ``kind``'s extraction reads:
+        the extraction settings and bag table for the dependency bags, the
+        window for a BOW or POSIT baseline. The corpus is read once."""
+        if kind == "deps":
             settings = [_format_setting(v) for v in astuple(self.cfg.extraction_config())]
-            parts = ["extraction", *settings, repr(sorted(self.table.rules))]
-            self._extraction_fingerprint = _short_hash(parts, list(self.cfg.corpus))
-        return self._extraction_fingerprint
+            settings.append(repr(sorted(self.table.rules)))
+        else:
+            settings = [str(self.cfg.window)]
+        return _short_hash(["extraction", kind, self._corpus_hash, *settings])
 
     def trainer_fingerprint(self) -> str:
         """Hash of the trainer settings and the SGD kernel's batch size."""
@@ -266,14 +276,13 @@ class Experiment:
         return _short_hash(parts)
 
     def fitness_scope(self) -> str:
-        # hashed in two steps, so that existing fitness caches keep their names
-        models = _short_hash(["models", self.extraction_fingerprint(), self.trainer_fingerprint()])
-        parts = ["fitness", models, str(self.cfg.fold_seed)]
+        fingerprints = [self.extraction_fingerprint(), self.trainer_fingerprint()]
+        parts = ["fitness", *fingerprints, str(self.cfg.fold_seed)]
         return _short_hash(parts, [self.cfg.dataset] if self.cfg.dataset else [])
 
-    @property
-    def bag_dir(self) -> Path:
-        return Path(self.cfg.cache_dir) / f"bags-{self.extraction_fingerprint()}"
+    def bag_dir(self, kind: str = "deps") -> Path:
+        """The cache directory of the dependency bags, or of the ``kind`` baseline."""
+        return Path(self.cfg.cache_dir) / f"bags-{self.extraction_fingerprint(kind)}"
 
     @cached_property
     def fitness_cache(self) -> search.FitnessCache:
@@ -291,12 +300,13 @@ class Experiment:
         for path in self.cfg.corpus:
             yield from conllu.read_corpus(path)
 
-    def extract(self, force: bool = False) -> extraction.Manifest:
-        """Extract bag files unless an up-to-date manifest already exists."""
+    def _extract(self, kind, pairs_of, bags, force) -> extraction.Manifest:
+        """``kind``'s manifest: from its bag directory when an up-to-date one is
+        there and ``force`` is off, else from writing the directory afresh."""
         if not self.cfg.corpus:
             raise ExperimentConfigError("extract requires at least one corpus path")
-        fingerprint = self.extraction_fingerprint()
-        out = self.bag_dir
+        fingerprint = self.extraction_fingerprint(kind)
+        out = self.bag_dir(kind)
         if not force and (out / extraction.MANIFEST_NAME).exists():
             try:
                 manifest = extraction.Manifest.load(out)
@@ -305,18 +315,31 @@ class Experiment:
             else:
                 if manifest.meta.get("config_hash") == fingerprint:
                     logger.info("extraction cache hit: %s", out)
-                    self.manifest = manifest
                     return manifest
         logger.info("extracting to %s", out)
-        manifest = extraction.write_bag_files(
-            self.sentences(), self.table, self.cfg.extraction_config(), out, fingerprint
-        )
-        self.manifest = manifest
-        return manifest
+        return extraction.write_bag_files(self.sentences(), pairs_of, bags, out, fingerprint)
 
-    def extract_window_pairs(self, kind: str) -> Path:
-        """Write BOW or POSIT baseline pairs next to the bag files."""
-        return extraction.write_window_pairs(self.sentences(), kind, self.cfg.window, self.bag_dir)
+    def extract(self, force: bool = False) -> extraction.Manifest:
+        """The dependency bags' manifest, extracting them unless cached."""
+        table, config = self.table, self.cfg.extraction_config()
+
+        def pairs_of(sentence):
+            sentence = extraction.collapse_prepositions(sentence, config.collapse_targets)
+            return extraction.extract_deps_pairs(sentence, table, config.conj_variant)
+
+        bags = extraction.effective_bags(table, config)
+        self.manifest = self._extract("deps", pairs_of, bags, force)
+        return self.manifest
+
+    def extract_window_pairs(self, kind: str, force: bool = False) -> extraction.Manifest:
+        """The manifest of the BOW or POSIT baseline, one bag named ``kind``,
+        extracting it unless cached."""
+        extract, window = extraction.WINDOW_EXTRACTORS[kind], self.cfg.window
+
+        def pairs_of(sentence):
+            return [(word, context, kind) for word, context in extract(sentence, window)]
+
+        return self._extract(kind, pairs_of, [kind], force)
 
     @cached_property
     def manifest(self) -> extraction.Manifest:
@@ -325,7 +348,7 @@ class Experiment:
     # -- training --
 
     def pair_stream(self, bags) -> extraction.PairStream:
-        return extraction.PairStream(self.bag_dir, bags, self.manifest)
+        return extraction.PairStream(self.bag_dir(), bags, self.manifest)
 
     def train_configuration(self, config: search.Configuration) -> tuple[np.ndarray, float]:
         """Train one configuration; returns the cosine of every gold pair, NaN

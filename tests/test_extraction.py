@@ -17,12 +17,22 @@ from depctx.extraction import (
     extract_deps_pairs,
     extract_posit_pairs,
     write_bag_files,
-    write_window_pairs,
 )
 from conftest import make_sentence
 from depctx.pipeline import bundled_path
 
 TABLE = BagMappingTable.default()
+
+
+def write_deps(corpus, out_dir, table=TABLE, config=ExtractionConfig(), config_hash=""):
+    """The dependency bag files of a corpus, written as ``depctx extract`` writes them."""
+
+    def pairs_of(sentence):
+        sentence = collapse_prepositions(sentence, config.collapse_targets)
+        return extract_deps_pairs(sentence, table, config.conj_variant)
+
+    return write_bag_files(corpus, pairs_of, effective_bags(table, config), out_dir, config_hash)
+
 
 BAG13 = {
     "subj", "obj", "comp", "nummod", "appos", "nmod", "acl",
@@ -308,7 +318,7 @@ def test_the_bag_table_alone_routes_a_subtyped_conj_arc(tmp_path):
     )
     assert list(extract_deps_pairs(and_arc, TABLE)) == []  # the default table discards it
     table = copied_table(tmp_path, "conj\tconj\n", "conj\tconj\nconj:*\tconj\n")
-    manifest = write_bag_files([and_arc], table, ExtractionConfig(), tmp_path / "bags")
+    manifest = write_deps([and_arc], tmp_path / "bags", table)
     assert manifest.counts["conjlr"] == manifest.counts["conjll"] == 2
     assert bag_file_pairs(tmp_path / "bags") == {
         "conjlr": {("boys", "girls_conj"), ("girls", "boys_conj-1")},
@@ -318,7 +328,7 @@ def test_the_bag_table_alone_routes_a_subtyped_conj_arc(tmp_path):
 
 def test_a_conj_arc_mapped_to_a_plain_label_is_an_ordinary_arc(boys_and_girls, tmp_path):
     table = copied_table(tmp_path, "conj\tconj\n", "conj\tcoord\n")
-    manifest = write_bag_files([boys_and_girls], table, ExtractionConfig(), tmp_path / "bags")
+    manifest = write_deps([boys_and_girls], tmp_path / "bags", table)
     assert manifest.counts["coord"] == 2
     assert not {"conjlr", "conjll"} & set(manifest.counts)
     assert not list((tmp_path / "bags").glob("conj*"))
@@ -361,12 +371,23 @@ def test_bow_is_posit_with_suffix_stripped(fig1_sentence):
     assert bow == posit
 
 
+def test_a_window_baseline_is_one_bag_of_the_one_writer(fig1_sentence, tmp_path):
+    def pairs_of(sentence):
+        return [(word, context, "posit") for word, context in extract_posit_pairs(sentence, 2)]
+
+    manifest = write_bag_files([fig1_sentence] * 2, pairs_of, ["posit"], tmp_path, "h")
+    expected = list(extract_posit_pairs(fig1_sentence, 2)) * 2
+    assert manifest.counts == {"posit": len(expected)}
+    assert list(PairStream(tmp_path, ["posit"], Manifest.load(tmp_path))) == expected
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.txt", "posit.pairs"]
+
+
 # -- bag files, manifest, composition --
 
 
 def run_write(corpus, tmp_path, config=None):
     config = config or ExtractionConfig()
-    return write_bag_files(corpus, TABLE, config, tmp_path / "bags", config_hash="h")
+    return write_deps(corpus, tmp_path / "bags", config=config, config_hash="h")
 
 
 def test_write_bag_files_fig1_counts(fig1_sentence, tmp_path):
@@ -397,16 +418,16 @@ def test_write_bag_files_empty_corpus(tmp_path):
 
 
 def test_write_bag_files_linearity(fig1_sentence, tmp_path):
-    once = write_bag_files([fig1_sentence], TABLE, ExtractionConfig(), tmp_path / "one")
-    tenfold = write_bag_files([fig1_sentence] * 10, TABLE, ExtractionConfig(), tmp_path / "ten")
+    once = write_deps([fig1_sentence], tmp_path / "one")
+    tenfold = write_deps([fig1_sentence] * 10, tmp_path / "ten")
     for bag in once.counts:
         assert tenfold.counts[bag] == 10 * once.counts[bag]
 
 
 def test_write_bag_files_deterministic_bytes(fig1_sentence, boys_and_girls, tmp_path):
     corpus = [fig1_sentence, boys_and_girls] * 3
-    m1 = write_bag_files(corpus, TABLE, ExtractionConfig(), tmp_path / "a")
-    m2 = write_bag_files(corpus, TABLE, ExtractionConfig(), tmp_path / "b")
+    m1 = write_deps(corpus, tmp_path / "a")
+    m2 = write_deps(corpus, tmp_path / "b")
     assert m1.counts == m2.counts
     for bag in m1.counts:
         a = (tmp_path / "a" / f"{bag}.pairs").read_bytes()
@@ -416,7 +437,7 @@ def test_write_bag_files_deterministic_bytes(fig1_sentence, boys_and_girls, tmp_
 
 def test_deps_all_equals_union_of_13_bags(fig1_sentence, boys_and_girls, tmp_path):
     corpus = [fig1_sentence, boys_and_girls] * 2
-    manifest = write_bag_files(corpus, TABLE, ExtractionConfig(), tmp_path / "bags")
+    manifest = write_deps(corpus, tmp_path / "bags")
     stream = PairStream(tmp_path / "bags", sorted(BAG13), manifest)
     composed = collections.Counter(stream)
     direct = collections.Counter()
@@ -457,14 +478,12 @@ def test_incomplete_marker_detected(fig1_sentence, tmp_path):
 
 def test_conj_variant_limits_bag_files(fig1_sentence, boys_and_girls, tmp_path):
     config = ExtractionConfig(conj_variant="conjlr")
-    manifest = write_bag_files([boys_and_girls], TABLE, config, tmp_path / "bags")
+    manifest = write_deps([boys_and_girls], tmp_path / "bags", config=config)
     assert "conjll" not in manifest.counts
     assert manifest.counts["conjlr"] == 2
 
 
 def test_extraction_config_validation():
-    with pytest.raises(ValueError):
-        ExtractionConfig(window=0)
     with pytest.raises(ValueError):
         ExtractionConfig(conj_variant="sideways")
 
@@ -486,21 +505,3 @@ def test_map_label_memo_leaves_the_rules_alone():
         assert table.map_label("nsubj") == "subj"
         assert table.map_label("punct") == DISCARD
     assert table.rules == rules
-
-
-def test_window_pairs_leave_no_file_when_the_corpus_fails(fig1_sentence, tmp_path):
-    def corpus():
-        yield fig1_sentence
-        raise RuntimeError("corpus read failed")
-
-    with pytest.raises(RuntimeError, match="corpus read failed"):
-        write_window_pairs(corpus(), "bow", 2, tmp_path)
-    assert list(tmp_path.iterdir()) == []
-
-    # a complete file from an earlier run survives a failed rewrite
-    path = write_window_pairs([fig1_sentence], "bow", 2, tmp_path)
-    before = path.read_bytes()
-    with pytest.raises(RuntimeError):
-        write_window_pairs(corpus(), "bow", 2, tmp_path)
-    assert path.read_bytes() == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["bow.pairs"]

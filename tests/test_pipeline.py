@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from depctx import cli, evaluation, pipeline, search, sgns
+from depctx import cli, evaluation, extraction, pipeline, search, sgns
 from depctx.extraction import MANIFEST_NAME, ExtractionConfig
 from depctx.pipeline import (
     Experiment,
@@ -131,54 +131,77 @@ def test_extract_fixture_produces_13_bags_quickly(tmp_path):
     assert set(manifest.counts) == BAG13
     assert all(n > 0 for n in manifest.counts.values())
     for bag in BAG13:
-        assert (exp.bag_dir / f"{bag}.pairs").exists()
-    assert (exp.bag_dir / MANIFEST_NAME).exists()
+        assert (exp.bag_dir() / f"{bag}.pairs").exists()
+    assert (exp.bag_dir() / MANIFEST_NAME).exists()
 
 
-def test_extract_rerun_is_a_cache_hit(tmp_path, caplog):
+def extract_kind(exp, kind):
+    """Extract the dependency bags or a window baseline of an experiment."""
+    return exp.extract() if kind == "deps" else exp.extract_window_pairs(kind)
+
+
+@pytest.mark.parametrize("kind", ["deps", "bow"])
+def test_extract_rerun_is_a_cache_hit(tmp_path, caplog, kind):
+    bag = "amod" if kind == "deps" else kind
     exp = Experiment(load_experiment_config(write_config(tmp_path)))
-    first = exp.extract()
-    stamp = (exp.bag_dir / "amod.pairs").stat().st_mtime_ns
+    first = extract_kind(exp, kind)
+    stamp = (exp.bag_dir(kind) / f"{bag}.pairs").stat().st_mtime_ns
     with caplog.at_level(logging.INFO, logger="depctx.pipeline"):
-        again = Experiment(exp.cfg).extract()
+        again = extract_kind(Experiment(exp.cfg), kind)
     assert "cache hit" in caplog.text
     assert again.counts == first.counts
-    assert (exp.bag_dir / "amod.pairs").stat().st_mtime_ns == stamp
+    assert (exp.bag_dir(kind) / f"{bag}.pairs").stat().st_mtime_ns == stamp
 
 
 # sha256 of every file an extraction of the bundled treebank with the
-# bundled extraction settings writes, and the cache directory it writes them
-# to (named by the extraction fingerprint). Any change to extraction bytes or
-# to the fingerprint fails here.
-GOLDEN_BAG_DIR = "bags-c23d21fd54777b77"
+# bundled extraction settings writes, and the cache directories it writes
+# them to (named by the extraction fingerprints): the dependency bags, and
+# the BOW and POSIT baselines, one bag each. Any change to extraction bytes
+# or to a fingerprint fails here.
+GOLDEN_BAG_DIR = "bags-bab322b010cc3c59"
 GOLDEN_SHA256 = {
     "acl.pairs": "9217b8d3061cd49fc2188a0abe53e7328f739a7168127fabe57101f319e9fac7",
     "adv.pairs": "45a255b88e2a728712c98ffde51af296ae514afa1d48829e3de24f0129ad48d7",
     "amod.pairs": "588e458d2f9cf2563accc23972b7604627fd9e080fa6ee4cf11816b2b340dfcf",
     "appos.pairs": "ba8e0e7e5ae025228d64f9a39d41cc57746a12563eb02ca5060eefa13655743d",
-    "bow.pairs": "c9b377f7e43c4ba7f31604fe3428f9c390486d510fbebbfa6e423b246018fed3",
     "comp.pairs": "ed47308a8cea7cabfdf9f27a5167dacbc9991c54711ce323b88120a724a6c3cc",
     "compound.pairs": "ff9adf93d2bd3f0198ddffdd9e2b8a58545a0d131bde6a75f7e2c2e6178c93e6",
     "conjll.pairs": "d652a4bc7a3b0ac7522bf821cc4bcfd10333c478033652aab1ccac127b3a1989",
     "conjlr.pairs": "fc541801f1789e49b130ca0d18d80c3268ff6b54a7a13f2af07b992cdd8a826e",
-    "manifest.txt": "954057c3bf486b5e1a9321f24c88150adb50f0c770c7103d54dd66358ef6075c",
+    "manifest.txt": "a9189b74417ef6b263493684af82d1b4c0b8776bd19c0ec905b826ad58fb8872",
     "nmod.pairs": "6eb4fb4c4784517d3d7d1e82f6bab2535fb404025975a9673c7ca435565caaec",
     "nummod.pairs": "d90f69f60d0a5dc01ebb51662080e758f151f3e83e06605669c53752e582f19b",
     "obj.pairs": "b1380df2f0535e41c8cc776b55f324e1ba92b0fa307867829089b468ea29969a",
-    "posit.pairs": "fffedc7ef9edca266e176b75b1fc24d65979e078bd74815eb888832f676b40fe",
     "prep.pairs": "a656f749ca0d400ca75a0c860d9923628516bcc015d51ed9dd663e5030780dc7",
     "subj.pairs": "899f0ef36d07bc960ab05a3a3e9ed500c11fcaa21ab3ffcdc32c14d94c0f55e3",
 }
+GOLDEN_WINDOW_DIRS = {"bow": "bags-56263ef4eb2816ec", "posit": "bags-f7e8944eedef584b"}
+GOLDEN_WINDOW_SHA256 = {
+    "bow": {
+        "bow.pairs": "c9b377f7e43c4ba7f31604fe3428f9c390486d510fbebbfa6e423b246018fed3",
+        "manifest.txt": "4d6d5be4717968b4df0995495c9d606575a17db7347de0e020f354d9b48722ea",
+    },
+    "posit": {
+        "manifest.txt": "60fdc40d6670f6ed6f0e5c881580545c838095d9a15ae3e6ddf4ab8659bdf5dc",
+        "posit.pairs": "fffedc7ef9edca266e176b75b1fc24d65979e078bd74815eb888832f676b40fe",
+    },
+}
+
+
+def file_hashes(directory: Path) -> dict:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in directory.iterdir()}
 
 
 def test_extraction_bytes_are_golden(tmp_path):
     exp = Experiment(load_experiment_config(write_config(tmp_path)))
     exp.extract()
-    exp.extract_window_pairs("bow")
-    exp.extract_window_pairs("posit")
-    assert exp.bag_dir.name == GOLDEN_BAG_DIR
-    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in exp.bag_dir.iterdir()}
-    assert written == GOLDEN_SHA256
+    assert exp.bag_dir().name == GOLDEN_BAG_DIR
+    assert file_hashes(exp.bag_dir()) == GOLDEN_SHA256
+    for kind, name in GOLDEN_WINDOW_DIRS.items():
+        exp.extract_window_pairs(kind)
+        assert exp.bag_dir(kind).name == name
+        assert file_hashes(exp.bag_dir(kind)) == GOLDEN_WINDOW_SHA256[kind]
+    assert len(list((tmp_path / "cache").iterdir())) == 3
 
 
 def test_bundled_smoke_experiment_cache_names_are_pinned(tmp_path, monkeypatch):
@@ -186,8 +209,10 @@ def test_bundled_smoke_experiment_cache_names_are_pinned(tmp_path, monkeypatch):
     # names; a change to how scopes are hashed orphans it
     monkeypatch.setenv(pipeline.CACHE_ENV_VAR, str(tmp_path))
     exp = Experiment(load_experiment_config(bundled_path("smoke_experiment.txt")))
-    assert exp.bag_dir == tmp_path / GOLDEN_BAG_DIR
-    assert exp.fitness_cache.path == tmp_path / "fitness-4cf920becc3aa377.tsv"
+    assert exp.bag_dir() == tmp_path / GOLDEN_BAG_DIR
+    for kind, name in GOLDEN_WINDOW_DIRS.items():
+        assert exp.bag_dir(kind) == tmp_path / name
+    assert exp.fitness_cache.path == tmp_path / "fitness-752acafb350a8619.tsv"
 
 
 def test_extract_config_change_invalidates_cache(tmp_path):
@@ -196,9 +221,44 @@ def test_extract_config_change_invalidates_cache(tmp_path):
     exp_a.extract()
     cfg_b = load_experiment_config(write_config(tmp_path, conj_variant="conjlr"))
     exp_b = Experiment(cfg_b)
-    assert exp_b.bag_dir != exp_a.bag_dir
+    assert exp_b.bag_dir() != exp_a.bag_dir()
     manifest = exp_b.extract()
     assert "conjll" not in manifest.counts
+
+
+def test_window_keys_only_the_baselines(tmp_path):
+    base = Experiment(load_experiment_config(write_config(tmp_path)))
+    base.extract()
+    golden = file_hashes(base.bag_dir())
+    exp = Experiment(load_experiment_config(write_config(tmp_path, window=5)))
+    assert exp.bag_dir() == base.bag_dir()
+    assert exp.fitness_scope() == base.fitness_scope()
+    for kind in GOLDEN_WINDOW_DIRS:
+        assert exp.bag_dir(kind) != base.bag_dir(kind), kind
+    # a forced re-extraction under the new window writes the same dependency bags
+    exp.extract(force=True)
+    assert file_hashes(exp.bag_dir()) == golden
+
+
+def test_dependency_settings_do_not_key_the_baselines(tmp_path):
+    table = tmp_path / "table.tsv"
+    table.write_text(
+        bundled_path("default_bag_table.tsv").read_text(encoding="utf-8").replace(
+            "amod\tamod", "amod\tadjective"
+        ),
+        encoding="utf-8",
+    )
+    base = Experiment(load_experiment_config(write_config(tmp_path)))
+    changed = {
+        "conj_variant": "conjlr",
+        "collapse_targets": "nmod,obl",
+        "bag_table": str(table),
+    }
+    for key, value in changed.items():
+        exp = Experiment(load_experiment_config(write_config(tmp_path, **{key: value})))
+        assert exp.bag_dir() != base.bag_dir(), key
+        for kind in GOLDEN_WINDOW_DIRS:
+            assert exp.bag_dir(kind) == base.bag_dir(kind), (key, kind)
 
 
 def test_trainer_keys_scope_models_but_not_bags(tmp_path, monkeypatch):
@@ -216,13 +276,13 @@ def test_trainer_keys_scope_models_but_not_bags(tmp_path, monkeypatch):
     base = Experiment(load_experiment_config(write_config(tmp_path)))
     for key, value in changed.items():
         exp = Experiment(load_experiment_config(write_config(tmp_path, **{key: value})))
-        assert exp.bag_dir == base.bag_dir, key
+        assert exp.bag_dir() == base.bag_dir(), key
         assert exp.fitness_scope() != base.fitness_scope(), key
     # models trained by another SGD kernel are not reused either
     scope = base.fitness_scope()
     monkeypatch.setattr(sgns, "BATCH_SIZE", sgns.BATCH_SIZE + 1)
     exp = Experiment(load_experiment_config(write_config(tmp_path)))
-    assert exp.bag_dir == base.bag_dir
+    assert exp.bag_dir() == base.bag_dir()
     assert exp.fitness_scope() != scope
 
 
@@ -236,7 +296,6 @@ def test_component_settings_read_from_same_named_keys(tmp_path):
         "min_count": 2,
         "unigram_power": 0.5,
         "seed": 2,
-        "window": 3,
         "conj_variant": "conjlr",
         "collapse_targets": ("nmod", "obl"),
     }
@@ -268,18 +327,41 @@ def test_corpus_hashed_once_per_experiment(tmp_path, monkeypatch):
     exp = Experiment(load_experiment_config(write_config(tmp_path)))
     assert hashed == []  # constructing an experiment hashes nothing
     exp.extract()
+    exp.extract_window_pairs("bow")
+    exp.extract_window_pairs("posit")
     exp.fitness_scope()
-    exp.bag_dir
+    exp.bag_dir()
     assert [p for p in hashed if p in exp.cfg.corpus] == list(exp.cfg.corpus)
 
 
-def test_partial_extraction_is_redone(tmp_path):
+@pytest.mark.parametrize("kind", ["deps", "bow"])
+def test_partial_extraction_is_redone(tmp_path, kind):
     exp = Experiment(load_experiment_config(write_config(tmp_path)))
-    exp.extract()
-    (exp.bag_dir / "_INCOMPLETE").write_text("crashed")
-    again = Experiment(exp.cfg).extract()
-    assert not (exp.bag_dir / "_INCOMPLETE").exists()
+    extract_kind(exp, kind)
+    (exp.bag_dir(kind) / "_INCOMPLETE").write_text("crashed")
+    again = extract_kind(Experiment(exp.cfg), kind)
+    assert not (exp.bag_dir(kind) / "_INCOMPLETE").exists()
     assert sum(again.counts.values()) > 0
+
+
+def test_failed_window_extraction_leaves_a_marker_and_is_redone(tmp_path, monkeypatch):
+    exp = Experiment(load_experiment_config(write_config(tmp_path)))
+    exp.extract_window_pairs("bow")
+    golden = file_hashes(exp.bag_dir("bow"))
+    real_sentences = Experiment.sentences
+
+    def failing_sentences(self):
+        yield next(real_sentences(self))
+        raise RuntimeError("corpus read failed")
+
+    monkeypatch.setattr(Experiment, "sentences", failing_sentences)
+    with pytest.raises(RuntimeError, match="corpus read failed"):
+        exp.extract_window_pairs("bow", force=True)
+    assert (exp.bag_dir("bow") / "_INCOMPLETE").exists()
+    monkeypatch.setattr(Experiment, "sentences", real_sentences)
+    manifest = Experiment(exp.cfg).extract_window_pairs("bow")
+    assert file_hashes(exp.bag_dir("bow")) == golden
+    assert manifest.counts == extraction.Manifest.load(exp.bag_dir("bow")).counts
 
 
 # -- search protocol with an injected fitness oracle --
@@ -646,12 +728,47 @@ def test_cli_train_rejects_an_unknown_or_empty_bag_label_with_exit_2(
     assert not vectors.exists()
 
 
-def test_cli_train_bow_baseline(tmp_path):
+def test_cli_train_bow_baseline(tmp_path, monkeypatch):
     config = write_config(tmp_path)
     vectors = tmp_path / "bow.txt"
+    streams = []
+    real_train = sgns.train
+
+    def recording_train(pairs, trainer_config):
+        streams.append(pairs)
+        return real_train(pairs, trainer_config)
+
+    monkeypatch.setattr(sgns, "train", recording_train)
     assert cli.main(["train", "-c", str(config), "--bags", "bow", "--out", str(vectors)]) == 0
     header = vectors.read_text().splitlines()[0]
     assert int(header.split()[0]) > 0
+    # the baseline reaches the trainer as a one-bag pair stream over its own directory
+    (stream,) = streams
+    exp = Experiment(load_experiment_config(config))
+    assert isinstance(stream, extraction.PairStream)
+    assert (stream.bag_dir, stream.bags) == (exp.bag_dir("bow"), ("bow",))
+    assert len(stream) == exp.extract_window_pairs("bow").total()
+
+
+def test_cli_extract_context_type_is_cached_and_forced(tmp_path, capsys):
+    config = write_config(tmp_path)
+    args = ["extract", "-c", str(config), "--context-type", "posit"]
+    assert cli.main(args) == 0
+    exp = Experiment(load_experiment_config(config))
+    manifest = extraction.Manifest.load(exp.bag_dir("posit"))
+    line = f"bags: 1  pairs: {manifest.total()}  dir: {exp.bag_dir('posit')}"
+    assert capsys.readouterr().out.splitlines() == [line]
+    pairs = exp.bag_dir("posit") / "posit.pairs"
+    stamp = pairs.stat().st_mtime_ns
+    time.sleep(0.01)
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out.splitlines() == [line]
+    assert pairs.stat().st_mtime_ns == stamp
+    assert cli.main(args + ["--force"]) == 0
+    assert capsys.readouterr().out.splitlines() == [line]
+    assert pairs.stat().st_mtime_ns != stamp
+    # a baseline extraction extracts no dependency bag
+    assert not list((tmp_path / "cache").glob("bags-*/amod.pairs"))
 
 
 def test_cli_report_after_search(tmp_path, monkeypatch, capsys):
