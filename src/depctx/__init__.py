@@ -9,7 +9,6 @@ class.
 from .conllu import ConlluError, Sentence, Token, parse_conllu, read_corpus
 from .evaluation import (
     EvalResult,
-    FoldSplit,
     WordPairDataset,
     cosine,
     evaluate,
@@ -59,7 +58,6 @@ __all__ = [
     "EvalResult",
     "ExtractionConfig",
     "FitnessCache",
-    "FoldSplit",
     "Manifest",
     "PairStream",
     "SearchTrace",

@@ -60,10 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_search = sub.add_parser("search", help="run the best-configuration search per class")
     _add_config_arg(p_search)
-    p_search.add_argument(
-        "--strategy", choices=search.STRATEGIES, default=None,
-        help="override the strategy from the config file",
-    )
 
     p_report = sub.add_parser("report", help="table of all cached configurations")
     _add_config_arg(p_report)
@@ -83,12 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _experiment(args) -> pipeline.Experiment:
-    cfg = pipeline.load_experiment_config(args.config)
-    if getattr(args, "strategy", None):
-        from dataclasses import replace
-
-        cfg = replace(cfg, strategy=args.strategy)
-    return pipeline.Experiment(cfg)
+    return pipeline.Experiment(pipeline.load_experiment_config(args.config))
 
 
 def cmd_extract(args) -> int:
@@ -126,13 +117,14 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     exp = _experiment(args)
+    classes = exp.cfg.classes if args.classes is None else pipeline.parse_tuple(args.classes)
+    pipeline.check_classes(classes)
     store = sgns.load_embeddings(args.embeddings)
-    classes = args.classes.split(",") if args.classes else list(exp.cfg.classes)
     cosines = evaluation.pair_cosines(store, exp.dataset)
     print("class\trho\tscored\ttotal")
     for cls in classes:
         try:
-            result = evaluation.correlate(cosines, exp.dataset, cls)
+            result = evaluation.correlate(cosines, exp.dataset, exp.dataset.class_indices(cls))
         except evaluation.UndefinedCorrelationError as exc:
             print(f"{cls}\tundefined\t-\t-")
             print(f"class {cls}: rho undefined: {exc}", file=sys.stderr)

@@ -2,8 +2,9 @@
 
 Pairs are scored with cosine similarity and compared to human judgments by
 Spearman rank correlation (average ranks for ties). Gold datasets carry a
-word-class tag per pair (A, V, N) so scores can be reported per class, with
-2-fold splits for configuration selection.
+word-class tag per pair (A, V, N). Every score is taken over one list of entry
+indices: a word class (:meth:`WordPairDataset.class_indices`) or one fold of
+its 2-fold split (:func:`split_folds`), used for configuration selection.
 """
 
 from __future__ import annotations
@@ -85,14 +86,6 @@ class WordPairDataset:
 
 
 @dataclass(frozen=True)
-class FoldSplit:
-    """Disjoint index sets covering one class subset, sizes differing by <= 1."""
-
-    fold_a: tuple[int, ...]
-    fold_b: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class EvalResult:
     rho: float
     n_scored: int
@@ -153,21 +146,17 @@ def pair_cosines(store: EmbeddingStore, dataset: WordPairDataset) -> np.ndarray:
     ])
 
 
-def correlate(
-    cosines: np.ndarray,
-    dataset: WordPairDataset,
-    class_filter: str | None = None,
-    index_subset=None,
-) -> EvalResult:
-    """Spearman rho of ``pair_cosines`` against gold scores for one class subset.
+def correlate(cosines: np.ndarray, dataset: WordPairDataset, indices=None) -> EvalResult:
+    """Spearman rho of ``pair_cosines`` against gold scores over the entries
+    ``indices`` names, every entry when None.
 
-    Pairs with a NaN cosine (out of vocabulary) are excluded from the
-    correlation but counted, so coverage (n_scored vs n_total) stays visible.
+    The entries are scored once each, in entry order, whatever order
+    ``indices`` lists them in: Spearman's sums depend on that order in their
+    last bits. Pairs with a NaN cosine (out of vocabulary) are excluded from
+    the correlation but counted, so coverage (n_scored vs n_total) stays
+    visible.
     """
-    indices = dataset.class_indices(class_filter)
-    if index_subset is not None:
-        chosen = set(index_subset)
-        indices = [i for i in indices if i in chosen]
+    indices = range(len(dataset)) if indices is None else sorted(set(indices))
     if not indices:
         raise UndefinedCorrelationError("no dataset entries selected")
     scored = [i for i in indices if not np.isnan(cosines[i])]
@@ -180,25 +169,24 @@ def correlate(
     return EvalResult(spearman(gold, cosines[scored]), len(scored), len(indices))
 
 
-def evaluate(
-    store: EmbeddingStore,
-    dataset: WordPairDataset,
-    class_filter: str | None = None,
-    index_subset=None,
-) -> EvalResult:
-    """Spearman rho of cosine scores against gold scores for one class subset."""
-    return correlate(pair_cosines(store, dataset), dataset, class_filter, index_subset)
+def evaluate(store: EmbeddingStore, dataset: WordPairDataset, indices=None) -> EvalResult:
+    """Spearman rho of cosine scores against gold scores over ``indices``."""
+    return correlate(pair_cosines(store, dataset), dataset, indices)
 
 
-def split_folds(dataset: WordPairDataset, class_filter: str | None, seed: int) -> FoldSplit:
-    """Random 2-fold split of one class subset, deterministic under seed."""
+def split_folds(
+    dataset: WordPairDataset, class_filter: str | None, seed: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Random 2-fold split of one class's entry indices, deterministic under
+    seed: two disjoint tuples covering the class, sizes differing by <= 1.
+    Fold 0 is the first."""
     indices = dataset.class_indices(class_filter)
     if len(indices) < 2:
         raise ValueError(f"class {class_filter!r} has {len(indices)} entries; need >= 2")
     rng = np.random.default_rng(seed)
-    shuffled = [indices[i] for i in rng.permutation(len(indices))]
+    shuffled = tuple(indices[i] for i in rng.permutation(len(indices)))
     half = (len(shuffled) + 1) // 2
-    return FoldSplit(fold_a=tuple(shuffled[:half]), fold_b=tuple(shuffled[half:]))
+    return shuffled[:half], shuffled[half:]
 
 
 @dataclass(frozen=True)

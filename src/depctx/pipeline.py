@@ -2,10 +2,13 @@
 
 Every fitness evaluation is a full SGNS training run, so everything is keyed
 by content hashes and cached on disk: bag files by extraction fingerprint,
-fitness values by (configuration, fold). The dependency bags and each window
-baseline have their own bag directory, keyed by the corpus bytes and the
-settings that extraction reads. A trained configuration is kept in memory
-only as its gold-pair cosines, which score it on every class and fold.
+fitness values by (configuration, fold). A fold is a word class and 0 or 1,
+one half of that class's gold pairs under ``fold_seed``, keyed "A:0" in the
+fitness cache; :meth:`Experiment.fitness_function` alone resolves it to
+entry indices. The dependency bags and each window baseline have their own
+bag directory, keyed by the corpus bytes and the settings that extraction
+reads. A trained configuration is kept in memory only as its gold-pair
+cosines, which score it on every class and fold.
 A search advances every (class, dev fold) run together, in rounds: each
 round trains what all runs asked for in one batch, in forked worker
 processes that return those cosines, and then every run is told the scores
@@ -88,8 +91,9 @@ class ExperimentConfig:
         return cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
 
 
-def _parse_tuple(raw: str) -> tuple[str, ...]:
-    """A tuple[str, ...] field's value: comma-separated, blanks dropped."""
+def parse_tuple(raw: str) -> tuple[str, ...]:
+    """A comma list, as a tuple[str, ...] key and ``depctx eval --classes``
+    take it: items stripped, blanks dropped."""
     return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
@@ -105,7 +109,7 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
         raise ExperimentConfigError(f"config file not found: {path}")
     base = path.parent
     known = {f.name: f.type for f in fields(ExperimentConfig)}
-    values = {}
+    values, line_of = {}, {}
     for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -117,8 +121,13 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
             raise ExperimentConfigError(f"{path}:{line_no}: expected key=value, got {raw!r}")
         if key not in known:
             raise ExperimentConfigError(f"{path}:{line_no}: unknown key {key!r}")
+        if key in line_of:
+            raise ExperimentConfigError(
+                f"{path}:{line_no}: key {key!r} is already set on line {line_of[key]}"
+            )
+        line_of[key] = line_no
         try:
-            values[key] = _PARSERS.get(known[key], _parse_tuple)(value)
+            values[key] = _PARSERS.get(known[key], parse_tuple)(value)
         except ValueError as exc:
             raise ExperimentConfigError(f"{path}:{line_no}: {exc}") from None
     cfg = ExperimentConfig(**values)
@@ -155,11 +164,7 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ExperimentConfigError(f"{name} path does not exist: {p}")
     if cfg.strategy not in search.STRATEGIES:
         raise ExperimentConfigError(f"unknown strategy {cfg.strategy!r}")
-    for i, cls in enumerate(cfg.classes):
-        if cls not in evaluation.WORD_CLASSES + ("ALL",):
-            raise ExperimentConfigError(f"unknown word class {cls!r}")
-        if cls in cfg.classes[:i]:
-            raise ExperimentConfigError(f"word class {cls!r} is listed twice")
+    check_classes(cfg.classes)
     if cfg.fold_seed < 0:
         raise ExperimentConfigError(f"fold_seed must be >= 0, got {cfg.fold_seed}")
     if cfg.window < 1:
@@ -169,6 +174,18 @@ def _validate(cfg: ExperimentConfig) -> None:
         cfg.trainer_config()
     except ValueError as exc:
         raise ExperimentConfigError(str(exc)) from None
+
+
+def check_classes(classes: tuple[str, ...]) -> None:
+    """Raise unless ``classes`` lists at least one word class, each known
+    (A, V, N or ALL) and listed once."""
+    if not classes:
+        raise ExperimentConfigError("no word class is listed")
+    for i, cls in enumerate(classes):
+        if cls not in evaluation.WORD_CLASSES + ("ALL",):
+            raise ExperimentConfigError(f"unknown word class {cls!r}")
+        if cls in classes[:i]:
+            raise ExperimentConfigError(f"word class {cls!r} is listed twice")
 
 
 def _sha256_update_file(h, path: str) -> None:
@@ -432,11 +449,9 @@ class Experiment:
 
     # -- fitness plumbing --
 
-    def fold_id(self, word_class: str, fold_index: int) -> str:
-        return f"{word_class}:{fold_index}"
-
-    def fitness_function(self, word_class: str, fold_indices, fold_index: int):
-        """Config -> Spearman rho on one fold, through the fitness cache.
+    def fitness_function(self, word_class: str, fold: int):
+        """Config -> Spearman rho on fold ``fold`` (0 or 1) of ``word_class``'s
+        2-fold split under ``fold_seed``, through the fitness cache.
 
         A configuration is trained once per experiment, on its first fold:
         in a worker, when a search round with a worker pool asked for it,
@@ -444,10 +459,11 @@ class Experiment:
         configurations come back as -inf so they lose to everything real
         instead of aborting the whole search.
         """
-        fold = self.fold_id(word_class, fold_index)
+        indices = evaluation.split_folds(self.dataset, word_class, self.cfg.fold_seed)[fold]
+        key = f"{word_class}:{fold}"
 
         def fitness(config: search.Configuration) -> float:
-            record = self.fitness_cache.get(config.canonical, fold)
+            record = self.fitness_cache.get(config.canonical, key)
             if record is not None:
                 return record.rho
             pair_count = self.manifest.total(config.bags)
@@ -458,12 +474,12 @@ class Experiment:
             self._trained[config.canonical] = cosines, 0.0
             start = time.perf_counter()
             try:
-                rho = evaluation.correlate(cosines, self.dataset, word_class, fold_indices).rho
+                rho = evaluation.correlate(cosines, self.dataset, indices).rho
             except evaluation.UndefinedCorrelationError as exc:
-                logger.info("configuration %s infeasible on %s: %s", config, fold, exc)
+                logger.info("configuration %s infeasible on %s: %s", config, key, exc)
                 rho = INFEASIBLE
             wall = time.perf_counter() - start + train_s
-            self.fitness_cache.put(config.canonical, fold, rho, wall, pair_count)
+            self.fitness_cache.put(config.canonical, key, rho, wall, pair_count)
             return rho
 
         return fitness
@@ -479,37 +495,34 @@ class Experiment:
         batch on ``pool`` what all runs asked for, then each run is told the
         values of its asks on its dev fold and asks for more.
         """
-        cfg = self.cfg
-        all_bags = extraction.effective_bags(self.table, cfg.extraction_config())
-        dev_test = [(0, 1), (1, 0)]
+        all_bags = sorted(self.manifest.counts)
         results, runs, dev_folds = [], [], []
         for word_class in classes:
-            folds = evaluation.split_folds(self.dataset, word_class, cfg.fold_seed)
-            fold_indices = {0: folds.fold_a, 1: folds.fold_b}
             results.append(ClassSearchResult(word_class=word_class))
             logger.info(
-                "class %s: fold seed %d, runs %s (dev fold fixed for all search levels)",
-                word_class, cfg.fold_seed, dev_test,
+                "class %s: fold seed %d, dev folds 0 and 1 (fixed for all search levels)",
+                word_class, self.cfg.fold_seed,
             )
-            for dev, test in dev_test:
-                steps = self._search_run(word_class, fold_indices, dev, test, all_bags)
-                runs.append((steps, self.fitness_function(word_class, fold_indices[dev], dev)))
-                dev_folds.append(self.fold_id(word_class, dev))
+            for dev in (0, 1):
+                steps = self._search_run(word_class, dev, all_bags)
+                runs.append((steps, self.fitness_function(word_class, dev)))
+                dev_folds.append(f"{word_class}:{dev}")
 
         def before_round(asks):
             self.prefetch(pool, [(dev_folds[index], config) for index, config in asks])
 
         done = iter(search.run_rounds(runs, before_round))
         for result in results:
-            result.runs = [next(done) for _ in dev_test]
+            result.runs = [next(done), next(done)]
             test_rhos = [run["test_rho"] for run in result.runs if run["best"] is not None]
             if test_rhos:
                 result.mean_test_rho, _ = fold_mean(test_rhos)
         return results
 
-    def _search_run(self, word_class, fold_indices, dev, test, all_bags):
+    def _search_run(self, word_class, dev, all_bags):
         """One run: probe every bag on the dev fold, build the pool, search it
-        and score the best on the test fold; returns the run's summary.
+        and score the best on the test fold, ``1 - dev``; returns the run's
+        summary.
 
         An ask-and-tell generator (see :func:`search.run_rounds`) whose asks
         are scored on the dev fold. The test score reuses the best's cosines
@@ -534,7 +547,7 @@ class Experiment:
             run.update(
                 best=best,
                 dev_rho=next(entry.fitness for entry in trace if entry.status == "best"),
-                test_rho=self.fitness_function(word_class, fold_indices[test], test)(best),
+                test_rho=self.fitness_function(word_class, 1 - dev)(best),
             )
         trace_path = Path(cfg.out_dir) / f"trace_{word_class}_dev{dev}.tsv"
         trace_path.parent.mkdir(parents=True, exist_ok=True)

@@ -15,16 +15,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Generator, Iterable, Iterator
 
+from .extraction import CONJ_BAGS, CONJ_ROUTE
+
 logger = logging.getLogger(__name__)
 
 DEFAULT_THRESHOLD = 0.2
 EXHAUSTIVE_GUARD = 12
-
-# conjlr and conjll are distinct pool members, but a configuration holding
-# both reports them as the single merged label below.
-CONJ_PAIR = frozenset(("conjlr", "conjll"))
-CONJ_MERGED = "conj"
-
 
 class SearchInfeasibleError(RuntimeError):
     """No bag reaches the pool threshold; carries the per-bag fitness table."""
@@ -50,9 +46,9 @@ class Configuration:
     def canonical(self) -> str:
         """Unique sorted "a+b+c" form, with conjlr+conjll merged to "conj"."""
         labels = set(self.bags)
-        if CONJ_PAIR <= labels:
-            labels -= CONJ_PAIR
-            labels.add(CONJ_MERGED)
+        if labels.issuperset(CONJ_BAGS):
+            labels.difference_update(CONJ_BAGS)
+            labels.add(CONJ_ROUTE)
         return "+".join(sorted(labels))
 
     @property
@@ -78,9 +74,9 @@ class Configuration:
         labels = set(canonical.split("+"))
         if "" in labels:
             raise ValueError(f"empty bag label in configuration {canonical!r}")
-        if CONJ_MERGED in labels:
-            labels.discard(CONJ_MERGED)
-            labels |= CONJ_PAIR
+        if CONJ_ROUTE in labels:
+            labels.discard(CONJ_ROUTE)
+            labels.update(CONJ_BAGS)
         return cls(frozenset(labels))
 
     def __str__(self) -> str:

@@ -189,8 +189,12 @@ def geometric_store():
     )
 
 
+ADJECTIVES = DATASET.class_indices("A")
+NOUNS = DATASET.class_indices("N")
+
+
 def test_evaluate_perfect_ordering_gives_rho_one():
-    result = evaluate(geometric_store(), DATASET, class_filter="A")
+    result = evaluate(geometric_store(), DATASET, ADJECTIVES)
     assert result.rho == pytest.approx(1.0)
     assert result.n_scored == 3
     assert result.n_total == 3
@@ -199,7 +203,7 @@ def test_evaluate_perfect_ordering_gives_rho_one():
 def test_evaluate_counts_oov_pairs():
     vectors = geometric_store()
     del vectors.vocab.word_index["cabin"]
-    result = evaluate(vectors, DATASET, class_filter="N")
+    result = evaluate(vectors, DATASET, NOUNS)
     assert result.n_scored == 2
     assert result.n_total == 3
 
@@ -212,21 +216,21 @@ def test_oov_and_non_finite_pairs_count_as_uncovered():
     assert np.isnan(cosines).tolist() == [False] * 4 + [True, True] + [False] * 3
     assert cosines[0] == cosine(store.vector("big"), store.vector("large"))
     with pytest.raises(UndefinedCorrelationError, match="only 1 of 3"):
-        correlate(cosines, DATASET, "N")
-    assert correlate(cosines, DATASET, "A", [0, 1]) == evaluate(store, DATASET, "A", [0, 1])
+        correlate(cosines, DATASET, NOUNS)
+    assert correlate(cosines, DATASET, [0, 1]) == evaluate(store, DATASET, [0, 1])
 
 
 def test_evaluate_all_oov_is_an_error():
     empty = store_from_vectors({"unrelated": np.array([1.0, 0.0, 0.0])})
     with pytest.raises(UndefinedCorrelationError):
-        evaluate(empty, DATASET, class_filter="A")
+        evaluate(empty, DATASET, ADJECTIVES)
 
 
 def test_evaluate_scale_invariance():
     store = geometric_store()
-    base = evaluate(store, DATASET, class_filter="N").rho
+    base = evaluate(store, DATASET, NOUNS).rho
     store.word_vectors *= 37.5
-    assert evaluate(store, DATASET, class_filter="N").rho == pytest.approx(base, abs=1e-12)
+    assert evaluate(store, DATASET, NOUNS).rho == pytest.approx(base, abs=1e-12)
 
 
 def test_evaluate_random_vectors_near_zero_rho():
@@ -243,18 +247,26 @@ def test_evaluate_random_vectors_near_zero_rho():
     for seed in range(n_seeds):
         r = np.random.default_rng(seed)
         store = store_from_vectors({w: r.normal(size=20) for w in words})
-        if abs(evaluate(store, dataset, class_filter="N").rho) < 0.1:
+        if abs(evaluate(store, dataset).rho) < 0.1:
             hits += 1
     assert hits >= int(0.9 * n_seeds)
 
 
 def test_fold_union_reconstruction():
     store = geometric_store()
-    folds = split_folds(DATASET, "N", seed=5)
-    union = tuple(folds.fold_a) + tuple(folds.fold_b)
-    full = evaluate(store, DATASET, class_filter="N")
-    merged = evaluate(store, DATASET, class_filter="N", index_subset=union)
-    assert merged == full
+    fold_0, fold_1 = split_folds(DATASET, "N", seed=5)
+    full = evaluate(store, DATASET, NOUNS)
+    assert evaluate(store, DATASET, fold_0 + fold_1) == full
+    # scored once each and in entry order, whatever order the indices come in
+    assert evaluate(store, DATASET, fold_1 + fold_0 + fold_1) == full
+
+
+def test_evaluate_none_scores_every_entry_and_no_indices_is_an_error():
+    store = geometric_store()
+    assert evaluate(store, DATASET) == evaluate(store, DATASET, range(len(DATASET)))
+    assert evaluate(store, DATASET).n_total == len(DATASET)
+    with pytest.raises(UndefinedCorrelationError, match="no dataset entries"):
+        evaluate(store, DATASET, [])
 
 
 # -- folds --
@@ -264,12 +276,12 @@ def test_split_222_and_111():
     rows = [(f"a{i}", f"b{i}", float(i), "V") for i in range(222)]
     rows += [(f"c{i}", f"d{i}", float(i), "A") for i in range(111)]
     dataset = make_dataset(rows)
-    verbs = split_folds(dataset, "V", seed=1)
-    assert (len(verbs.fold_a), len(verbs.fold_b)) == (111, 111)
-    adjs = split_folds(dataset, "A", seed=1)
-    assert (len(adjs.fold_a), len(adjs.fold_b)) == (56, 55)
-    assert set(adjs.fold_a) | set(adjs.fold_b) == set(dataset.class_indices("A"))
-    assert set(adjs.fold_a) & set(adjs.fold_b) == set()
+    verbs_0, verbs_1 = split_folds(dataset, "V", seed=1)
+    assert (len(verbs_0), len(verbs_1)) == (111, 111)
+    adjs_0, adjs_1 = split_folds(dataset, "A", seed=1)
+    assert (len(adjs_0), len(adjs_1)) == (56, 55)
+    assert set(adjs_0) | set(adjs_1) == set(dataset.class_indices("A"))
+    assert set(adjs_0) & set(adjs_1) == set()
 
 
 def test_split_deterministic_under_seed():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from depctx import cli, evaluation, extraction, pipeline, search, sgns
+from depctx import cli, extraction, pipeline, search, sgns
 from depctx.extraction import MANIFEST_NAME, ExtractionConfig
 from depctx.pipeline import (
     Experiment,
@@ -77,6 +77,19 @@ def test_config_unknown_key_rejected(tmp_path):
     path.write_text("no_such_knob = 1\n", encoding="utf-8")
     with pytest.raises(ExperimentConfigError, match="no_such_knob"):
         load_experiment_config(path)
+
+
+def test_config_key_set_twice_rejected(tmp_path, capsys):
+    path = write_config(tmp_path)
+    with path.open("a", encoding="utf-8") as f:
+        f.write("dim = 24\n")
+    # write_config's header comment is line 1, so its dim is on line 5
+    message = "exp.txt:18: key 'dim' is already set on line 5"
+    with pytest.raises(ExperimentConfigError, match=message):
+        load_experiment_config(path)
+    assert cli.main(["extract", "-c", str(path)]) == 2
+    assert "key 'dim' is already set" in capsys.readouterr().err
+    assert not (tmp_path / "cache").exists()
 
 
 def test_config_missing_corpus_rejected(tmp_path):
@@ -381,9 +394,9 @@ ADJ_ORACLE = {
 def inject_oracle(monkeypatch, table, default=-0.1):
     calls = []
 
-    def fake_fitness(self, word_class, fold_indices, fold_index):
+    def fake_fitness(self, word_class, fold):
         def fitness(config):
-            calls.append((config.canonical, word_class, fold_index))
+            calls.append((config.canonical, word_class, fold))
             return table.get(config.canonical, default)
 
         return fitness
@@ -445,10 +458,10 @@ def test_infeasible_fold_neither_poisons_mean_nor_ranks_first(tmp_path, monkeypa
         1: {"amod": pipeline.INFEASIBLE, "appos": 0.9},
     }
 
-    def fold_oracle(self, word_class, fold_indices, fold_index):
+    def fold_oracle(self, word_class, fold):
         def fitness(config):
-            rho = oracle[fold_index].get(config.canonical, -0.1)
-            self.fitness_cache.put(config.canonical, self.fold_id(word_class, fold_index), rho, 0, 0)
+            rho = oracle[fold].get(config.canonical, -0.1)
+            self.fitness_cache.put(config.canonical, f"{word_class}:{fold}", rho, 0, 0)
             return rho
 
         return fitness
@@ -472,10 +485,10 @@ def test_infeasible_fold_neither_poisons_mean_nor_ranks_first(tmp_path, monkeypa
 
 
 def test_infeasible_per_bag_table_belongs_to_its_run(tmp_path, monkeypatch, capsys):
-    def fold_dependent(self, word_class, fold_indices, fold_index):
+    def fold_dependent(self, word_class, fold):
         # with fold 0 as dev no bag reaches the threshold; with fold 1 only amod does
         def fitness(config):
-            return 0.75 if fold_index == 1 and config.canonical == "amod" else -0.25
+            return 0.75 if fold == 1 and config.canonical == "amod" else -0.25
 
         return fitness
 
@@ -548,14 +561,13 @@ def test_fitness_cache_prevents_retraining(tmp_path, monkeypatch):
     trained = count_trainings(monkeypatch)
     exp = Experiment(load_experiment_config(write_config(tmp_path)))
     exp.extract()
-    folds = evaluation.split_folds(exp.dataset, "N", exp.cfg.fold_seed)
-    fitness = exp.fitness_function("N", folds.fold_a, 0)
+    fitness = exp.fitness_function("N", 0)
     config = search.Configuration.from_bags(["amod", "obj"])
     first = fitness(config)
     assert trained == [("amod", "obj")]
     exp2 = Experiment(exp.cfg)
     exp2.extract()
-    second = exp2.fitness_function("N", folds.fold_a, 0)(config)
+    second = exp2.fitness_function("N", 0)(config)
     assert second == first
     assert trained == [("amod", "obj")]
 
@@ -565,10 +577,8 @@ def test_one_training_serves_every_fold_and_class(tmp_path, monkeypatch):
     exp = Experiment(load_experiment_config(write_config(tmp_path)))
     exp.extract()
     config = search.Configuration.from_bags(["amod"])
-    folds_n = evaluation.split_folds(exp.dataset, "N", exp.cfg.fold_seed)
-    folds_a = evaluation.split_folds(exp.dataset, "A", exp.cfg.fold_seed)
-    exp.fitness_function("N", folds_n.fold_a, 0)(config)
-    exp.fitness_function("A", folds_a.fold_b, 1)(config)
+    exp.fitness_function("N", 0)(config)
+    exp.fitness_function("A", 1)(config)
     assert trained == [("amod",)]
     assert len(exp.fitness_cache.records()) == 2
 
@@ -580,9 +590,8 @@ def test_untrainable_configuration_is_trained_once(tmp_path, monkeypatch):
     exp.extract()
     config = search.Configuration.from_bags(["amod"])
     for word_class in ("N", "A"):
-        folds = evaluation.split_folds(exp.dataset, word_class, exp.cfg.fold_seed)
-        for index, fold in enumerate((folds.fold_a, folds.fold_b)):
-            assert exp.fitness_function(word_class, fold, index)(config) == pipeline.INFEASIBLE
+        for fold in (0, 1):
+            assert exp.fitness_function(word_class, fold)(config) == pipeline.INFEASIBLE
     assert trained == [("amod",)]
     records = exp.fitness_cache.records()
     assert sorted(fold for _, fold in records) == ["A:0", "A:1", "N:0", "N:1"]
@@ -658,6 +667,7 @@ def test_cli_missing_corpus_exits_2(tmp_path, capsys):
         # bag_table gives the rules of a table file that ends in the catch-all
         (dict(bag_table="amod\tconjlr", conj_variant="conjll"), "conjll are reserved"),
         (dict(bag_table="amod\ta+b"), "hold no '+' or '/'"),
+        (dict(classes=""), "no word class is listed"),
     ],
 )
 def test_cli_rejected_settings_exit_2(tmp_path, capsys, setting, message):
@@ -708,6 +718,28 @@ def test_cli_eval_keeps_an_uncovered_class_to_four_columns(tmp_path, capsys):
         "class\trho\tscored\ttotal", "A\t1.000000\t2\t3", "N\tundefined\t-\t-"
     ]
     assert "class N: rho undefined: only 0 of 2 pairs in vocabulary" in captured.err
+
+
+@pytest.mark.parametrize(
+    "classes,message",
+    [
+        ("X,a", "unknown word class 'X'"),
+        ("A,N,A", "word class 'A' is listed twice"),
+        ("A, X", "unknown word class 'X'"),
+        ("", "no word class is listed"),
+    ],
+)
+def test_cli_eval_rejects_what_the_classes_key_rejects_with_exit_2(
+    tmp_path, capsys, classes, message
+):
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("1 2\nbig 1 0\n", encoding="utf-8")
+    config = write_config(tmp_path)
+    args = ["eval", "-c", str(config), "--embeddings", str(vectors), "--classes", classes]
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -838,6 +870,14 @@ def one_process_smoke(tmp_path_factory):
     return smoke_search(tmp_path_factory.mktemp("one-process"), cpus=1)
 
 
+def test_smoke_search_report_is_pinned(one_process_smoke):
+    # the bundled smoke experiment's report, byte for byte
+    report = one_process_smoke[0]["report"]
+    assert hashlib.sha256(report).hexdigest() == (
+        "e818f07edc443c1ae2ff695c8e1cfde2f42c9fb415199a92e3f129e4989c084d"
+    )
+
+
 @needs_fork
 def test_pooled_smoke_search_writes_what_one_process_writes(tmp_path, one_process_smoke):
     expected, trained_alone = one_process_smoke
@@ -950,15 +990,14 @@ def test_a_lone_untrained_configuration_trains_in_a_worker(tmp_path, monkeypatch
     trained = count_trainings(monkeypatch)
     exp = Experiment(load_experiment_config(write_config(tmp_path)))
     exp.extract()
-    folds = evaluation.split_folds(exp.dataset, "N", exp.cfg.fold_seed)
     config = search.Configuration.from_bags(["amod"])
     with exp.worker_pool() as pool:
         exp.prefetch(pool, [("N:0", config)])
-        rho = exp.fitness_function("N", folds.fold_a, 0)(config)
+        rho = exp.fitness_function("N", 0)(config)
     assert trained == []
     (tmp_path / "alone").mkdir()
     alone = Experiment(load_experiment_config(write_config(tmp_path / "alone")))
-    assert alone.fitness_function("N", folds.fold_a, 0)(config) == rho
+    assert alone.fitness_function("N", 0)(config) == rho
     assert trained == [("amod",)]
 
 
@@ -976,9 +1015,8 @@ def test_first_fitness_record_of_a_worker_trained_model_counts_its_training(
     monkeypatch.setattr(sgns, "train", slow_train)
     exp = Experiment(load_experiment_config(write_config(tmp_path)))
     exp.extract()
-    folds = evaluation.split_folds(exp.dataset, "N", exp.cfg.fold_seed)
-    dev = exp.fitness_function("N", folds.fold_a, 0)
-    test = exp.fitness_function("N", folds.fold_b, 1)
+    dev = exp.fitness_function("N", 0)
+    test = exp.fitness_function("N", 1)
     configs = [search.Configuration.from_bags([bag]) for bag in ("amod", "obj")]
     with exp.worker_pool() as pool:
         exp.prefetch(pool, [("N:0", config) for config in configs])
