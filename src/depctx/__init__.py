@@ -22,6 +22,7 @@ from .extraction import (
     ExtractionConfig,
     Manifest,
     PairStream,
+    bag_texts,
     collapse_prepositions,
     extract_bow_pairs,
     extract_deps_pairs,
@@ -66,6 +67,7 @@ __all__ = [
     "TrainerConfig",
     "Vocabulary",
     "WordPairDataset",
+    "bag_texts",
     "build_pool",
     "build_vocab",
     "collapse_prepositions",

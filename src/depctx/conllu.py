@@ -1,16 +1,21 @@
 r"""Reading dependency-parsed corpora in CoNLL-U format.
 
-Sentences are parsed lazily, one blank-line-delimited block at a time, so
-memory stays bounded by the largest sentence rather than the corpus. Surface
-forms are lowercased at parse time; lemma and POS columns are kept as-is.
+:func:`read_chunks` is the one reader of corpus files: it reads a
+(possibly gzipped) file as chunks of about :data:`CHUNK_BYTES` bytes, each
+ending just after a blank line, so no sentence spans two chunks and
+:func:`parse_conllu` parses each chunk's :func:`chunk_lines` on its own, in
+any process. :func:`read_corpus` parses the chunks in turn; the pipeline
+parses them in its worker processes. Memory is bounded by the chunks in
+flight, not by the corpus. Surface forms are lowercased at parse time; lemma
+and POS columns are kept as-is.
 
-A sentence with a malformed line is skipped, and each skip logs one
-``skipping sentence: line N: <reason>`` warning on this module's logger;
-that warning is the one count of skipped sentences.
+A sentence with a malformed line is skipped with one ``skipping sentence:
+line N: <reason>`` warning, N counted from the start of the file. That
+warning is the one count of skipped sentences. :func:`parse_conllu` logs it
+on this module's logger, or hands it to a caller that logs it there later,
+in corpus order.
 
-:func:`parse_conllu` takes text lines; :func:`read_corpus` is the one UTF-8
-decoder, in C, through an ``io.TextIOWrapper`` with ``newline="\n"`` over
-the (possibly gzipped) byte stream. Only ``\n`` ends a line there: a form
+A chunk is decoded as UTF-8 in C, and only ``\n`` ends a line: a form
 holding U+2028, a form feed or a lone ``\r`` stays in one token, and the
 ``\r`` of a CRLF line end is stripped. A :class:`Token` is a
 ``NamedTuple``, built by one C call to ``tuple.__new__``.
@@ -20,16 +25,18 @@ from __future__ import annotations
 
 import codecs
 import gzip
-import io
 import logging
 import re
 from dataclasses import dataclass
 from functools import partial
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 logger = logging.getLogger(__name__)
 
 GZIP_MAGIC = b"\x1f\x8b"
+# The bytes read_chunks reads at a time; a chunk is cut after the last blank
+# line in them.
+CHUNK_BYTES = 1 << 18
 
 # A byte that is not valid UTF-8 decodes to a lone surrogate and sets this
 # process-wide flag. Only once it is set does the parser search token lines
@@ -142,19 +149,24 @@ def _build_sentence(tokens: list[Token], line_number: int) -> Sentence:
     return Sentence(tuple(tokens))
 
 
-def parse_conllu(stream: Iterable[str]) -> Iterator[Sentence]:
+def parse_conllu(
+    stream: Iterable[str],
+    first_line: int = 1,
+    warn: Callable[[str], object] = logger.warning,
+) -> Iterator[Sentence]:
     """Yield one Sentence per CoNLL-U block read from ``stream``.
 
-    ``stream`` is any iterable of text lines. Comment lines, multiword
-    ranges and empty nodes are dropped. A sentence with a malformed line is
-    skipped with one ``skipping sentence`` warning, which names the line
+    ``stream`` is any iterable of text lines, the first of them line
+    ``first_line`` of its file. Comment lines, multiword ranges and empty
+    nodes are dropped. A sentence with a malformed line is skipped, and
+    ``warn`` gets one ``skipping sentence`` message, which names the line
     that failed (for a fault of the whole block, the line after it). A
-    token line holding a byte that :func:`read_corpus` could not decode is
+    token line holding a byte that :func:`chunk_lines` could not decode is
     malformed.
     """
     tokens: list[Token] = []
     block_bad = False
-    line_number = 0
+    line_number = first_line - 1
 
     def finish(at_line: int) -> Sentence | None:
         nonlocal block_bad
@@ -167,7 +179,7 @@ def parse_conllu(stream: Iterable[str]) -> Iterator[Sentence]:
         try:
             sentence = _build_sentence(tokens, at_line)
         except ConlluError as exc:
-            logger.warning("skipping sentence: %s", exc)
+            warn(f"skipping sentence: {exc}")
             return None
         finally:
             tokens.clear()
@@ -196,7 +208,7 @@ def parse_conllu(stream: Iterable[str]) -> Iterator[Sentence]:
                 _reject_undecodable(line, line_number)
             token = _parse_token(line, line_number)
         except ConlluError as exc:
-            logger.warning("skipping sentence: %s", exc)
+            warn(f"skipping sentence: {exc}")
             block_bad = True
             continue
         if token is not None:
@@ -242,13 +254,54 @@ def open_corpus(path: str) -> IO[bytes]:
     return open(path, "rb")
 
 
-def read_corpus(path: str) -> Iterator[Sentence]:
-    """Parse sentences from a (possibly gzipped) UTF-8 CoNLL-U file.
+def _blank_line_end(data: bytes) -> int:
+    """The index just past the last blank line in ``data``, or 0 if it has none."""
+    at = data.rfind(b"\n\n")
+    if at >= 0:
+        return at + 2
+    at = data.rfind(b"\n\r\n")  # CRLF line ends
+    return at + 3 if at >= 0 else 0
 
-    A token line that is not valid UTF-8 skips its sentence like any
-    malformed line.
+
+def read_chunks(path: str) -> Iterator[tuple[bytes, int]]:
+    """A (possibly gzipped) corpus file as ``(chunk, first line number)`` pairs.
+
+    The file is read :data:`CHUNK_BYTES` at a time, and each chunk ends just
+    after the last blank line read so far; the last chunk ends at the end of
+    the file, which a short read marks. A file shorter than one read is one
+    chunk.
     """
-    with io.TextIOWrapper(
-        open_corpus(path), encoding="utf-8", errors="depctx.conllu.skip", newline="\n"
-    ) as stream:
-        yield from parse_conllu(stream)
+    first_line, rest = 1, b""
+    with open_corpus(path) as f:
+        while True:
+            block = f.read(CHUNK_BYTES)
+            data = rest + block
+            if len(block) < CHUNK_BYTES:
+                if data:
+                    yield data, first_line
+                return
+            end = _blank_line_end(data)
+            # with no blank line yet, one sentence outgrows a read: read on
+            chunk, rest = data[:end], data[end:]
+            if chunk:
+                yield chunk, first_line
+                first_line += chunk.count(b"\n")
+
+
+def chunk_lines(data: bytes) -> list[str]:
+    """The text lines of a chunk of :func:`read_chunks`, line ends stripped.
+
+    A byte that is not valid UTF-8 becomes a lone surrogate, which makes
+    :func:`parse_conllu` skip the sentence of its token line.
+    """
+    lines = data.decode("utf-8", "depctx.conllu.skip").split("\n")
+    if not lines[-1]:
+        lines.pop()  # the text after the last line end
+    return lines
+
+
+def read_corpus(path: str) -> Iterator[Sentence]:
+    """Parse sentences from a (possibly gzipped) UTF-8 CoNLL-U file, one
+    chunk at a time, logging each skipped sentence's warning."""
+    for data, first_line in read_chunks(path):
+        yield from parse_conllu(chunk_lines(data), first_line)

@@ -3,8 +3,12 @@
 Dependency arcs are grouped into labeled context bags after prepositional
 arc collapsing and label merging; coordination arcs come in two directional
 variants. The window-based BOW and POSIT baseline contexts live here too.
-:func:`write_bag_files` stores the ``(word, context, bag)`` triples of either
-as bag files plus a manifest, a baseline as one bag named by its kind.
+:func:`bag_texts` turns sentences into the text of each bag's file, the
+``(word, context, bag)`` triples of either kind, a baseline as one bag named
+by its kind; :func:`write_bag_files` appends such texts, one per chunk of a
+corpus and in corpus order, to the bag files and writes their manifest. The
+pipeline runs :func:`bag_texts` on each chunk in a worker process when it
+has more than one, and in its own process otherwise.
 
 A :class:`DependencyPair` is ``(word, context, bag)``: the context is the
 typed string a bag file stores, such as ``australian_amod`` or
@@ -14,7 +18,7 @@ Extraction touches every pair of a corpus, so it keeps the Python work per
 pair small: a pair is a ``NamedTuple`` built with ``tuple.__new__``,
 collapsing rebuilds only the tokens whose deprel changes,
 :meth:`BagMappingTable.map_label` runs each label's prefix scan once, and
-:func:`write_bag_files` writes each bag's lines once per batch of sentences.
+:func:`bag_texts` joins each bag's lines of a chunk into one string.
 """
 
 from __future__ import annotations
@@ -37,10 +41,6 @@ COLLAPSED = "_collapsed"
 # The bags of the coordination variants; no rule may target them directly.
 CONJ_BAGS = ("conjlr", "conjll")
 CONJ_VARIANTS = (*CONJ_BAGS, "both")
-
-# write_bag_files writes each bag's lines once per this many sentences: one
-# write per pair costs more than building the pair's line
-_FLUSH_SENTENCES = 256
 
 MANIFEST_NAME = "manifest.txt"
 INCOMPLETE_MARKER = "_INCOMPLETE"
@@ -304,20 +304,36 @@ class Manifest:
         return cls(counts=counts, meta=meta)
 
 
-def write_bag_files(
-    corpus: Iterable[Sentence],
+def bag_texts(
+    sentences: Iterable[Sentence],
     pairs_of: Callable[[Sentence], Iterable[tuple[str, str, str]]],
+    bags: Iterable[str],
+) -> dict[str, str]:
+    """The lines each of ``bags`` gets from ``sentences``, one string per bag.
+
+    ``pairs_of(sentence)`` gives that sentence's (word, context, bag) triples;
+    every bag it names must be in ``bags``. A line is "word<TAB>context".
+    """
+    pending: dict[str, list[str]] = {bag: [] for bag in bags}
+    for sentence in sentences:
+        for word, context, bag in pairs_of(sentence):
+            pending[bag].append(f"{word}\t{context}\n")
+    return {bag: "".join(lines) for bag, lines in pending.items()}
+
+
+def write_bag_files(
+    texts: Iterable[dict[str, str]],
     bags: Iterable[str],
     out_dir: str | Path,
     config_hash: str = "",
 ) -> Manifest:
-    """Stream a corpus into one append-only pair file per bag, plus a manifest.
+    """Write one pair file per bag, plus a manifest, from :func:`bag_texts` results.
 
-    ``pairs_of(sentence)`` gives that sentence's (word, context, bag) triples;
-    every bag it names must be in ``bags``, and every bag in ``bags`` gets a
-    file, empty or not. Lines are "word<TAB>context". An ``_INCOMPLETE``
-    marker guards the output directory while writing, so an aborted run is
-    detected on reload.
+    Each of ``texts`` maps bags to the lines they get next; every bag it
+    names must be in ``bags``, and every bag in ``bags`` gets a file, empty
+    or not. A bag's count in the manifest is its number of lines. An
+    ``_INCOMPLETE`` marker guards the output directory while writing, so an
+    aborted run is detected on reload.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -325,22 +341,12 @@ def write_bag_files(
     marker.write_text("extraction in progress\n", encoding="utf-8")
 
     counts = {bag: 0 for bag in bags}
-    pending = {bag: [] for bag in counts}
     handles = {bag: open(out / f"{bag}{PAIR_FILE_SUFFIX}", "w", encoding="utf-8") for bag in counts}
-
-    def flush():
-        for bag, lines in pending.items():
-            handles[bag].write("".join(lines))
-            counts[bag] += len(lines)
-            lines.clear()
-
     try:
-        for n, sentence in enumerate(corpus, 1):
-            for word, context, bag in pairs_of(sentence):
-                pending[bag].append(f"{word}\t{context}\n")
-            if n % _FLUSH_SENTENCES == 0:
-                flush()
-        flush()
+        for chunk in texts:
+            for bag, text in chunk.items():
+                handles[bag].write(text)
+                counts[bag] += text.count("\n")
     finally:
         for h in handles.values():
             h.close()

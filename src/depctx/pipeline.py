@@ -3,12 +3,15 @@
 Every fitness evaluation is a full SGNS training run, so everything is keyed
 by content hashes and cached on disk: bag files by extraction fingerprint,
 fitness values by (configuration, fold). A fold is a word class and 0 or 1,
-one half of that class's gold pairs under ``fold_seed``, keyed "A:0" in the
-fitness cache; :meth:`Experiment.fitness_function` alone resolves it to
-entry indices. The dependency bags and each window baseline have their own
-bag directory, keyed by the corpus bytes and the settings that extraction
-reads. A trained configuration is kept in memory only as its gold-pair
-cosines, which score it on every class and fold.
+one half of that class's gold pairs under ``fold_seed``, named "A:0" in the
+fitness cache by :func:`fold_key` alone; :meth:`Experiment.fitness_function`
+alone resolves it to entry indices. The dependency bags and each window
+baseline have their own bag directory, keyed by the corpus bytes and the
+settings that extraction reads. Extraction parses and extracts a corpus of
+more than one chunk in forked worker processes, one per CPU, and this
+process writes their text to the bag files in corpus order. A trained
+configuration is kept in memory only as its gold-pair cosines, which score
+it on every class and fold.
 A search advances every (class, dev fold) run together, in rounds: each
 round trains what all runs asked for in one batch, in forked worker
 processes that return those cosines, and then every run is told the scores
@@ -26,9 +29,11 @@ import logging
 import math
 import os
 import time
-from contextlib import contextmanager
+from collections import deque
+from contextlib import contextmanager, nullcontext
 from dataclasses import astuple, dataclass, field, fields, replace
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import chain, islice
 from importlib import resources
 from pathlib import Path
 
@@ -226,6 +231,11 @@ def fold_mean(rhos) -> tuple[float, bool]:
     return mean, len(finite) == len(rhos)
 
 
+def fold_key(word_class: str, fold: int) -> str:
+    """The fitness cache's name of fold ``fold`` (0 or 1) of ``word_class``, e.g. "A:0"."""
+    return f"{word_class}:{fold}"
+
+
 def format_float(x: float) -> str:
     if x == INFEASIBLE:
         return "-inf"
@@ -313,13 +323,42 @@ class Experiment:
 
     # -- extraction --
 
-    def sentences(self):
-        for path in self.cfg.corpus:
-            yield from conllu.read_corpus(path)
+    def _pairs_of(self, kind: str):
+        """The function from a sentence to its (word, context, bag) triples
+        in ``kind``'s extraction, and the bags of that extraction."""
+        if kind == "deps":
+            table, config = self.table, self.cfg.extraction_config()
 
-    def _extract(self, kind, pairs_of, bags, force) -> extraction.Manifest:
+            def pairs_of(sentence):
+                sentence = extraction.collapse_prepositions(sentence, config.collapse_targets)
+                return extraction.extract_deps_pairs(sentence, table, config.conj_variant)
+
+            return pairs_of, extraction.effective_bags(table, config)
+        extract, window = extraction.WINDOW_EXTRACTORS[kind], self.cfg.window
+
+        def pairs_of(sentence):
+            return [(word, context, kind) for word, context in extract(sentence, window)]
+
+        return pairs_of, (kind,)
+
+    def extract_chunk(self, kind: str, chunk: tuple[bytes, int]):
+        """One chunk of :func:`conllu.read_chunks`: its per-bag text in
+        ``kind``'s extraction, and its skip warnings, logged by no one yet."""
+        data, first_line = chunk
+        skipped: list[str] = []
+        sentences = conllu.parse_conllu(conllu.chunk_lines(data), first_line, skipped.append)
+        pairs_of, bags = self._pairs_of(kind)
+        return extraction.bag_texts(sentences, pairs_of, bags), skipped
+
+    def _extract(self, kind: str, force: bool) -> extraction.Manifest:
         """``kind``'s manifest: from its bag directory when an up-to-date one is
-        there and ``force`` is off, else from writing the directory afresh."""
+        there and ``force`` is off, else from writing the directory afresh.
+
+        A corpus of more than one chunk is parsed and extracted in a
+        :meth:`worker_pool`, at most two chunks per worker in flight; this
+        process logs each chunk's skip warnings and writes its text, in
+        corpus order, so the files are those of one process.
+        """
         if not self.cfg.corpus:
             raise ExperimentConfigError("extract requires at least one corpus path")
         fingerprint = self.extraction_fingerprint(kind)
@@ -334,29 +373,34 @@ class Experiment:
                     logger.info("extraction cache hit: %s", out)
                     return manifest
         logger.info("extracting to %s", out)
-        return extraction.write_bag_files(self.sentences(), pairs_of, bags, out, fingerprint)
+        _, bags = self._pairs_of(kind)
+        chunks = chain.from_iterable(map(conllu.read_chunks, self.cfg.corpus))
+        head = list(islice(chunks, 2))
+        chunks = chain(head, chunks)
+        with (self.worker_pool() if len(head) > 1 else nullcontext()) as pool:
+            if pool is None:
+                results = (self.extract_chunk(kind, chunk) for chunk in chunks)
+            else:
+                job = partial(_extract_in_worker, kind)
+                results = _in_order(pool, job, chunks, 2 * _cpu_count())
+
+            def texts():
+                for text, skipped in results:
+                    for message in skipped:
+                        conllu.logger.warning(message)
+                    yield text
+
+            return extraction.write_bag_files(texts(), bags, out, fingerprint)
 
     def extract(self, force: bool = False) -> extraction.Manifest:
         """The dependency bags' manifest, extracting them unless cached."""
-        table, config = self.table, self.cfg.extraction_config()
-
-        def pairs_of(sentence):
-            sentence = extraction.collapse_prepositions(sentence, config.collapse_targets)
-            return extraction.extract_deps_pairs(sentence, table, config.conj_variant)
-
-        bags = extraction.effective_bags(table, config)
-        self.manifest = self._extract("deps", pairs_of, bags, force)
+        self.manifest = self._extract("deps", force)
         return self.manifest
 
     def extract_window_pairs(self, kind: str, force: bool = False) -> extraction.Manifest:
         """The manifest of the BOW or POSIT baseline, one bag named ``kind``,
         extracting it unless cached."""
-        extract, window = extraction.WINDOW_EXTRACTORS[kind], self.cfg.window
-
-        def pairs_of(sentence):
-            return [(word, context, kind) for word, context in extract(sentence, window)]
-
-        return self._extract(kind, pairs_of, [kind], force)
+        return self._extract(kind, force)
 
     @cached_property
     def manifest(self) -> extraction.Manifest:
@@ -381,28 +425,28 @@ class Experiment:
             cosines = evaluation.pair_cosines(store, self.dataset)
         return cosines, time.perf_counter() - start
 
-    # -- parallel training --
+    # -- worker processes --
 
     @contextmanager
     def worker_pool(self):
-        """A pool of forked training workers for :meth:`prefetch`, shut down
-        when the block ends; None on one CPU or without fork.
+        """A pool of forked workers, one per CPU, shut down when the block
+        ends; None on one CPU or without fork.
 
-        The executor forks its workers at its first submit, so a block that
-        trains nothing starts no process.
+        The workers parse and extract corpus chunks (:meth:`extract_chunk`)
+        or train configurations (:meth:`prefetch`). The executor forks them
+        at its first submit, so a block that submits nothing starts no
+        process, and they inherit this experiment as it stands then, so a
+        task sends only its chunk or configuration. A spawned
+        worker would import numpy and depctx afresh (about 0.13 s), longer
+        than most trainings of a small search.
         """
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-        # imported here, so that commands which never search do not pay for it
+        cpus = _cpu_count()
+        # imported here, so that commands which start no process do not pay for it
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         pool = None
         if cpus > 1 and "fork" in multiprocessing.get_all_start_methods():
-            # Forked workers inherit this experiment as it stands, its manifest
-            # and gold dataset loaded, so a task sends only its configuration. A
-            # spawned worker would import numpy and depctx afresh (about
-            # 0.13 s), longer than most trainings of a small search.
-            self.dataset
             pool = ProcessPoolExecutor(
                 cpus, multiprocessing.get_context("fork"), _init_worker, (self,)
             )
@@ -413,9 +457,9 @@ class Experiment:
                 pool.shutdown(cancel_futures=True)
 
     def prefetch(self, pool, asks) -> None:
-        """Train in ``pool`` the configurations of ``asks``, (fold,
-        configuration) pairs, that have no fitness record on their fold and
-        have not been trained yet.
+        """Train in ``pool`` the configurations of ``asks``, ((word class,
+        fold), configuration) pairs, that have no fitness record on their
+        fold and have not been trained yet.
 
         With no pool, the fitness calls train them in this process. Each
         worker returns the result of :meth:`train_configuration`, so the
@@ -429,7 +473,7 @@ class Experiment:
         for fold, config in asks:
             if (
                 config.canonical not in self._trained
-                and self.fitness_cache.get(config.canonical, fold) is None
+                and self.fitness_cache.get(config.canonical, fold_key(*fold)) is None
             ):
                 todo.setdefault(config.canonical, config)
         from concurrent.futures import BrokenExecutor
@@ -460,7 +504,7 @@ class Experiment:
         instead of aborting the whole search.
         """
         indices = evaluation.split_folds(self.dataset, word_class, self.cfg.fold_seed)[fold]
-        key = f"{word_class}:{fold}"
+        key = fold_key(word_class, fold)
 
         def fitness(config: search.Configuration) -> float:
             record = self.fitness_cache.get(config.canonical, key)
@@ -506,7 +550,7 @@ class Experiment:
             for dev in (0, 1):
                 steps = self._search_run(word_class, dev, all_bags)
                 runs.append((steps, self.fitness_function(word_class, dev)))
-                dev_folds.append(f"{word_class}:{dev}")
+                dev_folds.append((word_class, dev))
 
         def before_round(asks):
             self.prefetch(pool, [(dev_folds[index], config) for index, config in asks])
@@ -557,6 +601,8 @@ class Experiment:
     def run_search(self) -> list[ClassSearchResult]:
         """Run the full protocol for every configured class and write the report."""
         self.extract()
+        # loaded before the training workers fork, so that they inherit it
+        self.dataset
         with self.worker_pool() as pool:
             results = self._search_classes(self.cfg.classes, pool)
         self.write_search_report(results)
@@ -618,13 +664,34 @@ class Experiment:
         return rows
 
 
-# The experiment a pool worker trains for, set once in each worker process.
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _in_order(pool, fn, items, ahead: int):
+    """``fn`` of each of ``items``, run in ``pool`` and yielded in order, with
+    at most ``ahead`` items submitted and not yet yielded."""
+    pending = deque()
+    for item in items:
+        pending.append(pool.submit(fn, item))
+        if len(pending) >= ahead:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
+# The experiment a pool worker works for, set once in each worker process.
 _worker_experiment: Experiment | None = None
 
 
 def _init_worker(experiment: Experiment) -> None:
     global _worker_experiment
     _worker_experiment = experiment
+
+
+def _extract_in_worker(kind: str, chunk: tuple[bytes, int]):
+    return _worker_experiment.extract_chunk(kind, chunk)
 
 
 def _train_in_worker(config: search.Configuration) -> tuple[np.ndarray, float]:

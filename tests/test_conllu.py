@@ -236,6 +236,68 @@ def test_token_invariants_hold_on_parsed_output(sentences):
         assert roots == 1
 
 
+@st.composite
+def messy_corpora(draw):
+    """CoNLL-U bytes with malformed blocks, comments, CRLF lines, runs of
+    blank lines and at most one invalid UTF-8 byte."""
+    newline = st.sampled_from(["\n", "\r\n"])
+    text = ""
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        n = draw(st.integers(min_value=1, max_value=5))
+        # token i + 1 heads token i, the last one is the root
+        lines = [
+            row(str(i), draw(st.sampled_from(["a", "Bé", "c"])), "x", "X", "_", "_",
+                str((i + 1) % (n + 1)), "dep" if i < n else "root")
+            for i in range(1, n + 1)
+        ]
+        at = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        cols = lines[at].split("\t")
+        fault = draw(st.sampled_from(["none", "head", "columns", "roots"]))
+        if fault == "head":
+            lines[at] = "\t".join(cols[:6] + ["z"] + cols[7:])
+        elif fault == "columns":
+            lines[at] = "\t".join(cols[:5])
+        elif fault == "roots":  # a fault of the whole block
+            lines.append(row(str(n + 1), "d", "x", "X", "_", "_", "0", "root"))
+        if draw(st.booleans()):
+            lines.insert(0, "# text = a comment")
+        text += "".join(line + draw(newline) for line in lines)
+        text += "".join(draw(st.lists(newline, min_size=1, max_size=3)))
+    if text and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no line end at the end of the file
+    data = text.encode("utf-8")
+    if draw(st.booleans()):
+        at = draw(st.integers(min_value=0, max_value=len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@given(messy_corpora(), st.integers(min_value=1, max_value=300))
+@settings(max_examples=150, deadline=None)
+def test_chunks_parse_as_one_pass_does(tmp_path_factory, data, chunk_bytes):
+    path = tmp_path_factory.getbasetemp() / "messy.conllu"
+    path.write_bytes(data)
+    with pytest.MonkeyPatch.context() as mp:
+        # as in a process that has not yet decoded a bad byte
+        mp.setattr(conllu, "_invalid_utf8_seen", False)
+        mp.setattr(conllu, "CHUNK_BYTES", chunk_bytes)
+        chunked, chunked_skips, read = [], [], b""
+        for chunk, first_line in conllu.read_chunks(str(path)):
+            assert first_line == read.count(b"\n") + 1
+            read += chunk
+            lines = conllu.chunk_lines(chunk)
+            chunked += parse_conllu(lines, first_line, chunked_skips.append)
+        assert read == data
+        mp.setattr(conllu, "_invalid_utf8_seen", False)
+        one_pass_skips = []
+        stream = io.TextIOWrapper(
+            io.BytesIO(data), encoding="utf-8", errors="depctx.conllu.skip", newline="\n"
+        )
+        one_pass = list(parse_conllu(stream, warn=one_pass_skips.append))
+    assert chunked == one_pass
+    assert chunked_skips == one_pass_skips
+
+
 # -- reader semantics of the text layer --
 
 

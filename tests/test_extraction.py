@@ -11,6 +11,7 @@ from depctx.extraction import (
     ExtractionConfig,
     Manifest,
     PairStream,
+    bag_texts,
     collapse_prepositions,
     effective_bags,
     extract_bow_pairs,
@@ -31,7 +32,8 @@ def write_deps(corpus, out_dir, table=TABLE, config=ExtractionConfig(), config_h
         sentence = collapse_prepositions(sentence, config.collapse_targets)
         return extract_deps_pairs(sentence, table, config.conj_variant)
 
-    return write_bag_files(corpus, pairs_of, effective_bags(table, config), out_dir, config_hash)
+    bags = effective_bags(table, config)
+    return write_bag_files([bag_texts(corpus, pairs_of, bags)], bags, out_dir, config_hash)
 
 
 BAG13 = {
@@ -375,7 +377,8 @@ def test_a_window_baseline_is_one_bag_of_the_one_writer(fig1_sentence, tmp_path)
     def pairs_of(sentence):
         return [(word, context, "posit") for word, context in extract_posit_pairs(sentence, 2)]
 
-    manifest = write_bag_files([fig1_sentence] * 2, pairs_of, ["posit"], tmp_path, "h")
+    texts = [bag_texts([fig1_sentence], pairs_of, ["posit"])] * 2
+    manifest = write_bag_files(texts, ["posit"], tmp_path, "h")
     expected = list(extract_posit_pairs(fig1_sentence, 2)) * 2
     assert manifest.counts == {"posit": len(expected)}
     assert list(PairStream(tmp_path, ["posit"], Manifest.load(tmp_path))) == expected

@@ -4,12 +4,14 @@ import multiprocessing
 import os
 import re
 import time
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from depctx import cli, extraction, pipeline, search, sgns
+from depctx import cli, conllu, extraction, pipeline, search, sgns
 from depctx.extraction import MANIFEST_NAME, ExtractionConfig
 from depctx.pipeline import (
     Experiment,
@@ -23,6 +25,10 @@ from depctx.sgns import TrainerConfig
 TREEBANK = bundled_path("fixture_treebank.conllu")
 SIMILARITY = bundled_path("toy_similarity.tsv")
 TOEFL = bundled_path("toy_toefl.txt")
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="worker pool needs fork"
+)
 
 BAG13 = {
     "subj", "obj", "comp", "nummod", "appos", "nmod", "acl",
@@ -205,6 +211,10 @@ def file_hashes(directory: Path) -> dict:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in directory.iterdir()}
 
 
+# splits the bundled treebank (45 KB) into a dozen chunks
+SMALL_CHUNK = 4096
+
+
 def test_extraction_bytes_are_golden(tmp_path):
     exp = Experiment(load_experiment_config(write_config(tmp_path)))
     exp.extract()
@@ -358,23 +368,133 @@ def test_partial_extraction_is_redone(tmp_path, kind):
 
 
 def test_failed_window_extraction_leaves_a_marker_and_is_redone(tmp_path, monkeypatch):
+    monkeypatch.setattr(conllu, "CHUNK_BYTES", SMALL_CHUNK)
     exp = Experiment(load_experiment_config(write_config(tmp_path)))
     exp.extract_window_pairs("bow")
     golden = file_hashes(exp.bag_dir("bow"))
-    real_sentences = Experiment.sentences
+    real_extract_chunk = Experiment.extract_chunk
 
-    def failing_sentences(self):
-        yield next(real_sentences(self))
-        raise RuntimeError("corpus read failed")
+    def failing_extract_chunk(self, kind, chunk):
+        if chunk[1] > 1:  # a chunk after the first
+            raise RuntimeError("corpus read failed")
+        return real_extract_chunk(self, kind, chunk)
 
-    monkeypatch.setattr(Experiment, "sentences", failing_sentences)
+    monkeypatch.setattr(Experiment, "extract_chunk", failing_extract_chunk)
     with pytest.raises(RuntimeError, match="corpus read failed"):
         exp.extract_window_pairs("bow", force=True)
     assert (exp.bag_dir("bow") / "_INCOMPLETE").exists()
-    monkeypatch.setattr(Experiment, "sentences", real_sentences)
+    monkeypatch.setattr(Experiment, "extract_chunk", real_extract_chunk)
     manifest = Experiment(exp.cfg).extract_window_pairs("bow")
     assert file_hashes(exp.bag_dir("bow")) == golden
     assert manifest.counts == extraction.Manifest.load(exp.bag_dir("bow")).counts
+
+
+@needs_fork
+def test_killed_extraction_worker_fails_the_extraction_and_it_is_redone(tmp_path, monkeypatch):
+    monkeypatch.setattr(conllu, "CHUNK_BYTES", SMALL_CHUNK)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    parent = os.getpid()
+    real_extract_chunk = Experiment.extract_chunk
+
+    def dying_extract_chunk(self, kind, chunk):
+        if os.getpid() != parent:
+            os._exit(1)
+        return real_extract_chunk(self, kind, chunk)
+
+    monkeypatch.setattr(Experiment, "extract_chunk", dying_extract_chunk)
+    exp = Experiment(load_experiment_config(write_config(tmp_path)))
+    with pytest.raises(BrokenProcessPool):
+        exp.extract()
+    assert (exp.bag_dir() / "_INCOMPLETE").exists()
+    monkeypatch.setattr(Experiment, "extract_chunk", real_extract_chunk)
+    Experiment(exp.cfg).extract()
+    assert file_hashes(exp.bag_dir()) == GOLDEN_SHA256
+
+
+# -- extraction in chunks --
+
+
+@contextmanager
+def logged_warnings(logger):
+    """The messages ``logger`` logs at WARNING or above inside the block."""
+    warned = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: warned.append(record.getMessage())
+    logger.addHandler(handler)
+    try:
+        yield warned
+    finally:
+        logger.removeHandler(handler)
+
+
+def extract_in_chunks(tmp_path, cpus, **overrides):
+    """Extract the dependency and BOW bags in ``SMALL_CHUNK`` chunks, seeing
+    ``cpus`` CPUs; returns the experiment, the skip warnings and the names
+    of the processes started."""
+    tmp_path.mkdir(exist_ok=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conllu, "CHUNK_BYTES", SMALL_CHUNK)
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        started = count_process_starts(mp)
+        exp = Experiment(load_experiment_config(write_config(tmp_path, **overrides)))
+        with logged_warnings(conllu.logger) as warned:
+            exp.extract()
+            exp.extract_window_pairs("bow")
+    return exp, warned, started
+
+
+@needs_fork
+def test_extraction_in_chunks_writes_the_golden_bytes_on_one_and_two_cpus(tmp_path):
+    assert len(list(conllu.read_chunks(str(TREEBANK)))) == 1
+    runs = []
+    for cpus in (1, 2):
+        exp, warned, started = extract_in_chunks(tmp_path / f"cpus{cpus}", cpus)
+        assert file_hashes(exp.bag_dir()) == GOLDEN_SHA256
+        assert file_hashes(exp.bag_dir("bow")) == GOLDEN_WINDOW_SHA256["bow"]
+        # on two CPUs, two workers for each of the two extractions
+        assert len(started) == (4 if cpus == 2 else 0)
+        runs.append(warned)
+    assert runs[0] == runs[1]
+
+
+@needs_fork
+def test_skip_warnings_come_in_corpus_order_on_one_and_two_cpus(tmp_path):
+    block = TREEBANK.read_text(encoding="utf-8").split("\n\n")[0] + "\n\n"
+    bad = block.replace("\t0\troot", "\tz\troot", 1)
+    corpus = tmp_path / "bad.conllu"
+    corpus.write_text((block * 30 + bad) * 4 + block, encoding="utf-8")
+    runs = []
+    for cpus in (1, 2):
+        exp, warned, started = extract_in_chunks(tmp_path / f"cpus{cpus}", cpus, corpus=corpus)
+        assert len(started) == (4 if cpus == 2 else 0)
+        runs.append((warned, file_hashes(exp.bag_dir()), file_hashes(exp.bag_dir("bow"))))
+    assert runs[0] == runs[1]
+    per_block = block.count("\n")
+    root = block[: block.index("\t0\troot")].count("\n") + 1
+    # each extraction warns once per bad block, on the bad HEAD's line
+    lines = [(31 * k + 30) * per_block + root for k in range(4)]
+    assert runs[0][0] == [f"skipping sentence: line {n}: non-numeric HEAD 'z'" for n in lines * 2]
+
+
+def test_one_chunk_corpus_starts_no_process(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    started = count_process_starts(monkeypatch)
+    exp = Experiment(load_experiment_config(write_config(tmp_path)))
+    exp.extract()
+    exp.extract_window_pairs("bow")
+    assert started == []
+    assert file_hashes(exp.bag_dir()) == GOLDEN_SHA256
+
+
+@needs_fork
+def test_extract_command_needs_no_dataset(tmp_path, monkeypatch):
+    monkeypatch.setattr(conllu, "CHUNK_BYTES", SMALL_CHUNK)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    started = count_process_starts(monkeypatch)
+    config = write_config(tmp_path, dataset="", toefl="")
+    assert cli.main(["extract", "-c", str(config)]) == 0
+    assert len(started) == 2
+    assert file_hashes(Experiment(load_experiment_config(config)).bag_dir()) == GOLDEN_SHA256
 
 
 # -- search protocol with an injected fitness oracle --
@@ -838,10 +958,6 @@ def test_resolved_config_written_next_to_outputs(tmp_path, monkeypatch):
 # with write_config's other values, the bundled smoke experiment
 SMOKE = {"dim": 24, "epochs": 30}
 
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(), reason="worker pool needs fork"
-)
-
 
 def smoke_search(tmp_path, cpus, classes="A,V,N", train=None):
     """Run the smoke search seeing ``cpus`` CPUs, with ``train`` in place of
@@ -992,7 +1108,7 @@ def test_a_lone_untrained_configuration_trains_in_a_worker(tmp_path, monkeypatch
     exp.extract()
     config = search.Configuration.from_bags(["amod"])
     with exp.worker_pool() as pool:
-        exp.prefetch(pool, [("N:0", config)])
+        exp.prefetch(pool, [(("N", 0), config)])
         rho = exp.fitness_function("N", 0)(config)
     assert trained == []
     (tmp_path / "alone").mkdir()
@@ -1019,7 +1135,7 @@ def test_first_fitness_record_of_a_worker_trained_model_counts_its_training(
     test = exp.fitness_function("N", 1)
     configs = [search.Configuration.from_bags([bag]) for bag in ("amod", "obj")]
     with exp.worker_pool() as pool:
-        exp.prefetch(pool, [("N:0", config) for config in configs])
+        exp.prefetch(pool, [(("N", 0), config) for config in configs])
         for config in configs:
             dev(config)
             test(config)
