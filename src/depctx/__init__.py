@@ -31,7 +31,6 @@ from .extraction import (
 )
 from .search import (
     Configuration,
-    ConfigurationSpace,
     FitnessCache,
     SearchTrace,
     build_pool,
@@ -52,7 +51,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BagMappingTable",
     "Configuration",
-    "ConfigurationSpace",
     "ConlluError",
     "DependencyPair",
     "EmbeddingStore",

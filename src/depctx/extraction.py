@@ -341,7 +341,11 @@ def write_bag_files(
     marker.write_text("extraction in progress\n", encoding="utf-8")
 
     counts = {bag: 0 for bag in bags}
-    handles = {bag: open(out / f"{bag}{PAIR_FILE_SUFFIX}", "w", encoding="utf-8") for bag in counts}
+    # only "\n" ends a line, so a form that holds a "\r" stays one field
+    handles = {
+        bag: open(out / f"{bag}{PAIR_FILE_SUFFIX}", "w", encoding="utf-8", newline="\n")
+        for bag in counts
+    }
     try:
         for chunk in texts:
             for bag, text in chunk.items():
@@ -381,7 +385,8 @@ class PairStream:
 
     def __iter__(self) -> Iterator[tuple[str, str]]:
         for bag in self.bags:
-            with open(self.bag_dir / f"{bag}{PAIR_FILE_SUFFIX}", encoding="utf-8") as f:
+            path = self.bag_dir / f"{bag}{PAIR_FILE_SUFFIX}"
+            with open(path, encoding="utf-8", newline="\n") as f:
                 for line in f:
                     word, _, context = line.rstrip("\n").partition("\t")
                     yield (word, context)

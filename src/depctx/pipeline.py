@@ -174,6 +174,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ExperimentConfigError(f"fold_seed must be >= 0, got {cfg.fold_seed}")
     if cfg.window < 1:
         raise ExperimentConfigError(f"window must be >= 1, got {cfg.window}")
+    if not math.isfinite(cfg.threshold):
+        raise ExperimentConfigError(f"threshold must be a finite number, got {cfg.threshold!r}")
     try:
         cfg.extraction_config()
         cfg.trainer_config()
@@ -578,16 +580,15 @@ class Experiment:
         told = yield [search.Configuration.from_bags([bag]) for bag in all_bags]
         per_bag = {bag: told[bag] for bag in all_bags}
         run = dict(dev=dev, best=None, dev_rho=None, test_rho=None, per_bag_fitness=per_bag)
-        try:
-            space = search.build_pool(per_bag, cfg.threshold)
-        except search.SearchInfeasibleError:
+        pool = search.build_pool(per_bag, cfg.threshold)
+        if not pool:
             logger.warning(
                 "class %s fold %d: no bag reaches threshold %.3f",
                 word_class, dev, cfg.threshold,
             )
             trace = search.probe_trace(per_bag)
         else:
-            best, trace = yield from search.STRATEGY_STEPS[cfg.strategy](space)
+            best, trace = yield from search.STRATEGY_STEPS[cfg.strategy](pool, per_bag)
             run.update(
                 best=best,
                 dev_rho=next(entry.fitness for entry in trace if entry.status == "best"),

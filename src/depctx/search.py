@@ -1,10 +1,13 @@
 """Searching the lattice of context-bag subsets for the best configuration.
 
-The search starts from the full candidate pool and walks down the subset
-lattice, keeping every child that scores at least as well as the parent it
-came from (a conservative beam over a DAG of configurations). A greedy
-variant keeps only the single best child per level, and an exhaustive oracle
-enumerates every nonempty subset for small pools.
+The pool is the sorted tuple of bags whose standalone fitness reaches the
+threshold (:func:`build_pool`); an empty pool means the run is infeasible.
+Each strategy takes the pool and the per-bag fitness table. The search starts
+from the full pool and walks down the subset lattice, keeping every child
+that scores at least as well as the parent it came from (a conservative beam
+over a DAG of configurations). A greedy variant keeps only the single best
+child per level, and an exhaustive oracle enumerates every nonempty subset
+for small pools.
 """
 
 from __future__ import annotations
@@ -21,16 +24,6 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_THRESHOLD = 0.2
 EXHAUSTIVE_GUARD = 12
-
-class SearchInfeasibleError(RuntimeError):
-    """No bag reaches the pool threshold; carries the per-bag fitness table."""
-
-    def __init__(self, per_bag_fitness: dict[str, float], threshold: float):
-        self.per_bag_fitness = dict(per_bag_fitness)
-        self.threshold = threshold
-        table = ", ".join(f"{b}={v:.3f}" for b, v in sorted(per_bag_fitness.items()))
-        super().__init__(f"no context bag reaches fitness threshold {threshold}: {table}")
-
 
 @dataclass(frozen=True)
 class Configuration:
@@ -83,41 +76,12 @@ class Configuration:
         return self.canonical
 
 
-@dataclass(frozen=True)
-class ConfigurationSpace:
-    """The full bag inventory, the threshold-passing pool, and its fitnesses."""
-
-    all_bags: tuple[str, ...]
-    pool: tuple[str, ...]
-    per_bag_fitness: dict[str, float]
-
-    def __post_init__(self):
-        unknown = set(self.pool) - set(self.all_bags)
-        if unknown:
-            raise ValueError(f"pool bags not in all_bags: {sorted(unknown)}")
-
-    @property
-    def K(self) -> int:
-        return len(self.pool)
-
-
 def build_pool(
     per_bag_fitness: dict[str, float], threshold: float = DEFAULT_THRESHOLD
-) -> ConfigurationSpace:
-    """Keep the bags whose standalone fitness reaches the threshold.
-
-    The table's keys are the bag inventory (one 1-set evaluation each); an
-    empty pool raises :class:`SearchInfeasibleError` carrying the table.
-    """
-    bags = tuple(sorted(per_bag_fitness))
-    pool = tuple(b for b in bags if per_bag_fitness[b] >= threshold)
-    if not pool:
-        raise SearchInfeasibleError(per_bag_fitness, threshold)
-    return ConfigurationSpace(
-        all_bags=bags,
-        pool=pool,
-        per_bag_fitness={b: per_bag_fitness[b] for b in bags},
-    )
+) -> tuple[str, ...]:
+    """The bags whose standalone fitness reaches the threshold, sorted; ``()``
+    when none does."""
+    return tuple(sorted(b for b, v in per_bag_fitness.items() if v >= threshold))
 
 
 @dataclass
@@ -135,9 +99,6 @@ class SearchTrace:
     def __init__(self):
         self.entries: list[TraceEntry] = []
         self._by_canonical: dict[str, TraceEntry] = {}
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
     def __iter__(self) -> Iterator[TraceEntry]:
         return iter(self.entries)
@@ -224,10 +185,12 @@ def probe_trace(per_bag_fitness: dict[str, float], pool: Iterable[str] = ()) -> 
     return trace
 
 
-def _start_search(space: ConfigurationSpace) -> tuple[dict[str, float], SearchTrace]:
+def _start_search(
+    pool: tuple[str, ...], per_bag_fitness: dict[str, float]
+) -> tuple[dict[str, float], SearchTrace]:
     """The values known before the search, by canonical form (a 1-set's is
     its bag), and a trace of the probes behind the pool."""
-    return dict(space.per_bag_fitness), probe_trace(space.per_bag_fitness, space.pool)
+    return dict(per_bag_fitness), probe_trace(per_bag_fitness, pool)
 
 
 def _finish_search(trace: SearchTrace) -> tuple[Configuration, SearchTrace]:
@@ -240,7 +203,7 @@ def _finish_search(trace: SearchTrace) -> tuple[Configuration, SearchTrace]:
     return best, trace
 
 
-def beam_steps(space: ConfigurationSpace) -> Steps:
+def beam_steps(pool: tuple[str, ...], per_bag_fitness: dict[str, float]) -> Steps:
     """Conservative top-down beam over the subset lattice (Algorithm 1).
 
     Starting from the full pool configuration, each level keeps every child
@@ -250,9 +213,9 @@ def beam_steps(space: ConfigurationSpace) -> Steps:
     is the argmax over everything evaluated, the pool 1-sets included; ties
     break toward smaller, then lexicographically earlier configurations.
     """
-    values, trace = _start_search(space)
+    values, trace = _start_search(pool, per_bag_fitness)
 
-    root = Configuration.from_bags(space.pool)
+    root = Configuration.from_bags(pool)
     yield from _ask(values, [root])
     trace.record(root, values[root.canonical], "root")
     frontier = [root]
@@ -284,11 +247,11 @@ def beam_steps(space: ConfigurationSpace) -> Steps:
     return _finish_search(trace)
 
 
-def greedy_steps(space: ConfigurationSpace) -> Steps:
+def greedy_steps(pool: tuple[str, ...], per_bag_fitness: dict[str, float]) -> Steps:
     """Like the beam descent, but at most one configuration survives per level."""
-    values, trace = _start_search(space)
+    values, trace = _start_search(pool, per_bag_fitness)
 
-    current = Configuration.from_bags(space.pool)
+    current = Configuration.from_bags(pool)
     yield from _ask(values, [current])
     trace.record(current, values[current.canonical], "root")
 
@@ -310,20 +273,21 @@ def greedy_steps(space: ConfigurationSpace) -> Steps:
     return _finish_search(trace)
 
 
-def exhaustive_steps(space: ConfigurationSpace) -> Steps:
+def exhaustive_steps(pool: tuple[str, ...], per_bag_fitness: dict[str, float]) -> Steps:
     """Evaluate every nonempty subset of the pool, one size per ask; the true optimum.
 
     Pools above EXHAUSTIVE_GUARD bags raise ValueError before the first ask.
     """
-    if space.K > EXHAUSTIVE_GUARD:
+    K = len(pool)
+    if K > EXHAUSTIVE_GUARD:
         raise ValueError(
-            f"exhaustive search over K={space.K} means {2 ** space.K - 1} evaluations; "
+            f"exhaustive search over K={K} means {2 ** K - 1} evaluations; "
             f"it is limited to pools of at most {EXHAUSTIVE_GUARD} bags: "
             "use strategy alg1 or greedy, or raise threshold"
         )
-    values, trace = _start_search(space)
-    pool = sorted(space.pool)
-    for size in range(1, len(pool) + 1):
+    values, trace = _start_search(pool, per_bag_fitness)
+    pool = sorted(pool)
+    for size in range(1, K + 1):
         configs = [Configuration.from_bags(c) for c in itertools.combinations(pool, size)]
         yield from _ask(values, configs)
         for config in configs:
@@ -411,9 +375,6 @@ class FitnessCache:
             except ValueError as exc:
                 raise ValueError(f"{self.path}:{line_no}: {exc}") from None
             self._records.setdefault((canonical, fold), record)
-
-    def __len__(self) -> int:
-        return len(self._records)
 
     def get(self, canonical: str, fold: str) -> CacheRecord | None:
         return self._records.get((canonical, fold))

@@ -18,6 +18,7 @@ at whatever precision its inputs carry.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from array import array
 from dataclasses import dataclass, field
@@ -91,6 +92,10 @@ class TrainerConfig:
     seed: int = 1
 
     def __post_init__(self):
+        for name in ("learning_rate", "subsample", "unigram_power"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if self.negatives < 1:
@@ -395,14 +400,16 @@ def save_embeddings(store: EmbeddingStore, path: str | Path, include_context: bo
     """Write word vectors in word2vec text format ("count dim" header).
 
     9 significant digits round-trip float32 exactly. With include_context the
-    context matrix goes to a sibling file with a "_ctx" suffix.
+    context matrix goes to a sibling file with a "_ctx" suffix. Only a line
+    feed ends a row, here and in :func:`load_embeddings`, so a word may hold a
+    carriage return.
     """
     path = Path(path)
-    with open(path, "w", encoding="utf-8") as f:
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
         _write_rows(f, store.vocab.words, store.word_vectors)
     if include_context:
         ctx_path = path.with_name(path.stem + "_ctx" + path.suffix)
-        with open(ctx_path, "w", encoding="utf-8") as f:
+        with open(ctx_path, "w", encoding="utf-8", newline="\n") as f:
             _write_rows(f, store.vocab.contexts, store.context_vectors)
 
 
@@ -428,7 +435,7 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
     The values of all rows are parsed by one streaming ``np.loadtxt`` call.
     """
     path = Path(path)
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8", newline="\n") as f:
         header = f.readline().rstrip("\n")
         parts = header.split()
         if len(parts) != 2:

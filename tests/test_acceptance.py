@@ -96,12 +96,12 @@ def test_verb_pool_construction():
             "acl": 0.25, "comp": 0.22, "conjll": 0.27,
             "subj": 0.18, "appos": 0.05, "nmod": 0.15,
         }
-        space = build_pool(per_bag, threshold=0.2)
+        pool = build_pool(per_bag, threshold=0.2)
         for excluded in ("amod", "compound", "nummod"):
-            assert excluded not in space.pool
+            assert excluded not in pool
         for included in ("obj", "prep", "adv", "conjlr"):
-            assert included in space.pool
-        assert set(space.pool) == {"prep", "acl", "obj", "comp", "adv", "conjlr", "conjll"}
+            assert included in pool
+        assert set(pool) == {"prep", "acl", "obj", "comp", "adv", "conjlr", "conjll"}
 
 
 def test_adjective_walkthrough():
@@ -111,9 +111,9 @@ def test_adjective_walkthrough():
             "amod+conj": 0.546, "amod+conjlr": 0.527,
             "amod+conjll": 0.531, "conj": 0.470,
         }
-        space = build_pool({k: table[k] for k in ("amod", "conjlr", "conjll")}, 0.2)
+        per_bag = {k: table[k] for k in ("amod", "conjlr", "conjll")}
         memo = MemoizedFitness(lambda c: table[c.canonical])
-        best, trace = run_rounds([(beam_steps(space), memo)])[0]
+        best, trace = run_rounds([(beam_steps(build_pool(per_bag, 0.2), per_bag), memo)])[0]
         assert best.canonical == "amod+conj"
         assert table[best.canonical] == 0.546
         level2 = [e for e in trace if e.level == 2]
@@ -150,8 +150,8 @@ def test_strategy_ordering_over_random_landscapes():
 
                 memo = MemoizedFitness(counted)
                 per_bag = {b: memo(Configuration.from_bags([b])) for b in bags}
-                space = build_pool(per_bag, threshold=-1.0)
-                best, _ = run_rounds([(strategy(space), memo)])[0]
+                pool = build_pool(per_bag, threshold=-1.0)
+                best, _ = run_rounds([(strategy(pool, per_bag), memo)])[0]
                 assert len(calls) == len(set(calls)), "configuration evaluated twice"
                 outcomes[name] = table[best.canonical]
 

@@ -20,7 +20,9 @@ from depctx.extraction import (
     write_bag_files,
 )
 from conftest import make_sentence
+from depctx.conllu import read_corpus
 from depctx.pipeline import bundled_path
+from depctx.sgns import TrainerConfig, load_embeddings, save_embeddings, train
 
 TABLE = BagMappingTable.default()
 
@@ -404,6 +406,34 @@ def test_write_bag_files_fig1_counts(fig1_sentence, tmp_path):
     on_disk = Manifest.load(tmp_path / "bags")
     assert on_disk.counts == manifest.counts
     assert on_disk.meta["config_hash"] == "h"
+
+
+@pytest.mark.parametrize("odd", ["\r", "\x85", "\u2028"])
+def test_a_form_holding_a_line_separator_round_trips(tmp_path, odd):
+    # only "\n" ends a line, in a bag file and in a vectors file as in the corpus
+    form = f"ca{odd}t"
+    corpus = tmp_path / "odd.conllu"
+    corpus.write_bytes(
+        f"1\tbig\tbig\tADJ\t_\t_\t2\tamod\t_\t_\n"
+        f"2\t{form}\t{form}\tNOUN\t_\t_\t0\troot\t_\t_\n".encode("utf-8")
+    )
+    (sentence,) = read_corpus(str(corpus))
+    triples = [(p.word, p.context) for p in extract_deps_pairs(sentence, TABLE) if p.bag == "amod"]
+    assert triples == [(form, "big_amod"), ("big", f"{form}_amod-1")]
+    manifest = run_write([sentence], tmp_path)
+    assert manifest.counts["amod"] == 2
+    stream = PairStream(tmp_path / "bags", ["amod"], manifest)
+    assert len(stream) == 2
+    assert list(stream) == triples
+
+    config = TrainerConfig(dim=4, negatives=1, epochs=1, min_count=1, subsample=1.0)
+    store = train(stream, config)
+    save_embeddings(store, tmp_path / "vectors.txt", include_context=True)
+    loaded = load_embeddings(tmp_path / "vectors.txt")
+    assert sorted(loaded.vocab.words) == sorted([form, "big"])
+    assert np.array_equal(loaded.word_vectors, store.word_vectors)
+    contexts = load_embeddings(tmp_path / "vectors_ctx.txt")
+    assert contexts.vocab.words == store.vocab.contexts
 
 
 def test_empty_collapse_targets_turn_collapsing_off(fig1_sentence, tmp_path):

@@ -788,6 +788,14 @@ def test_cli_missing_corpus_exits_2(tmp_path, capsys):
         (dict(bag_table="amod\tconjlr", conj_variant="conjll"), "conjll are reserved"),
         (dict(bag_table="amod\ta+b"), "hold no '+' or '/'"),
         (dict(classes=""), "no word class is listed"),
+        (dict(threshold="nan"), "threshold must be a finite number, got nan"),
+        (dict(threshold="-inf"), "threshold must be a finite number, got -inf"),
+        (dict(learning_rate="nan"), "learning_rate must be a finite number, got nan"),
+        (dict(learning_rate="inf"), "learning_rate must be a finite number, got inf"),
+        (dict(subsample="nan"), "subsample must be a finite number, got nan"),
+        (dict(subsample="inf"), "subsample must be a finite number, got inf"),
+        (dict(unigram_power="nan"), "unigram_power must be a finite number, got nan"),
+        (dict(unigram_power="-inf"), "unigram_power must be a finite number, got -inf"),
     ],
 )
 def test_cli_rejected_settings_exit_2(tmp_path, capsys, setting, message):

@@ -8,12 +8,12 @@ from depctx.search import (
     Configuration,
     FitnessCache,
     MemoizedFitness,
-    SearchInfeasibleError,
     beam_steps,
     build_pool,
     count_space,
     exhaustive_steps,
     greedy_steps,
+    probe_trace,
     run_rounds,
 )
 
@@ -69,15 +69,15 @@ class CountingFitness:
         return self.table[config.canonical]
 
 
-def run_alone(steps, space, fitness_fn):
+def run_alone(steps, pool, per_bag, fitness_fn):
     """Drive one strategy alone through run_rounds; returns (best, trace)."""
-    return run_rounds([(steps(space), fitness_fn)])[0]
+    return run_rounds([(steps(pool, per_bag), fitness_fn)])[0]
 
 
 def adjective_space():
-    return build_pool(
-        {k: ADJ_FITNESS[k] for k in ("amod", "conjlr", "conjll")}, threshold=0.2
-    )
+    """The adjective pool and its per-bag fitness table."""
+    per_bag = {k: ADJ_FITNESS[k] for k in ("amod", "conjlr", "conjll")}
+    return build_pool(per_bag, threshold=0.2), per_bag
 
 
 # -- Configuration --
@@ -118,24 +118,25 @@ def test_configuration_children():
 
 
 def test_verb_pool_from_published_fitness():
-    space = build_pool(VERB_BAG_FITNESS, threshold=0.2)
-    assert set(space.pool) == {"prep", "acl", "obj", "comp", "adv", "conjlr", "conjll"}
+    pool = build_pool(VERB_BAG_FITNESS, threshold=0.2)
+    assert pool == ("acl", "adv", "comp", "conjll", "conjlr", "obj", "prep")
     for bag in ("amod", "compound", "nummod", "subj", "appos", "nmod"):
-        assert bag not in space.pool
-    assert len(space.all_bags) == 13
-    assert space.K == 7
-    assert space.per_bag_fitness["prep"] == 0.344
+        assert bag not in pool
+    assert len(pool) == 7
 
 
 def test_pool_all_below_threshold_is_infeasible():
-    with pytest.raises(SearchInfeasibleError) as exc:
-        build_pool({"amod": 0.1, "obj": 0.05}, threshold=0.2)
-    assert exc.value.per_bag_fitness == {"amod": 0.1, "obj": 0.05}
+    per_bag = {"obj": 0.05, "amod": 0.1}
+    assert build_pool(per_bag, threshold=0.2) == ()
+    trace = probe_trace(per_bag)
+    assert [(e.canonical, e.level, e.fitness, e.status) for e in trace] == [
+        ("amod", 1, 0.1, "pool-excluded"),
+        ("obj", 1, 0.05, "pool-excluded"),
+    ]
 
 
 def test_pool_threshold_minus_one_keeps_everything():
-    space = build_pool(VERB_BAG_FITNESS, threshold=-1.0)
-    assert space.K == len(space.all_bags) == 13
+    assert build_pool(VERB_BAG_FITNESS, threshold=-1.0) == ALL_13
 
 
 # -- Algorithm-1 style search --
@@ -143,7 +144,7 @@ def test_pool_threshold_minus_one_keeps_everything():
 
 def test_adjective_walkthrough_returns_pool_all():
     fitness = CountingFitness(ADJ_FITNESS)
-    best, trace = run_alone(beam_steps, adjective_space(), fitness)
+    best, trace = run_alone(beam_steps, *adjective_space(), fitness)
     assert best.canonical == "amod+conj"
     level2 = [e for e in trace if e.level == 2]
     assert len(level2) == 3
@@ -154,9 +155,10 @@ def test_adjective_walkthrough_returns_pool_all():
 
 
 def test_k_equals_one_returns_single_set_immediately():
-    space = build_pool({"amod": 0.5, "obj": 0.1}, threshold=0.2)
+    per_bag = {"amod": 0.5, "obj": 0.1}
+    pool = build_pool(per_bag, threshold=0.2)
     fitness = CountingFitness({"amod": 0.5})
-    best, trace = run_alone(beam_steps, space, fitness)
+    best, trace = run_alone(beam_steps, pool, per_bag, fitness)
     assert best.canonical == "amod"
     assert fitness.calls == []  # seeded from pool construction
 
@@ -168,13 +170,13 @@ def test_additive_fitness_returns_pool_and_visits_k_children():
         return sum(weights[b] for b in config.bags)
 
     per_bag = {b: additive(Configuration.from_bags([b])) for b in weights}
-    space = build_pool(per_bag, threshold=0.2)
-    assert space.K == 4
+    pool = build_pool(per_bag, threshold=0.2)
+    assert len(pool) == 4
     memo = MemoizedFitness(additive)
-    best, trace = run_alone(beam_steps, space, memo)
+    best, trace = run_alone(beam_steps, pool, per_bag, memo)
     assert best.canonical == "a+b+c+d"
-    children = [e for e in trace if e.level == space.K - 1]
-    assert len(children) == space.K
+    children = [e for e in trace if e.level == len(pool) - 1]
+    assert len(children) == len(pool)
     assert all(e.status == "pruned" for e in children)
     # unique evaluations: M one-sets (all seeded? no: here pool phase provided
     # per-bag values, so the search evaluated root + K children only)
@@ -190,8 +192,8 @@ def test_argmax_includes_pool_one_sets():
         "b": 0.3,
         "a+b": 0.2,
     }
-    space = build_pool({"a": 0.6, "b": 0.3}, threshold=0.2)
-    best, trace = run_alone(beam_steps, space, dict_fitness(table))
+    per_bag = {"a": 0.6, "b": 0.3}
+    best, trace = run_alone(beam_steps, build_pool(per_bag, 0.2), per_bag, dict_fitness(table))
     assert best.canonical == "a"
     statuses = {e.canonical: e.status for e in trace}
     assert statuses["a"] == "best"
@@ -203,8 +205,8 @@ def test_tie_breaks_to_smaller_then_lexicographic():
         "b": 0.5,
         "a+b": 0.5,
     }
-    space = build_pool({"a": 0.5, "b": 0.5}, threshold=0.2)
-    best, _ = run_alone(beam_steps, space, dict_fitness(table))
+    per_bag = {"a": 0.5, "b": 0.5}
+    best, _ = run_alone(beam_steps, build_pool(per_bag, 0.2), per_bag, dict_fitness(table))
     assert best.canonical == "a"
 
 
@@ -221,8 +223,8 @@ def test_frontier_deduplicates_shared_children():
         "a+c": 0.1,
     }
     counting = CountingFitness(table)
-    space = build_pool({k: table[k] for k in "abc"}, threshold=0.2)
-    best, trace = run_alone(beam_steps, space, counting)
+    per_bag = {k: table[k] for k in "abc"}
+    best, trace = run_alone(beam_steps, build_pool(per_bag, 0.2), per_bag, counting)
     assert counting.calls.count("b") <= 1
     assert len(counting.calls) == len(set(counting.calls))
     canonicals = [e.canonical for e in trace]
@@ -238,9 +240,9 @@ def test_kept_children_satisfy_line_11_predicate():
             for combo in itertools.combinations(bags, size):
                 table[Configuration.from_bags(combo).canonical] = float(rng.random())
         per_bag = {b: table[b] for b in bags}
-        space = build_pool(per_bag, threshold=-1.0)
+        pool = build_pool(per_bag, threshold=-1.0)
         memo = MemoizedFitness(dict_fitness(table))
-        best, trace = run_alone(beam_steps, space, memo)
+        best, trace = run_alone(beam_steps, pool, per_bag, memo)
         for entry in trace:
             if entry.status == "kept":
                 assert entry.origin is not None
@@ -248,7 +250,7 @@ def test_kept_children_satisfy_line_11_predicate():
         # nothing evaluated twice
         assert len(memo.evaluations) == len(set(memo.evaluations))
         # the winner dominates the root and every pool 1-set
-        root = Configuration.from_bags(space.pool)
+        root = Configuration.from_bags(pool)
         assert table[best.canonical] >= table[root.canonical]
         assert table[best.canonical] >= max(per_bag.values())
 
@@ -259,8 +261,8 @@ def test_failed_evaluations_poison_descent_but_not_search():
         "b": 0.4,
         "a+b": float("-inf"),  # e.g. untrainable configuration
     }
-    space = build_pool({"a": 0.5, "b": 0.4}, threshold=0.2)
-    best, trace = run_alone(beam_steps, space, dict_fitness(table))
+    per_bag = {"a": 0.5, "b": 0.4}
+    best, trace = run_alone(beam_steps, build_pool(per_bag, 0.2), per_bag, dict_fitness(table))
     assert best.canonical == "a"
 
 
@@ -268,9 +270,9 @@ def test_fitness_failure_names_configuration():
     def explode(config):
         raise RuntimeError("boom")
 
-    space = build_pool({"a": 0.5, "b": 0.4}, threshold=0.2)
+    per_bag = {"a": 0.5, "b": 0.4}
     with pytest.raises(RuntimeError, match="a\\+b"):
-        run_alone(beam_steps, space, explode)
+        run_alone(beam_steps, build_pool(per_bag, 0.2), per_bag, explode)
 
 
 # -- greedy variant --
@@ -278,7 +280,7 @@ def test_fitness_failure_names_configuration():
 
 def test_greedy_matches_alg1_on_adjective_fixture():
     fitness = CountingFitness(ADJ_FITNESS)
-    best, trace = run_alone(greedy_steps, adjective_space(), fitness)
+    best, trace = run_alone(greedy_steps, *adjective_space(), fitness)
     assert best.canonical == "amod+conj"
     level2 = [e for e in trace if e.level == 2]
     assert len(level2) == 3
@@ -296,18 +298,18 @@ GREEDY_TRAP = {
 
 def test_greedy_strictly_worse_on_trap_landscape():
     per_bag = {b: GREEDY_TRAP[b] for b in "abcd"}
-    space = build_pool(per_bag, threshold=0.2)
+    pool = build_pool(per_bag, threshold=0.2)
     fitness = dict_fitness(GREEDY_TRAP)
-    alg1_best, _ = run_alone(beam_steps, space, fitness)
-    greedy_best, _ = run_alone(greedy_steps, space, fitness)
+    alg1_best, _ = run_alone(beam_steps, pool, per_bag, fitness)
+    greedy_best, _ = run_alone(greedy_steps, pool, per_bag, fitness)
     assert GREEDY_TRAP[alg1_best.canonical] == 0.7
     assert GREEDY_TRAP[greedy_best.canonical] == 0.48
     assert GREEDY_TRAP[greedy_best.canonical] < GREEDY_TRAP[alg1_best.canonical]
 
 
 def test_greedy_k_equals_one():
-    space = build_pool({"a": 0.5, "b": 0.1}, threshold=0.2)
-    best, _ = run_alone(greedy_steps, space, dict_fitness({"a": 0.5}))
+    per_bag = {"a": 0.5, "b": 0.1}
+    best, _ = run_alone(greedy_steps, build_pool(per_bag, 0.2), per_bag, dict_fitness({"a": 0.5}))
     assert best.canonical == "a"
 
 
@@ -316,7 +318,7 @@ def test_greedy_k_equals_one():
 
 def test_exhaustive_k3_evaluates_7_subsets():
     memo = MemoizedFitness(dict_fitness(ADJ_FITNESS))
-    best, trace = run_alone(exhaustive_steps, adjective_space(), memo)
+    best, trace = run_alone(exhaustive_steps, *adjective_space(), memo)
     assert best.canonical == "amod+conj"
     subsets = {e.canonical for e in trace}
     assert len(subsets) == 7
@@ -333,17 +335,17 @@ def test_exhaustive_k10_counts_1023():
         return values.setdefault(config.canonical, float(rng.random()))
 
     per_bag = {b: 0.5 for b in bags}
-    space = build_pool(per_bag, threshold=0.2)
+    pool = build_pool(per_bag, threshold=0.2)
     memo = MemoizedFitness(fitness)
-    _, trace = run_alone(exhaustive_steps, space, memo)
+    _, trace = run_alone(exhaustive_steps, pool, per_bag, memo)
     assert len({e.canonical for e in trace}) == 1023
 
 
 def test_exhaustive_guard():
     bags = [f"b{i:02d}" for i in range(13)]
-    space = build_pool({b: 0.5 for b in bags}, threshold=0.2)
+    per_bag = {b: 0.5 for b in bags}
     with pytest.raises(ValueError, match="at most 12 bags"):
-        run_alone(exhaustive_steps, space, dict_fitness({}))
+        run_alone(exhaustive_steps, build_pool(per_bag, 0.2), per_bag, dict_fitness({}))
 
 
 def test_exhaustive_dominates_alg1_on_random_landscapes():
@@ -356,11 +358,12 @@ def test_exhaustive_dominates_alg1_on_random_landscapes():
         for size in range(1, k + 1):
             for combo in itertools.combinations(bags, size):
                 table[Configuration.from_bags(combo).canonical] = float(rng.random())
-        space = build_pool({b: table[b] for b in bags}, threshold=-1.0)
+        per_bag = {b: table[b] for b in bags}
+        pool = build_pool(per_bag, threshold=-1.0)
         fitness = dict_fitness(table)
-        exh_best, _ = run_alone(exhaustive_steps, space, fitness)
-        alg1_best, _ = run_alone(beam_steps, space, fitness)
-        greedy_best, _ = run_alone(greedy_steps, space, fitness)
+        exh_best, _ = run_alone(exhaustive_steps, pool, per_bag, fitness)
+        alg1_best, _ = run_alone(beam_steps, pool, per_bag, fitness)
+        greedy_best, _ = run_alone(greedy_steps, pool, per_bag, fitness)
         assert table[exh_best.canonical] >= table[alg1_best.canonical]
         assert table[alg1_best.canonical] >= table[greedy_best.canonical]
         strict += table[exh_best.canonical] > table[alg1_best.canonical]
@@ -401,12 +404,14 @@ def test_strategies_ask_each_configuration_once_and_interleave_like_alone(steps)
     for _ in range(30):
         bags, table = random_landscape(rng)
         # one bag's fitness as the threshold keeps that bag and may leave others out
-        space = build_pool({b: table[b] for b in bags}, threshold=table[rng.choice(bags)])
+        per_bag = {b: table[b] for b in bags}
+        pool = build_pool(per_bag, threshold=table[rng.choice(bags)])
         other_bags, other_table = random_landscape(rng)
-        other_space = build_pool({b: other_table[b] for b in other_bags}, threshold=-1.0)
+        other_per_bag = {b: other_table[b] for b in other_bags}
+        other_pool = build_pool(other_per_bag, threshold=-1.0)
 
         asks, other_asks = [], []
-        mine, other = steps(space), beam_steps(other_space)
+        mine, other = steps(pool, per_bag), beam_steps(other_pool, other_per_bag)
         result = other_result = None
         while result is None or other_result is None:
             if result is None:
@@ -414,7 +419,7 @@ def test_strategies_ask_each_configuration_once_and_interleave_like_alone(steps)
             if other_result is None:
                 other_result = tell_table(other, other_table, other_asks)
 
-        answered = set(space.per_bag_fitness)
+        answered = set(per_bag)
         for asked in asks:
             keys = [c.canonical for c in asked]
             assert asked and len(keys) == len(set(keys)), "an ask repeats a configuration"
@@ -425,10 +430,10 @@ def test_strategies_ask_each_configuration_once_and_interleave_like_alone(steps)
         assert all(logged[key] == table[key] for key in answered)
         # driven alone, the search evaluates exactly what it asked for
         memo = MemoizedFitness(dict_fitness(table))
-        assert as_rows(result) == as_rows(run_alone(steps, space, memo))
-        assert sorted(memo.evaluations) == sorted(answered - set(space.per_bag_fitness))
+        assert as_rows(result) == as_rows(run_alone(steps, pool, per_bag, memo))
+        assert sorted(memo.evaluations) == sorted(answered - set(per_bag))
         assert as_rows(other_result) == as_rows(
-            run_alone(beam_steps, other_space, dict_fitness(other_table))
+            run_alone(beam_steps, other_pool, other_per_bag, dict_fitness(other_table))
         )
 
 
@@ -436,11 +441,12 @@ def test_strategies_ask_each_configuration_once_and_interleave_like_alone(steps)
 
 
 def random_runs(rng, n):
-    """``n`` (strategy, space, table) triples over random landscapes."""
+    """``n`` (strategy, (pool, per-bag table), table) triples over random landscapes."""
     runs = []
     for strategy in rng.choice([beam_steps, greedy_steps, exhaustive_steps], n):
         bags, table = random_landscape(rng)
-        space = build_pool({b: table[b] for b in bags}, threshold=table[rng.choice(bags)])
+        per_bag = {b: table[b] for b in bags}
+        space = (build_pool(per_bag, threshold=table[rng.choice(bags)]), per_bag)
         runs.append((strategy, space, table))
     return runs
 
@@ -458,11 +464,11 @@ def test_run_rounds_tells_runs_together_what_they_get_alone():
 
             return fn
 
-        together = [(make(space), logged(i, table)) for i, (make, space, table) in enumerate(runs)]
+        together = [(make(*space), logged(i, table)) for i, (make, space, table) in enumerate(runs)]
         results = run_rounds(together, lambda a: events.append([(i, c.canonical) for i, c in a]))
         rounds = [event for event in events if isinstance(event, list)]
         for index, ((make, space, table), result) in enumerate(zip(runs, results)):
-            steps, asks, alone = make(space), [], None
+            steps, asks, alone = make(*space), [], None
             while alone is None:
                 alone = tell_table(steps, table, asks)
             assert as_rows(result) == as_rows(alone)
@@ -499,8 +505,8 @@ def test_run_rounds_raises_the_first_failure_in_run_order():
     # both runs first ask for the three pairs; the second run's first pair
     # fails, but the first run's second pair comes first in (run, ask) order
     runs = [
-        (exhaustive_steps(space), fails_on("amod+conjlr", [])),
-        (exhaustive_steps(space), fails_on("amod+conjll", later_calls)),
+        (exhaustive_steps(*space), fails_on("amod+conjlr", [])),
+        (exhaustive_steps(*space), fails_on("amod+conjll", later_calls)),
     ]
     with pytest.raises(RuntimeError, match="evaluation failed for amod[+]conjlr: diverged"):
         run_rounds(runs)
@@ -516,14 +522,14 @@ def test_run_rounds_memoizes_plain_functions_and_keeps_a_passed_memo():
         return ADJ_FITNESS[config.canonical]
 
     # a plain function gets a memo per run, so two runs evaluate everything twice
-    alone, again = run_rounds([(beam_steps(space), counted), (beam_steps(space), counted)])
+    alone, again = run_rounds([(beam_steps(*space), counted), (beam_steps(*space), counted)])
     assert as_rows(alone) == as_rows(again)
     assert len(calls) == 2 * len(set(calls))
     # a MemoizedFitness is used as it is, and so is shared between runs
     memo = MemoizedFitness(counted)
     memo.cache["amod+conj"] = 0.9  # a value it already holds is not evaluated again
     calls.clear()
-    best, _ = run_rounds([(beam_steps(space), memo), (beam_steps(space), memo)])[0]
+    best, _ = run_rounds([(beam_steps(*space), memo), (beam_steps(*space), memo)])[0]
     assert best.canonical == "amod+conj"
     assert sorted(calls) == sorted(set(calls)) == sorted(memo.evaluations)
     assert "amod+conj" not in calls
@@ -534,7 +540,7 @@ def test_run_rounds_memoizes_plain_functions_and_keeps_a_passed_memo():
 
     for fn in (fails, MemoizedFitness(fails)):
         with pytest.raises(RuntimeError, match=r"^fitness evaluation failed for amod\+conj: boom$"):
-            run_rounds([(beam_steps(space), fn)])
+            run_rounds([(beam_steps(*space), fn)])
 
 
 # -- count_space --
@@ -564,14 +570,13 @@ def test_visited_never_exceeds_count_space():
                 table[Configuration.from_bags(combo).canonical] = float(rng.random())
         per_bag = {b: table[b] for b in bags}
         threshold = float(rng.choice([0.2, 0.5, -1.0]))
-        try:
-            space = build_pool(per_bag, threshold=threshold)
-        except SearchInfeasibleError:
+        pool = build_pool(per_bag, threshold=threshold)
+        if not pool:
             continue
         memo = MemoizedFitness(dict_fitness(table))
-        run_alone(beam_steps, space, memo)
+        run_alone(beam_steps, pool, per_bag, memo)
         # evaluations beyond the M pool probes stay within the lattice budget
-        assert len(memo.evaluations) <= count_space(len(space.all_bags), space.K)
+        assert len(memo.evaluations) <= count_space(len(per_bag), len(pool))
 
 
 # -- persistent fitness cache --
@@ -586,7 +591,7 @@ def test_fitness_cache_round_trip(tmp_path):
     assert reloaded.get("amod+conj", "A:0").rho == 0.546
     assert reloaded.get("amod", "A:0").pair_count == 10
     assert reloaded.get("amod", "A:1") is None
-    assert len(reloaded) == 2
+    assert len(reloaded.records()) == 2
 
 
 def test_fitness_cache_write_once(tmp_path):
@@ -624,7 +629,7 @@ def test_fitness_cache_drops_torn_tail(tmp_path, caplog):
     with caplog.at_level("WARNING"):
         torn = FitnessCache(path)
     assert "unterminated" in caplog.text
-    assert len(torn) == 2
+    assert len(torn.records()) == 2
     torn.put("subj", "A:1", 0.1, wall_time=1.0, pair_count=3)
     reloaded = FitnessCache(path)
     assert {key: rec.rho for key, rec in reloaded.records().items()} == {

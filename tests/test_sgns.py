@@ -511,6 +511,11 @@ def test_trainer_config_validation():
         dict(learning_rate=0.0),
         dict(epochs=0),
         dict(subsample=0.0),
+        dict(learning_rate=float("nan")),
+        dict(subsample=float("nan")),
+        dict(subsample=float("inf")),
+        dict(unigram_power=float("nan")),
+        dict(unigram_power=float("-inf")),
     ):
         with pytest.raises(ValueError):
             TrainerConfig(**bad)
