@@ -29,17 +29,16 @@ import logging
 import math
 import os
 import time
-from collections import deque
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import astuple, dataclass, field, fields, replace
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain, islice
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from . import conllu, evaluation, extraction, search, sgns
+from . import conllu, evaluation, extraction, search, sgns, workers
 
 logger = logging.getLogger(__name__)
 
@@ -383,8 +382,8 @@ class Experiment:
             if pool is None:
                 results = (self.extract_chunk(kind, chunk) for chunk in chunks)
             else:
-                job = partial(_extract_in_worker, kind)
-                results = _in_order(pool, job, chunks, 2 * _cpu_count())
+                jobs = ((kind, chunk) for chunk in chunks)
+                results = workers.in_order(pool, _extract_in_worker, jobs)
 
             def texts():
                 for text, skipped in results:
@@ -429,34 +428,17 @@ class Experiment:
 
     # -- worker processes --
 
-    @contextmanager
     def worker_pool(self):
-        """A pool of forked workers, one per CPU, shut down when the block
-        ends; None on one CPU or without fork.
+        """A :func:`workers.fork_pool` whose workers work for this experiment:
+        they parse and extract corpus chunks (:meth:`extract_chunk`) or train
+        configurations (:meth:`prefetch`).
 
-        The workers parse and extract corpus chunks (:meth:`extract_chunk`)
-        or train configurations (:meth:`prefetch`). The executor forks them
-        at its first submit, so a block that submits nothing starts no
-        process, and they inherit this experiment as it stands then, so a
-        task sends only its chunk or configuration. A spawned
+        The workers inherit this experiment as it stands when the pool first
+        submits, so a task sends only its chunk or configuration. A spawned
         worker would import numpy and depctx afresh (about 0.13 s), longer
         than most trainings of a small search.
         """
-        cpus = _cpu_count()
-        # imported here, so that commands which start no process do not pay for it
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = None
-        if cpus > 1 and "fork" in multiprocessing.get_all_start_methods():
-            pool = ProcessPoolExecutor(
-                cpus, multiprocessing.get_context("fork"), _init_worker, (self,)
-            )
-        try:
-            yield pool
-        finally:
-            if pool is not None:
-                pool.shutdown(cancel_futures=True)
+        return workers.fork_pool(_init_worker, (self,))
 
     def prefetch(self, pool, asks) -> None:
         """Train in ``pool`` the configurations of ``asks``, ((word class,
@@ -663,23 +645,6 @@ class Experiment:
             rows.append(ReportRow(canonical, rhos, mean, complete, pair_count, wall))
         rows.sort(key=lambda r: (not r.complete, -r.mean_rho, r.configuration))
         return rows
-
-
-def _cpu_count() -> int:
-    """The CPUs this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-def _in_order(pool, fn, items, ahead: int):
-    """``fn`` of each of ``items``, run in ``pool`` and yielded in order, with
-    at most ``ahead`` items submitted and not yet yielded."""
-    pending = deque()
-    for item in items:
-        pending.append(pool.submit(fn, item))
-        if len(pending) >= ahead:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
 
 
 # The experiment a pool worker works for, set once in each worker process.

@@ -13,6 +13,11 @@ Training reads the pair stream once and is one single-threaded pass over
 one seeded random stream, so a model is a pure function of the pair stream
 and the configuration. Matrices are float32; the gradient-check helper runs
 at whatever precision its inputs carry.
+
+A model is saved as word2vec text, formatted in blocks of _ROWS_PER_BLOCK
+rows on every CPU (:func:`workers.fork_pool`) and written in row order, so
+the bytes are those of one process and at most two blocks per CPU are in
+memory as text.
 """
 
 from __future__ import annotations
@@ -21,11 +26,14 @@ import logging
 import math
 import time
 from array import array
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, TextIO
 
 import numpy as np
+
+from . import workers
 
 logger = logging.getLogger(__name__)
 
@@ -36,6 +44,8 @@ LR_FLOOR_FRACTION = 1e-4
 _CHUNK = 4096
 # Pairs per minibatch update; part of a trained model's identity.
 BATCH_SIZE = 64
+# Rows per task of a parallel model save; the bytes saved do not depend on it.
+_ROWS_PER_BLOCK = 256
 
 
 class VocabularyError(ValueError):
@@ -387,13 +397,28 @@ def train(pair_stream: Iterable[tuple[str, str]], config: TrainerConfig) -> Embe
     return EmbeddingStore(W, C, vocab, epoch_losses)
 
 
-def _write_rows(f: TextIO, tokens: list[str], matrix: np.ndarray) -> None:
-    """One "token v1 ... vd" line per token; each row is formatted on its own,
-    so no Python copy of the whole matrix is ever made."""
+def _format_rows(tokens: list[str], rows: np.ndarray) -> str:
+    """The "token v1 ... vd" lines of ``tokens`` and their rows of values."""
+    line = "%s" + " %.9g" * rows.shape[1] + "\n"
+    return "".join([line % (token, *row) for token, row in zip(tokens, rows.tolist())])
+
+
+def _write_rows(f: TextIO, tokens: list[str], matrix: np.ndarray, pool) -> None:
+    """The "count dim" header, then the rows of ``tokens``, formatted in
+    blocks of _ROWS_PER_BLOCK rows: in ``pool`` when there is one, with at
+    most two blocks per CPU in flight, else in this process. This process
+    writes the blocks in row order, so the bytes do not depend on the pool."""
     f.write(f"{len(tokens)} {matrix.shape[1]}\n")
-    line = "%s" + " %.9g" * matrix.shape[1] + "\n"
-    for token, row in zip(tokens, matrix):
-        f.write(line % (token, *row.tolist()))
+    blocks = (
+        (tokens[start:start + _ROWS_PER_BLOCK], matrix[start:start + _ROWS_PER_BLOCK])
+        for start in range(0, len(tokens), _ROWS_PER_BLOCK)
+    )
+    if pool is None:
+        texts = (_format_rows(*block) for block in blocks)
+    else:
+        texts = workers.in_order(pool, _format_rows, blocks)
+    for text in texts:
+        f.write(text)
 
 
 def save_embeddings(store: EmbeddingStore, path: str | Path, include_context: bool = False) -> None:
@@ -402,15 +427,38 @@ def save_embeddings(store: EmbeddingStore, path: str | Path, include_context: bo
     9 significant digits round-trip float32 exactly. With include_context the
     context matrix goes to a sibling file with a "_ctx" suffix. Only a line
     feed ends a row, here and in :func:`load_embeddings`, so a word may hold a
-    carriage return.
+    carriage return; a space separates fields, so a word or context that
+    holds one raises EmbeddingFormatError before any file is opened.
+
+    A model of more than one block of _ROWS_PER_BLOCK rows is formatted in a
+    :func:`workers.fork_pool`, so at most two blocks per CPU are in memory as
+    text. One CPU, no ``fork`` or a one-block model formats in this process.
+    A save that fails removes the files it was writing, stops its workers
+    and raises the error.
     """
     path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        _write_rows(f, store.vocab.words, store.word_vectors)
+    sides = [(path, store.vocab.words, store.word_vectors)]
     if include_context:
         ctx_path = path.with_name(path.stem + "_ctx" + path.suffix)
-        with open(ctx_path, "w", encoding="utf-8", newline="\n") as f:
-            _write_rows(f, store.vocab.contexts, store.context_vectors)
+        sides.append((ctx_path, store.vocab.contexts, store.context_vectors))
+    for _, tokens, _ in sides:
+        spaced = next((token for token in tokens if " " in token), None)
+        if spaced is not None:
+            raise EmbeddingFormatError(f"cannot save {spaced!r}: a space separates fields")
+    many = any(len(tokens) > _ROWS_PER_BLOCK for _, tokens, _ in sides)
+    opened: list[Path] = []
+    try:
+        with (workers.fork_pool() if many else nullcontext()) as pool:
+            for out, tokens, matrix in sides:
+                with open(out, "w", encoding="utf-8", newline="\n") as f:
+                    opened.append(out)
+                    _write_rows(f, tokens, matrix, pool)
+    except BaseException:
+        for out in opened:
+            # never a device or a link, such as /dev/stdout
+            if out.is_file() and not out.is_symlink():
+                out.unlink()
+        raise
 
 
 def _row_values(f: TextIO, path: Path, count: int, dim: int, words: list[str]):

@@ -1,0 +1,57 @@
+"""Forked worker pools, one worker per CPU, shared by every parallel stage.
+
+Extraction parses corpus chunks, a search trains configurations and a model
+save formats blocks of rows in the pool of :func:`fork_pool`. A forked
+worker inherits this process as it stands when the pool first submits, so
+it imports nothing afresh. On one CPU, or where ``fork`` is not available,
+there is no pool and the caller runs the same function in this process.
+"""
+
+from __future__ import annotations
+
+import os
+from collections import deque
+from contextlib import contextmanager
+
+
+def cpu_count() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+@contextmanager
+def fork_pool(initializer=None, initargs=()):
+    """A pool of forked workers, one per CPU, shut down when the block ends,
+    its pending tasks cancelled; None on one CPU or without fork.
+
+    The executor forks its workers at its first submit, so a block that
+    submits nothing starts no process.
+    """
+    cpus = cpu_count()
+    # imported here, so that commands which start no process do not pay for it
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = None
+    if cpus > 1 and "fork" in multiprocessing.get_all_start_methods():
+        pool = ProcessPoolExecutor(
+            cpus, multiprocessing.get_context("fork"), initializer, initargs
+        )
+    try:
+        yield pool
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
+def in_order(pool, fn, arg_tuples):
+    """``fn(*args)`` for each of ``arg_tuples``, run in ``pool`` and yielded
+    in order, with at most two tasks per CPU submitted and not yet yielded."""
+    ahead = 2 * cpu_count()
+    pending = deque()
+    for args in arg_tuples:
+        pending.append(pool.submit(fn, *args))
+        if len(pending) >= ahead:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()

@@ -487,6 +487,25 @@ def test_one_chunk_corpus_starts_no_process(tmp_path, monkeypatch):
 
 
 @needs_fork
+def test_train_command_forks_only_for_a_model_of_several_blocks(tmp_path, monkeypatch):
+    config = write_config(tmp_path)
+    started = count_process_starts(monkeypatch)
+    saved = set()
+    for cpus, rows_per_block in ((2, 256), (1, 3), (2, 3)):
+        monkeypatch.setattr(sgns, "_ROWS_PER_BLOCK", rows_per_block)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        out = tmp_path / f"vectors-{cpus}-{rows_per_block}.txt"
+        argv = ["train", "-c", str(config), "--bags", "amod+conj", "--out", str(out)]
+        assert cli.main(argv + ["--save-context"]) == 0
+        # the bundled treebank is one read chunk and a model of one block
+        assert len(started) == (2 if (cpus, rows_per_block) == (2, 3) else 0)
+        started.clear()
+        ctx = out.with_name(out.stem + "_ctx.txt")
+        saved.add((out.read_bytes(), ctx.read_bytes()))
+    assert len(saved) == 1
+
+
+@needs_fork
 def test_extract_command_needs_no_dataset(tmp_path, monkeypatch):
     monkeypatch.setattr(conllu, "CHUNK_BYTES", SMALL_CHUNK)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)

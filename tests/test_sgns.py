@@ -1,6 +1,9 @@
 import itertools
+import multiprocessing
+import os
 import re
 from collections import Counter
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -566,8 +569,42 @@ def test_empty_store_header(tmp_path):
     assert path.read_text().splitlines()[0] == "0 7"
 
 
-def test_saved_bytes_match_per_value_formatting(tmp_path):
-    edge = [0.0, -0.0, 1e-45, float(np.finfo(np.float32).max), -1 / 3, 1e7]
+EDGE_VALUES = [0.0, -0.0, 1e-45, float(np.finfo(np.float32).max), -1 / 3, 1e7]
+
+
+def edge_store(words, contexts, dim=len(EDGE_VALUES)):
+    """A store of ``words`` and ``contexts`` whose rows are rotations of
+    EDGE_VALUES, cut to ``dim`` values; context rows are negated."""
+
+    def rows(n):
+        k = len(EDGE_VALUES)
+        rotations = [EDGE_VALUES[i % k:] + EDGE_VALUES[: i % k] for i in range(n)]
+        return np.array(rotations, dtype=np.float32).reshape(n, k)[:, :dim]
+
+    vocab = Vocabulary(
+        word_index={w: i for i, w in enumerate(words)},
+        word_counts=np.ones(len(words), np.int64), context_counts=np.ones(len(contexts), np.int64),
+        words=list(words), contexts=list(contexts),
+    )
+    return EmbeddingStore(rows(len(words)), -rows(len(contexts)), vocab)
+
+
+def per_value_text(tokens, matrix):
+    """The saved text of one side, formatted one value at a time."""
+    rows = (" ".join([tok, *(f"{x:.9g}" for x in row)]) for tok, row in zip(tokens, matrix))
+    return f"{len(tokens)} {matrix.shape[1]}\n" + "".join(row + "\n" for row in rows)
+
+
+def assert_saved_per_value(store, path):
+    ctx_path = path.with_name(path.stem + "_ctx" + path.suffix)
+    assert path.read_bytes() == per_value_text(store.vocab.words, store.word_vectors).encode()
+    assert ctx_path.read_bytes() == per_value_text(
+        store.vocab.contexts, store.context_vectors
+    ).encode()
+
+
+def test_saved_bytes_match_per_value_formatting(tmp_path, monkeypatch):
+    edge = EDGE_VALUES
     W = np.array([edge, edge[::-1]], dtype=np.float32)
     C = -W[:1]
     vocab = Vocabulary(
@@ -576,14 +613,91 @@ def test_saved_bytes_match_per_value_formatting(tmp_path):
         words=["a", "b%s"], contexts=["x"],
     )
     save_embeddings(EmbeddingStore(W, C, vocab), tmp_path / "v.txt", include_context=True)
-
-    def expected(tokens, matrix):
-        rows = (tok + " " + " ".join(f"{x:.9g}" for x in row) for tok, row in zip(tokens, matrix))
-        return f"{len(tokens)} {matrix.shape[1]}\n" + "".join(row + "\n" for row in rows)
-
-    assert (tmp_path / "v.txt").read_bytes() == expected(vocab.words, W).encode()
-    assert (tmp_path / "v_ctx.txt").read_bytes() == expected(vocab.contexts, C).encode()
+    assert_saved_per_value(EmbeddingStore(W, C, vocab), tmp_path / "v.txt")
     assert "1.40129846e-45" in (tmp_path / "v.txt").read_text()
+
+    # in blocks of 3 rows, in this process on one CPU and in workers on two
+    monkeypatch.setattr(sgns, "_ROWS_PER_BLOCK", 3)
+    words = ["a", "b%s"] + [f"w{i}" for i in range(2, 8)]
+    contexts = [f"x{i}_amod" for i in range(7)]
+    stores = {
+        "blocks": edge_store(words, contexts),
+        "no-rows": edge_store([], []),
+        "no-dims": edge_store(words, contexts, dim=0),
+    }
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        for name, store in stores.items():
+            path = tmp_path / f"{name}-{cpus}.txt"
+            save_embeddings(store, path, include_context=True)
+            assert_saved_per_value(store, path)
+
+
+@pytest.mark.parametrize(
+    "words, contexts, first",
+    [(["a", "1 000", "b c"], ["x"], "1 000"), (["a"], ["x", "1 000_nummod"], "1 000_nummod")],
+    ids=["words", "contexts"],
+)
+def test_a_token_holding_a_space_is_refused_before_any_file_opens(
+    tmp_path, words, contexts, first
+):
+    store = edge_store(words, contexts)
+    path = tmp_path / "v.txt"
+    path.write_text("an earlier model\n", encoding="utf-8")
+    with pytest.raises(EmbeddingFormatError, match=re.escape(repr(first))):
+        save_embeddings(store, path, include_context=True)
+    assert path.read_text(encoding="utf-8") == "an earlier model\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["v.txt"]
+
+
+_TEST_PROCESS = os.getpid()
+_real_format_rows = sgns._format_rows
+
+
+def _format_rows_dying_in_a_worker(tokens, rows):
+    if os.getpid() != _TEST_PROCESS:
+        os._exit(1)
+    return _real_format_rows(tokens, rows)
+
+
+def _format_rows_failing_on_boom(tokens, rows):
+    if "boom" in tokens:
+        raise ValueError("formatting failed")
+    return _real_format_rows(tokens, rows)
+
+
+@pytest.mark.parametrize(
+    "failure, side, cpus, error",
+    [
+        ("killed", "words", 2, BrokenProcessPool),
+        ("raises", "words", 2, ValueError),
+        ("raises", "contexts", 2, ValueError),
+        ("raises", "words", 1, ValueError),
+        ("raises", "contexts", 1, ValueError),
+    ],
+)
+def test_a_failed_save_leaves_no_model_and_no_worker(
+    tmp_path, monkeypatch, failure, side, cpus, error
+):
+    if cpus > 1 and "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the save forks no worker without fork")
+    monkeypatch.setattr(sgns, "_ROWS_PER_BLOCK", 3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    words = [f"w{i}" for i in range(8)]
+    contexts = [f"x{i}" for i in range(8)]
+    # "boom" sits in the second block of its side, after one block is written
+    (words if side == "words" else contexts)[4] = "boom"
+    store = edge_store(words, contexts)
+    path = tmp_path / "v.txt"
+    failing = {"killed": _format_rows_dying_in_a_worker, "raises": _format_rows_failing_on_boom}
+    monkeypatch.setattr(sgns, "_format_rows", failing[failure])
+    with pytest.raises(error):
+        save_embeddings(store, path, include_context=True)
+    assert list(tmp_path.iterdir()) == []
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(sgns, "_format_rows", _real_format_rows)
+    save_embeddings(store, path, include_context=True)
+    assert_saved_per_value(store, path)
 
 
 def test_load_rejects_inconsistent_rows(tmp_path):
