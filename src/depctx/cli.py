@@ -108,6 +108,10 @@ def cmd_train(args) -> int:
             f"unknown bag label(s): {', '.join(unknown)}; "
             f"the extracted bags are: {', '.join(sorted(manifest.counts))}"
         )
+    out_dir = Path(args.out).parent
+    if not out_dir.is_dir():
+        # checked before SGD, which at paper scale takes minutes
+        raise FileNotFoundError(f"cannot write {args.out}: {out_dir} is not a directory")
     stream = extraction.PairStream(exp.bag_dir(kind), config.bags, manifest)
     store = sgns.train(stream, exp.cfg.trainer_config())
     sgns.save_embeddings(store, args.out, include_context=args.save_context)

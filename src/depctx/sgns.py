@@ -11,8 +11,14 @@ matrices as one dense GEMM per matrix over the rows the batch touches (the
 minibatch scheme of Ji et al. 2016, without their shared negatives).
 Training reads the pair stream once and is one single-threaded pass over
 one seeded random stream, so a model is a pure function of the pair stream
-and the configuration. Matrices are float32; the gradient-check helper runs
-at whatever precision its inputs carry.
+and the configuration. The stream is drawn one chunk of _CHUNK pairs at a
+time, and the index work of the updates (which rows each batch touches) is
+planned once per window of successive chunks holding at least _CHUNK drawn
+pairs, across epoch boundaries: a window is one chunk at paper scale, and
+about _CHUNK / n epochs for a stream of n < _CHUNK pairs. Windows change no
+draw and no arithmetic, and finiteness is still checked after each epoch.
+Matrices are float32; the gradient-check helper runs at whatever precision
+its inputs carry.
 
 A model is saved as word2vec text, formatted in blocks of _ROWS_PER_BLOCK
 rows on every CPU (:func:`workers.fork_pool`) and written in row order, so
@@ -29,7 +35,7 @@ from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Iterable, NamedTuple, TextIO
 
 import numpy as np
 
@@ -287,83 +293,209 @@ def _sgd(
     to the pair's positive context is masked out. The epoch loss is the mean
     over updated pairs. Overflow in a single update is not an error by
     itself; finiteness of the matrices is checked after each epoch.
+
+    The stream is drawn one chunk of _CHUNK pairs at a time, in stream order
+    (:func:`_draws`), and no draw depends on the parameters. So the index
+    work of the updates is planned once per window of successive chunks that
+    holds at least _CHUNK drawn pairs, across epoch boundaries
+    (:func:`_train_window`). A batch makes the same arithmetic as with a plan
+    of its own, so the model does not depend on the windows.
+    """
+    epoch_losses: list[float] = []
+    loss_sum, n_updates = 0.0, 0
+    for window in _windows(_draws(word_ids, ctx_ids, table, keep_prob, config)):
+        batch_losses = iter(_train_window(W, C, window, config.learning_rate))
+        for chunk in window:
+            if chunk is None:
+                epoch_losses.append(loss_sum / n_updates if n_updates else 0.0)
+                loss_sum, n_updates = 0.0, 0
+                continue
+            for _ in range(0, len(chunk.words), BATCH_SIZE):
+                loss_sum += next(batch_losses)
+            n_updates += len(chunk.words)
+    return epoch_losses
+
+
+class _Chunk(NamedTuple):
+    """One (epoch, _CHUNK) of the stream, drawn: the pairs it consumed, and
+    its kept pairs' words, rows and learning rates. ``rows`` holds each kept
+    pair's positive context id followed by its drawn negatives."""
+
+    drawn: int
+    words: np.ndarray
+    rows: np.ndarray
+    lrs: np.ndarray
+
+
+def _draws(word_ids, ctx_ids, table, keep_prob, config: TrainerConfig):
+    """Yield each (epoch, _CHUNK) of the stream as a :class:`_Chunk`, and
+    None at the end of each epoch.
+
+    The random stream is drawn one chunk at a time, in stream order, so it
+    does not depend on how the chunks are grouped for training.
     """
     # keyed apart from the initialisation stream default_rng(seed)
     rng = np.random.default_rng((config.seed, 0))
     n = len(word_ids)
     total = config.epochs * n
     table_len = len(table)
-    epoch_losses: list[float] = []
+    for epoch in range(config.epochs):
+        for start in range(0, n, _CHUNK):
+            stop = min(start + _CHUNK, n)
+            m = stop - start
+            keep_draws = rng.random(m)
+            neg_draws = table[rng.integers(0, table_len, size=(m, config.negatives))]
+            words = word_ids[start:stop]
+            kept = np.flatnonzero(keep_draws < keep_prob[words])
+            # the consumed count of pair i, 1-based, as the schedule sees it
+            consumed = epoch * n + start + 1 + kept
+            lrs = config.learning_rate * np.maximum(1.0 - consumed / total, LR_FLOOR_FRACTION)
+            rows = np.concatenate((ctx_ids[start:stop, None], neg_draws), axis=1)[kept]
+            yield _Chunk(m, words[kept], rows, lrs)
+        yield None
+
+
+def _windows(draws):
+    """Group the draws into lists that each close once they hold at least
+    _CHUNK drawn pairs; the last list holds what is left."""
+    window, drawn = [], 0
+    for chunk in draws:
+        window.append(chunk)
+        if chunk is not None:
+            drawn += chunk.drawn
+            if drawn >= _CHUNK:
+                yield window
+                window, drawn = [], 0
+    if window:
+        yield window
+
+
+def _train_window(W: np.ndarray, C: np.ndarray, window: list, learning_rate: float) -> list[float]:
+    """Update W and C in place with every batch of the window's chunks, in
+    order, checking finiteness at each epoch end (None); return each batch's
+    summed loss.
+
+    Batches of BATCH_SIZE kept pairs are cut inside each chunk. Everything
+    that does not depend on W and C is done once for the window: the
+    scatter plans of both matrices, the masked learning rates, and the
+    losses, from the scores the batches leave in one buffer.
+    """
+    chunks = [chunk for chunk in window if chunk is not None]
+    bounds: list[tuple[int, int]] = []  # each batch's [start, stop) in the window
+    offset = 0
+    for chunk in chunks:
+        k = len(chunk.words)
+        bounds += [(offset + b, offset + min(b + BATCH_SIZE, k)) for b in range(0, k, BATCH_SIZE)]
+        offset += k
+    if bounds:
+        words = np.concatenate([chunk.words for chunk in chunks])
+        rows = np.concatenate([chunk.rows for chunk in chunks])
+        lrs = np.concatenate([chunk.lrs for chunk in chunks])
+        starts = np.array([start for start, _ in bounds] + [offset])
+        w_plans = _plan(words[:, None], starts, len(W))
+        c_plans = _plan(rows, starts, len(C))
+        live = np.ones(rows.shape, dtype=bool)
+        live[:, 1:] = rows[:, 1:] != rows[:, :1]
+        live_lrs = live * lrs[:, None]
+        labels = np.zeros(rows.shape[1], dtype=W.dtype)
+        labels[0] = 1.0
+        scores = np.empty(rows.shape, dtype=W.dtype)
+    b = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(config.epochs):
-            loss_sum = 0.0
-            n_updates = 0
-            for start in range(0, n, _CHUNK):
-                stop = min(start + _CHUNK, n)
-                m = stop - start
-                keep_draws = rng.random(m)
-                neg_draws = table[rng.integers(0, table_len, size=(m, config.negatives))]
-                words = word_ids[start:stop]
-                kept = np.flatnonzero(keep_draws < keep_prob[words])
-                # the consumed count of pair i, 1-based, as the schedule sees it
-                consumed = epoch * n + start + 1 + kept
-                lrs = config.learning_rate * np.maximum(1.0 - consumed / total, LR_FLOOR_FRACTION)
-                rows = np.concatenate((ctx_ids[start:stop, None], neg_draws), axis=1)[kept]
-                words = words[kept]
-                for b in range(0, len(kept), BATCH_SIZE):
-                    batch = slice(b, b + BATCH_SIZE)
-                    loss_sum += _batch_step(W, C, words[batch], rows[batch], lrs[batch])
-                n_updates += len(kept)
-            if not (np.isfinite(W).all() and np.isfinite(C).all()):
-                raise TrainingDivergedError(
-                    "non-finite parameters during training "
-                    f"(learning_rate={config.learning_rate}); lower the learning rate"
+        for chunk in window:
+            if chunk is None:
+                if not (np.isfinite(W).all() and np.isfinite(C).all()):
+                    raise TrainingDivergedError(
+                        "non-finite parameters during training "
+                        f"(learning_rate={learning_rate}); lower the learning rate"
+                    )
+                continue
+            for _ in range(0, len(chunk.words), BATCH_SIZE):
+                batch = slice(*bounds[b])
+                _batch_step(
+                    W, C, words[batch], rows[batch], labels, live_lrs[batch], scores[batch],
+                    w_plans[b], c_plans[b],
                 )
-            epoch_losses.append(loss_sum / n_updates if n_updates else 0.0)
-    return epoch_losses
+                b += 1
+        if not bounds:
+            return []
+        # -log s(x) = logaddexp(0, -x) = logaddexp(0, x) - x
+        losses = np.logaddexp(0.0, scores) * live
+        losses[:, 0] -= scores[:, 0]
+    return [float(losses[start:stop].sum(dtype=np.float64)) for start, stop in bounds]
+
+
+def _plan(ids: np.ndarray, starts: np.ndarray, n_rows: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per batch, the (unique ids, bincount slots) that :func:`_scatter_add`
+    takes, from one sort of the window's ids.
+
+    Batch j holds the rows ``ids[starts[j]:starts[j + 1]]``. Its unique ids
+    are sorted, as ``np.unique`` of the batch alone gives them, and the
+    entry (b, k) of the batch goes to slot ``u * len(batch) + b``, where u
+    is the position of ``ids[b, k]`` among them.
+    """
+    sizes = np.diff(starts)
+    batch = np.repeat(np.arange(len(sizes)), sizes)
+    keys = batch[:, None] * n_rows + ids
+    uniq_keys, inv = np.unique(keys.ravel(), return_inverse=True)
+    # first unique key of each batch, and the end
+    first = np.searchsorted(uniq_keys, np.arange(len(starts)) * n_rows)
+    uniq = uniq_keys - np.repeat(np.arange(len(sizes)) * n_rows, np.diff(first))
+    local = inv.reshape(ids.shape) - first[batch][:, None]
+    position = np.arange(len(ids)) - starts[batch]
+    slots = (local * sizes[batch][:, None] + position[:, None]).ravel()
+    width = ids.shape[1]
+    return [
+        (uniq[first[j]:first[j + 1]], slots[starts[j] * width:starts[j + 1] * width])
+        for j in range(len(sizes))
+    ]
 
 
 def _batch_step(
-    W: np.ndarray, C: np.ndarray, words: np.ndarray, rows: np.ndarray, lrs: np.ndarray
-) -> float:
-    """Apply one minibatch update in place; return the batch's summed loss.
+    W: np.ndarray,
+    C: np.ndarray,
+    words: np.ndarray,
+    rows: np.ndarray,
+    labels: np.ndarray,
+    live_lrs: np.ndarray,
+    scores: np.ndarray,
+    w_plan: tuple[np.ndarray, np.ndarray],
+    c_plan: tuple[np.ndarray, np.ndarray],
+) -> None:
+    """Apply one minibatch update in place, leaving the clipped scores in ``scores``.
 
     ``rows`` holds each pair's positive context id followed by its drawn
-    negatives; ``lrs`` holds each pair's learning rate. Pair b's step on
-    context row ``rows[b, j]`` is ``g[b, j] * W[words[b]]``, with ``g`` its
-    rate-scaled residual, so the context update is a sum of word vectors;
-    ``_scatter_add`` applies it as one GEMM instead of 1 + K rows per pair.
+    negatives, ``labels`` is 1 for the positive and 0 for a negative, and
+    ``live_lrs`` holds each pair's learning rate where the row is live and 0
+    where a negative equals the positive. Pair b's step on context row
+    ``rows[b, j]`` is ``g[b, j] * W[words[b]]``, with ``g`` its rate-scaled
+    residual, so the context update is a sum of word vectors;
+    ``_scatter_add`` applies it, along the plans of :func:`_plan`, as one
+    GEMM instead of 1 + K rows per pair.
     """
     w_vecs = W[words]
     c_vecs = C[rows]
-    scores = np.matmul(c_vecs, w_vecs[:, :, None])[:, :, 0]
-    np.clip(scores, -MAX_SCORE, MAX_SCORE, out=scores)
-    live = np.ones(rows.shape, dtype=bool)
-    live[:, 1:] = rows[:, 1:] != rows[:, :1]
-    residual = -1.0 / (1.0 + np.exp(-scores))
-    residual[:, 0] += 1.0
-    residual *= live
-    # -log s(x) = logaddexp(0, -x) = logaddexp(0, x) - x
-    losses = np.logaddexp(0.0, scores) * live
-    losses[:, 0] -= scores[:, 0]
-    g = (residual * lrs[:, None]).astype(W.dtype)
+    np.matmul(c_vecs, w_vecs[:, :, None])[:, :, 0].clip(-MAX_SCORE, MAX_SCORE, out=scores)
+    residual = labels - 1.0 / (1.0 + np.exp(-scores))
+    g = np.multiply(residual, live_lrs, out=residual)
     grad_w = np.matmul(g[:, None, :], c_vecs)[:, 0]
-    _scatter_add(W, words[:, None], np.ones((len(words), 1)), grad_w)
-    _scatter_add(C, rows, g, w_vecs)
-    return float(losses.sum(dtype=np.float64))
+    _scatter_add(W, w_plan, None, grad_w)
+    _scatter_add(C, c_plan, g.ravel(), w_vecs)
 
 
-def _scatter_add(M: np.ndarray, ids: np.ndarray, coef: np.ndarray, vecs: np.ndarray) -> None:
+def _scatter_add(
+    M: np.ndarray, plan: tuple[np.ndarray, np.ndarray], coef: np.ndarray | None, vecs: np.ndarray
+) -> None:
     """M[ids[b, j]] += coef[b, j] * vecs[b] for every (b, j), repeated ids summing.
 
-    The coefficients are summed into one dense (unique ids) x B matrix, so
-    the whole update is a single GEMM over the distinct rows it touches.
+    ``plan`` is the (unique ids, slots) of ``ids`` from :func:`_plan`; a
+    coefficient of None is 1 for every entry. The coefficients are summed
+    into one dense (unique ids) x B matrix, so the whole update is a single
+    GEMM over the distinct rows it touches.
     """
+    uniq, slots = plan
     B = len(vecs)
-    # a 1-D input keeps inv 1-D on every numpy version
-    uniq, inv = np.unique(ids.ravel(), return_inverse=True)
-    slots = inv * B + np.repeat(np.arange(B), ids.shape[1])
-    G = np.bincount(slots, weights=coef.ravel(), minlength=len(uniq) * B)
+    G = np.bincount(slots, weights=coef, minlength=len(uniq) * B)
     M[uniq] += G.reshape(len(uniq), B).astype(M.dtype) @ vecs
 
 

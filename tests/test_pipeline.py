@@ -907,6 +907,31 @@ def test_cli_train_rejects_an_unknown_or_empty_bag_label_with_exit_2(
     assert not vectors.exists()
 
 
+def test_cli_train_checks_the_output_directory_before_sgd(tmp_path, monkeypatch, capsys):
+    config = write_config(tmp_path)
+    (tmp_path / "file").write_text("")
+    sgd_calls = []
+
+    def no_sgd(*args):
+        sgd_calls.append(args)
+        raise RuntimeError("SGD ran")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(sgns, "_sgd", no_sgd)
+        for out in (tmp_path / "nodir" / "v.txt", tmp_path / "file" / "v.txt"):
+            argv = ["train", "-c", str(config), "--bags", "amod+conj", "--out", str(out)]
+            assert cli.main(argv + ["--save-context"]) == 1
+            assert f"cannot write {out}: {out.parent} is not a directory" in capsys.readouterr().err
+        assert sgd_calls == []
+    # a valid --out writes what training and saving the model write
+    out = tmp_path / "v.txt"
+    assert cli.main(["train", "-c", str(config), "--bags", "amod+conj", "--out", str(out)]) == 0
+    exp = Experiment(load_experiment_config(config))
+    stream = exp.pair_stream(search.Configuration.from_string("amod+conj").bags)
+    sgns.save_embeddings(sgns.train(stream, exp.cfg.trainer_config()), tmp_path / "expected.txt")
+    assert out.read_bytes() == (tmp_path / "expected.txt").read_bytes()
+
+
 def test_cli_train_bow_baseline(tmp_path, monkeypatch):
     config = write_config(tmp_path)
     vectors = tmp_path / "bow.txt"

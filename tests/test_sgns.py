@@ -345,12 +345,28 @@ def test_batch_step_at_paper_shapes_matches_float64_reference():
     ).astype(np.int32)
     lrs = rng.uniform(0.01, 0.05, size=B)
     assert (rows[:, 1:] == rows[:, :1]).any() and len(np.unique(rows[:, 1:])) == 3
+    # the batch's plans, masked rates, labels and score buffer, as _sgd makes them
+    (w_plan,) = sgns._plan(words[:, None], np.array([0, B]), len(W0))
+    (c_plan,) = sgns._plan(rows, np.array([0, B]), len(C0))
+    live = np.ones(rows.shape, dtype=bool)
+    live[:, 1:] = rows[:, 1:] != rows[:, :1]
+    labels = np.zeros(K + 1, dtype=np.float32)
+    labels[0] = 1.0
+    scores = np.empty((B, K + 1), dtype=np.float32)
     W, C = W0.copy(), C0.copy()
-    loss = sgns._batch_step(W, C, words, rows, lrs)
+    sgns._batch_step(W, C, words, rows, labels, live * lrs[:, None], scores, w_plan, c_plan)
+    # the batch's loss comes from its scores; a window of this one batch
+    # makes the same update
+    W1, C1 = W0.copy(), C0.copy()
+    (loss,) = sgns._train_window(W1, C1, [sgns._Chunk(B, words, rows, lrs)], 1.0)
+    assert np.array_equal(W1, W) and np.array_equal(C1, C)
 
     expected_w = W0.astype(np.float64)
     expected_c = C0.astype(np.float64)
     expected_loss = 0.0
+    expected_scores = np.einsum(
+        "bkd,bd->bk", C0[rows].astype(np.float64), W0[words].astype(np.float64)
+    )
     for w, pair_rows, lr in zip(words, rows, lrs):
         # negatives equal to the positive are masked out
         pair_rows = pair_rows[np.r_[True, pair_rows[1:] != pair_rows[0]]]
@@ -363,6 +379,7 @@ def test_batch_step_at_paper_shapes_matches_float64_reference():
         np.add.at(expected_w, w, -lr * grad_w)
         np.add.at(expected_c, pair_rows, -lr * grad_c)
     assert loss == pytest.approx(expected_loss, rel=1e-5)
+    np.testing.assert_allclose(scores, expected_scores, rtol=1e-5, atol=1e-6)
     # atol only covers float32 rounding of entries that cancel to near zero
     np.testing.assert_allclose(W, expected_w, rtol=1e-5, atol=1e-6)
     np.testing.assert_allclose(C, expected_c, rtol=1e-5, atol=1e-6)
