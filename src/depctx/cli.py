@@ -113,7 +113,11 @@ def cmd_train(args) -> int:
         # checked before SGD, which at paper scale takes minutes
         raise FileNotFoundError(f"cannot write {args.out}: {out_dir} is not a directory")
     stream = extraction.PairStream(exp.bag_dir(kind), config.bags, manifest)
-    store = sgns.train(stream, exp.cfg.trainer_config())
+    trainer = exp.cfg.trainer_config()
+    vocab, word_ids, ctx_ids = sgns.encode(stream, trainer.min_count)
+    # checked before SGD too: a token the text format cannot hold
+    sgns.check_savable(vocab, include_context=args.save_context)
+    store = sgns.fit(vocab, word_ids, ctx_ids, trainer)
     sgns.save_embeddings(store, args.out, include_context=args.save_context)
     print(f"trained {store.vocab.n_words} words ({store.dim}d) -> {args.out}")
     return EXIT_OK

@@ -23,13 +23,18 @@ its inputs carry.
 A model is saved as word2vec text, formatted in blocks of _ROWS_PER_BLOCK
 rows on every CPU (:func:`workers.fork_pool`) and written in row order, so
 the bytes are those of one process and at most two blocks per CPU are in
-memory as text.
+memory as text. It is loaded on every CPU as well: each worker reads and
+parses its own byte range of about _ROWS_PER_BLOCK rows, and this process
+copies the ranges' rows, in file order, into one matrix, so the vectors are
+those of one parse and this process never holds the text.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import os
+import stat
 import time
 from array import array
 from contextlib import nullcontext
@@ -50,7 +55,8 @@ LR_FLOOR_FRACTION = 1e-4
 _CHUNK = 4096
 # Pairs per minibatch update; part of a trained model's identity.
 BATCH_SIZE = 64
-# Rows per task of a parallel model save; the bytes saved do not depend on it.
+# Rows per task of a parallel model save, and about the rows per byte range of
+# a parallel load; neither the bytes saved nor the store loaded depends on it.
 _ROWS_PER_BLOCK = 256
 
 
@@ -202,12 +208,14 @@ def _rank(
     return [tokens[i] for i in kept], counts[kept], lookup
 
 
-def _encode(
+def encode(
     pair_stream: Iterable[tuple[str, str]], min_count: int
 ) -> tuple[Vocabulary, np.ndarray, np.ndarray]:
     """The vocabulary and the stream as id arrays, in one read of the stream.
 
-    Pairs whose word or context min_count filtered out are dropped.
+    Pairs whose word or context min_count filtered out are dropped. A caller
+    that must vet the vocabulary before SGD, such as ``depctx train`` with
+    :func:`check_savable`, trains the result with :func:`fit`.
     """
     vocab, (raw_words, word_lookup), (raw_ctxs, ctx_lookup) = _count(pair_stream, min_count)
     word_ids, ctx_ids = word_lookup[raw_words], ctx_lookup[raw_ctxs]
@@ -503,12 +511,19 @@ def train(pair_stream: Iterable[tuple[str, str]], config: TrainerConfig) -> Embe
     """Train SGNS embeddings from a (word, context) pair stream.
 
     The stream is read once, and the vocabulary is built from it in the same
-    pass that encodes the pairs as ids. The result is a
+    pass that encodes the pairs as ids (:func:`encode`); :func:`fit` then
+    trains on the ids. The result is a
     deterministic function of the stream and the config: the same inputs
     give bit-identical matrices and epoch losses. Raises TrainingDivergedError
     once the matrices go non-finite.
     """
-    vocab, word_ids, ctx_ids = _encode(pair_stream, config.min_count)
+    return fit(*encode(pair_stream, config.min_count), config)
+
+
+def fit(
+    vocab: Vocabulary, word_ids: np.ndarray, ctx_ids: np.ndarray, config: TrainerConfig
+) -> EmbeddingStore:
+    """Train SGNS embeddings on a stream encoded by :func:`encode`."""
     if len(word_ids) == 0:
         raise VocabularyError("no training pairs survive vocabulary filtering")
 
@@ -545,12 +560,18 @@ def _write_rows(f: TextIO, tokens: list[str], matrix: np.ndarray, pool) -> None:
         (tokens[start:start + _ROWS_PER_BLOCK], matrix[start:start + _ROWS_PER_BLOCK])
         for start in range(0, len(tokens), _ROWS_PER_BLOCK)
     )
-    if pool is None:
-        texts = (_format_rows(*block) for block in blocks)
-    else:
-        texts = workers.in_order(pool, _format_rows, blocks)
-    for text in texts:
+    for text in workers.in_order(pool, _format_rows, blocks):
         f.write(text)
+
+
+def check_savable(vocab: Vocabulary, include_context: bool = False) -> None:
+    """Raise EmbeddingFormatError if a word, or with include_context a
+    context, holds a space: a space separates the fields of the text format,
+    so :func:`save_embeddings` cannot write such a token."""
+    for tokens in (vocab.words, vocab.contexts) if include_context else (vocab.words,):
+        spaced = next((token for token in tokens if " " in token), None)
+        if spaced is not None:
+            raise EmbeddingFormatError(f"cannot save {spaced!r}: a space separates fields")
 
 
 def save_embeddings(store: EmbeddingStore, path: str | Path, include_context: bool = False) -> None:
@@ -560,7 +581,8 @@ def save_embeddings(store: EmbeddingStore, path: str | Path, include_context: bo
     context matrix goes to a sibling file with a "_ctx" suffix. Only a line
     feed ends a row, here and in :func:`load_embeddings`, so a word may hold a
     carriage return; a space separates fields, so a word or context that
-    holds one raises EmbeddingFormatError before any file is opened.
+    holds one raises EmbeddingFormatError (:func:`check_savable`) before any
+    file is opened.
 
     A model of more than one block of _ROWS_PER_BLOCK rows is formatted in a
     :func:`workers.fork_pool`, so at most two blocks per CPU are in memory as
@@ -569,14 +591,11 @@ def save_embeddings(store: EmbeddingStore, path: str | Path, include_context: bo
     and raises the error.
     """
     path = Path(path)
+    check_savable(store.vocab, include_context)
     sides = [(path, store.vocab.words, store.word_vectors)]
     if include_context:
         ctx_path = path.with_name(path.stem + "_ctx" + path.suffix)
         sides.append((ctx_path, store.vocab.contexts, store.context_vectors))
-    for _, tokens, _ in sides:
-        spaced = next((token for token in tokens if " " in token), None)
-        if spaced is not None:
-            raise EmbeddingFormatError(f"cannot save {spaced!r}: a space separates fields")
     many = any(len(tokens) > _ROWS_PER_BLOCK for _, tokens, _ in sides)
     opened: list[Path] = []
     try:
@@ -593,45 +612,118 @@ def save_embeddings(store: EmbeddingStore, path: str | Path, include_context: bo
         raise
 
 
-def _row_values(f: TextIO, path: Path, count: int, dim: int, words: list[str]):
-    """Yield each row's value text, collecting its word and checking its shape."""
-    for line_no, line in enumerate(f, start=2):
-        if line_no - 2 >= count:
-            raise EmbeddingFormatError(f"{path}:{line_no}: more rows than header declares")
-        row = line.rstrip("\n")
-        n_fields = row.count(" ") + 1
-        if n_fields != dim + 1:
-            raise EmbeddingFormatError(
-                f"{path}:{line_no}: expected {dim + 1} fields, got {n_fields}"
-            )
-        word, _, values = row.partition(" ")
-        words.append(word)
-        yield values
+def _loadtxt(texts: list[str], dim: int) -> np.ndarray:
+    """The value texts of rows, parsed as one float32 matrix of ``dim`` columns."""
+    if not texts or not dim:
+        return np.zeros((len(texts), dim), dtype=np.float32)
+    return np.loadtxt(texts, dtype=np.float32, delimiter=" ", comments=None, ndmin=2)
+
+
+def _value_fault(text: str, dim: int) -> str | None:
+    """None if one row's value text parses as ``dim`` values, else why not."""
+    try:
+        if text and _loadtxt([text], dim).shape == (1, dim):
+            return None
+    except ValueError:
+        pass
+    for value in text.split(" "):
+        try:
+            if value and _loadtxt([value], 1).shape == (1, 1):
+                continue
+        except ValueError:
+            pass
+        return f"bad value {value!r}"
+    return f"bad values {text!r}"
+
+
+def _parse_range(path: Path, start: int, stop: int, dim: int):
+    """The rows held by bytes [start, stop) of ``path``, which begin a line
+    and end one: (words, float32 values, fault). ``fault`` says what is wrong
+    with the first malformed row, or is None; the words and values are those
+    of the rows before it."""
+    with open(path, "rb") as f:
+        f.seek(start)
+        lines = f.read(stop - start).decode("utf-8").split("\n")
+    if lines[-1] == "":  # the range ends with a line feed
+        lines.pop()
+    n = next((i for i, line in enumerate(lines) if line.count(" ") != dim), len(lines))
+    fault = None if n == len(lines) else f"expected {dim + 1} fields, got {lines[n].count(' ') + 1}"
+    rows = [line.partition(" ") for line in lines[:n]]
+    texts = [values for _, _, values in rows]
+    try:
+        values = _loadtxt(texts, dim)
+    except ValueError:
+        values = None
+    if values is None or values.shape != (n, dim):
+        # a row that does not parse: find the first, one row at a time
+        for i, text in enumerate(texts):
+            if (bad := _value_fault(text, dim)) is not None:
+                n, fault = i, bad
+                break
+        values = _loadtxt(texts[:n], dim)
+    return [word for word, _, _ in rows[:n]], values, fault
+
+
+def _ranges(f, start: int, end: int, step: int) -> list[tuple[int, int]]:
+    """Bytes [start, end) of ``f`` cut after a line feed into ranges of whole
+    lines: each ends with the line that holds its step-th byte."""
+    ranges = []
+    while start < end:
+        f.seek(min(start + step, end) - 1)
+        stop = f.tell() + len(f.readline())
+        ranges.append((start, stop))
+        start = stop
+    return ranges
 
 
 def load_embeddings(path: str | Path) -> EmbeddingStore:
     """Load a word2vec-format text file saved by :func:`save_embeddings`.
 
-    The values of all rows are parsed by one streaming ``np.loadtxt`` call.
+    This process reads and checks the header; the rows after it are cut at
+    line feeds into byte ranges of about _ROWS_PER_BLOCK rows, which are
+    parsed by ``np.loadtxt`` in a :func:`workers.fork_pool`. Each worker
+    reads its own range, so this process never holds the text, and at most
+    two ranges per CPU are in flight. This process copies each range's rows
+    into one float32 matrix, allocated from the header but never larger than
+    the file's bytes could fill, so the words, values and layout are those
+    of one parse of the whole file. One CPU, no ``fork`` or a one-range file
+    parses in this process. The first malformed row, in file order, raises
+    EmbeddingFormatError naming its line, as do more or fewer rows than the
+    header declares. The workers reopen the file, so it must be a regular
+    file, not a pipe.
     """
     path = Path(path)
-    with open(path, encoding="utf-8", newline="\n") as f:
-        header = f.readline().rstrip("\n")
-        parts = header.split()
-        if len(parts) != 2:
-            raise EmbeddingFormatError(f"{path}:1: bad header {header!r}")
+    with open(path, "rb") as f:
+        first = f.readline()
+        header = first.decode("utf-8").rstrip("\n")
         try:
-            count, dim = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise EmbeddingFormatError(f"{path}:1: bad header {header!r}") from None
-        words: list[str] = []
-        values = _row_values(f, path, count, dim, words)
-        if count and dim:
-            rows = np.loadtxt(values, dtype=np.float32, delimiter=" ", comments=None, ndmin=2)
-        else:  # nothing to parse, but the rows are still checked
-            rows = np.zeros((sum(1 for _ in values), dim), dtype=np.float32)
-        if len(words) != count:
-            raise EmbeddingFormatError(f"{path}: header declares {count} rows, found {len(words)}")
+            count, dim = map(int, header.split())
+        except ValueError:  # not two fields, or not two integers
+            count = dim = -1
+        if count < 0 or dim < 0:
+            raise EmbeddingFormatError(f"{path}:1: bad header {header!r}")
+        info = os.fstat(f.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            raise EmbeddingFormatError(f"{path}: not a regular file")
+        # a saved value takes at most 16 bytes: a space and "%.9g" of a float32
+        ranges = _ranges(f, len(first), info.st_size, _ROWS_PER_BLOCK * (dim + 1) * 16)
+    # a row holds dim spaces and, unless it is the last, a line feed
+    matrix = np.empty((min(count, (info.st_size - len(first) + 1) // (dim + 1)), dim), np.float32)
+    words: list[str] = []
+    jobs = ((path, start, stop, dim) for start, stop in ranges)
+    with (workers.fork_pool() if len(ranges) > 1 else nullcontext()) as pool:
+        for block, values, fault in workers.in_order(pool, _parse_range, jobs):
+            row = len(words)
+            # the rows this range reached, its malformed row included
+            reached = row + len(block) + (fault is not None)
+            if reached > count:
+                raise EmbeddingFormatError(f"{path}:{count + 2}: more rows than header declares")
+            if fault is not None:
+                raise EmbeddingFormatError(f"{path}:{reached + 1}: {fault}")
+            matrix[row:row + len(block)] = values
+            words += block
+    if len(words) != count:
+        raise EmbeddingFormatError(f"{path}: header declares {count} rows, found {len(words)}")
     vocab = Vocabulary(
         word_index={w: i for i, w in enumerate(words)},
         word_counts=np.zeros(len(words), dtype=np.int64),
@@ -639,4 +731,4 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
         words=words,
         contexts=[],
     )
-    return EmbeddingStore(rows, np.zeros((0, dim), dtype=np.float32), vocab)
+    return EmbeddingStore(matrix, np.zeros((0, dim), dtype=np.float32), vocab)

@@ -1,10 +1,11 @@
 """Forked worker pools, one worker per CPU, shared by every parallel stage.
 
-Extraction parses corpus chunks, a search trains configurations and a model
-save formats blocks of rows in the pool of :func:`fork_pool`. A forked
-worker inherits this process as it stands when the pool first submits, so
-it imports nothing afresh. On one CPU, or where ``fork`` is not available,
-there is no pool and the caller runs the same function in this process.
+Extraction parses corpus chunks, a search trains configurations, a model
+save formats blocks of rows and a model load parses byte ranges of its file
+in the pool of :func:`fork_pool`. A forked worker inherits this process as
+it stands when the pool first submits, so it imports nothing afresh. On one
+CPU, or where ``fork`` is not available, there is no pool and the caller
+runs the same function in this process.
 """
 
 from __future__ import annotations
@@ -46,7 +47,12 @@ def fork_pool(initializer=None, initargs=()):
 
 def in_order(pool, fn, arg_tuples):
     """``fn(*args)`` for each of ``arg_tuples``, run in ``pool`` and yielded
-    in order, with at most two tasks per CPU submitted and not yet yielded."""
+    in order, with at most two tasks per CPU submitted and not yet yielded;
+    with no pool, run in this process as they are asked for."""
+    if pool is None:
+        for args in arg_tuples:
+            yield fn(*args)
+        return
     ahead = 2 * cpu_count()
     pending = deque()
     for args in arg_tuples:

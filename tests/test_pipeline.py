@@ -932,17 +932,38 @@ def test_cli_train_checks_the_output_directory_before_sgd(tmp_path, monkeypatch,
     assert out.read_bytes() == (tmp_path / "expected.txt").read_bytes()
 
 
+def test_cli_train_refuses_a_token_holding_a_space_before_sgd(tmp_path, monkeypatch, capsys):
+    text = TREEBANK.read_text(encoding="utf-8")
+    # the form of the first sentence's adjective "old", and only that one
+    old = "2\told\told\tADJ\t"
+    assert old in text
+    corpus = tmp_path / "spaced.conllu"
+    corpus.write_text(text.replace(old, "2\told x\told\tADJ\t", 1), encoding="utf-8")
+    config = write_config(tmp_path, corpus=corpus)
+    out = tmp_path / "v.txt"
+
+    def no_sgd(*args):
+        raise RuntimeError("SGD ran")
+
+    monkeypatch.setattr(sgns, "_sgd", no_sgd)
+    for context in ([], ["--save-context"]):
+        argv = ["train", "-c", str(config), "--bags", "amod+conj", "--out", str(out), *context]
+        assert cli.main(argv) == 1
+        assert "cannot save 'old x': a space separates fields" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "exp.txt", "spaced.conllu"]
+
+
 def test_cli_train_bow_baseline(tmp_path, monkeypatch):
     config = write_config(tmp_path)
     vectors = tmp_path / "bow.txt"
     streams = []
-    real_train = sgns.train
+    real_encode = sgns.encode
 
-    def recording_train(pairs, trainer_config):
+    def recording_encode(pairs, min_count):
         streams.append(pairs)
-        return real_train(pairs, trainer_config)
+        return real_encode(pairs, min_count)
 
-    monkeypatch.setattr(sgns, "train", recording_train)
+    monkeypatch.setattr(sgns, "encode", recording_encode)
     assert cli.main(["train", "-c", str(config), "--bags", "bow", "--out", str(vectors)]) == 0
     header = vectors.read_text().splitlines()[0]
     assert int(header.split()[0]) > 0

@@ -127,7 +127,7 @@ def test_one_pass_ids_equal_two_pass_encoding():
         ("a", "w"), ("b", "z"), ("c", "x"), ("a", "y"), ("b", "z"),
     ]
     min_count = 2
-    vocab, word_ids, ctx_ids = sgns._encode(pairs, min_count)
+    vocab, word_ids, ctx_ids = sgns.encode(pairs, min_count)
 
     # the former two passes: count with Counters, then look every pair up
     def retain(counter):
@@ -727,6 +727,27 @@ def test_load_rejects_inconsistent_rows(tmp_path):
         load_embeddings(path)
 
 
+def tiny_model(count, rows=7, faults=()):
+    """A dim-3 model text whose header declares ``count`` rows, holding
+    ``rows`` rows of 15 bytes, with row i replaced by the text of each
+    (i, text) of ``faults``. Loaded at _ROWS_PER_BLOCK = 1, its ranges are of
+    64 bytes cut after a line feed, so they hold rows 0-4 and 5-9."""
+    lines = [f"w{i} 0.1 0.2 0.3" for i in range(rows)]
+    for i, text in faults:
+        lines[i] = text
+    return f"{count} 3\n" + "".join(line + "\n" for line in lines)
+
+
+def test_tiny_model_ranges_cut_after_five_rows(tmp_path):
+    path = tmp_path / "tiny.txt"
+    path.write_text(tiny_model(10, rows=10), encoding="utf-8")
+    with open(path, "rb") as f:
+        header = len(f.readline())
+        # the range size of load_embeddings at _ROWS_PER_BLOCK = 1 and dim 3
+        ranges = sgns._ranges(f, header, path.stat().st_size, 1 * (3 + 1) * 16)
+    assert ranges == [(header, header + 5 * 15), (header + 5 * 15, header + 10 * 15)]
+
+
 @pytest.mark.parametrize(
     "text, where",
     [
@@ -735,13 +756,35 @@ def test_load_rejects_inconsistent_rows(tmp_path):
         ("3 3\nw1 0.1 0.2 0.3\nw2 0.1 0.2 0.3\n", ": header declares 3 rows, found 2"),
         ("0 3\nw1 0.1 0.2 0.3\n", ":2: more rows than header declares"),
         ("2 x\n", ":1: bad header"),
+        ("2 -3\n", ":1: bad header"),
+        ("2 3\nw1 0.1 x 0.3\nw2 0.1 0.2 0.3\n", ":2: bad value 'x'"),
+        ("2 1\nw1 \nw2 0.1\n", ":2: bad value ''"),
+        # at _ROWS_PER_BLOCK = 1 the ranges hold rows 0-4 and 5-9: each fault
+        # sits at the cut (row 5) or inside the second range (row 6)
+        (tiny_model(7, faults=[(5, "w5 0.1 0.2 0.3 0.4")]), ":7: expected 4 fields, got 5"),
+        (tiny_model(7, faults=[(6, "w6 0.1")]), ":8: expected 4 fields, got 2"),
+        (tiny_model(5), ":7: more rows than header declares"),
+        (tiny_model(6), ":8: more rows than header declares"),
+        (tiny_model(8), ": header declares 8 rows, found 7"),
+        (tiny_model(7, faults=[(5, "w5 0.1 x 0.3")]), ":7: bad value 'x'"),
+        (tiny_model(7, faults=[(6, "w6 0.1 0.2 0.3y")]), ":8: bad value '0.3y'"),
+        # a row beyond the declared count is an extra row, malformed or not
+        (tiny_model(5, faults=[(5, "w5 x")]), ":7: more rows than header declares"),
+        # the first fault in file order is the one raised
+        (tiny_model(7, faults=[(3, "w3 0.1 0.2 x"), (6, "w6")]), ":5: bad value 'x'"),
+        # a header no file could fill raises without allocating its rows
+        (tiny_model(999_999_999, rows=2), ": header declares 999999999 rows, found 2"),
     ],
 )
-def test_load_errors_name_the_line(tmp_path, text, where):
+def test_load_errors_name_the_line(tmp_path, monkeypatch, text, where):
     path = tmp_path / "bad.txt"
     path.write_text(text, encoding="utf-8")
-    with pytest.raises(EmbeddingFormatError, match=re.escape(f"{path}{where}")):
-        load_embeddings(path)
+    # one range and tiny ranges, parsed in this process and in workers
+    for rows_per_block, cpus in itertools.product((sgns._ROWS_PER_BLOCK, 1), (1, 2)):
+        monkeypatch.setattr(sgns, "_ROWS_PER_BLOCK", rows_per_block)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        with pytest.raises(EmbeddingFormatError, match=re.escape(f"{path}{where}")):
+            load_embeddings(path)
 
 
 def test_load_round_trips_float32_edge_values(tmp_path):
@@ -767,3 +810,126 @@ def test_load_keeps_the_shape_of_empty_models(tmp_path):
     flat = load_embeddings(tmp_path / "flat.txt")
     assert flat.word_vectors.shape == (2, 0)
     assert flat.vocab.words == ["a", "b"]
+
+
+LOAD_EDGE_VALUES = EDGE_VALUES + [float("nan"), float("-inf")]
+
+
+def loaded_models(tmp_path):
+    """(name, path, words, matrix) of models whose loads are compared at one
+    and at two CPUs, with the words and values each must load as."""
+    k = len(LOAD_EDGE_VALUES)
+    edge = np.array(
+        [LOAD_EDGE_VALUES[i % k:] + LOAD_EDGE_VALUES[:i % k] for i in range(12)], dtype=np.float32
+    )
+    words = ["a", "é", "日本", "car\rriage", "#b"] + [f"w{i}" for i in range(5, 12)]
+    models = []
+    for name, tokens, matrix in [
+        ("edge", words, edge), ("no-rows", [], edge[:0, :7]), ("no-dims", words[:2], edge[:2, :0]),
+    ]:
+        vocab = Vocabulary(
+            word_index={w: i for i, w in enumerate(tokens)},
+            word_counts=np.ones(len(tokens), np.int64), context_counts=np.zeros(0, np.int64),
+            words=list(tokens), contexts=[],
+        )
+        path = tmp_path / f"{name}.txt"
+        save_embeddings(EmbeddingStore(matrix, matrix[:0], vocab), path)
+        models.append((name, path, tokens, matrix))
+    unended = tmp_path / "unended.txt"
+    unended.write_bytes(models[0][1].read_bytes().rstrip(b"\n"))
+    models.append(("unended", unended, words, edge))
+    return models
+
+
+def test_load_on_one_and_two_cpus_gives_the_saved_store(tmp_path, monkeypatch):
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the load forks no worker without fork")
+    models = loaded_models(tmp_path)
+    assert (tmp_path / "no-rows.txt").read_text(encoding="utf-8") == "0 7\n"
+    assert (tmp_path / "no-dims.txt").read_text(encoding="utf-8") == "2 0\na\né\n"
+    # ranges of one or two rows
+    monkeypatch.setattr(sgns, "_ROWS_PER_BLOCK", 1)
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        for name, path, words, matrix in models:
+            loaded = load_embeddings(path)
+            assert loaded.vocab.words == words, (name, cpus)
+            vectors = loaded.word_vectors
+            assert vectors.dtype == np.float32 and vectors.flags.c_contiguous, (name, cpus)
+            assert vectors.shape == matrix.shape, (name, cpus)
+            assert np.array_equal(vectors, matrix, equal_nan=True), (name, cpus)
+            assert np.array_equal(np.signbit(vectors), np.signbit(matrix)), (name, cpus)
+            assert loaded.context_vectors.shape == (0, matrix.shape[1])
+    assert multiprocessing.active_children() == []
+
+
+def test_a_one_range_file_or_one_cpu_loads_without_a_process(tmp_path, monkeypatch):
+    _, path, words, matrix = loaded_models(tmp_path)[0]
+
+    def no_fork():
+        raise AssertionError("the load started a process")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    # one range on two CPUs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert load_embeddings(path).vocab.words == words
+    # many ranges on one CPU
+    monkeypatch.setattr(sgns, "_ROWS_PER_BLOCK", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    loaded = load_embeddings(path)
+    assert np.array_equal(loaded.word_vectors, matrix, equal_nan=True)
+
+
+_real_parse_range = sgns._parse_range
+
+
+def _parse_range_dying_in_a_worker(path, start, stop, dim):
+    if os.getpid() != _TEST_PROCESS:
+        os._exit(1)
+    return _real_parse_range(path, start, stop, dim)
+
+
+def _parse_range_failing_after_the_first(path, start, stop, dim):
+    block = _real_parse_range(path, start, stop, dim)
+    if "w0" not in block[0]:
+        raise OSError("reading failed")
+    return block
+
+
+@pytest.mark.parametrize(
+    "failure, cpus, error",
+    [("killed", 2, BrokenProcessPool), ("raises", 2, OSError), ("raises", 1, OSError)],
+)
+def test_a_failed_load_raises_and_leaves_no_worker(tmp_path, monkeypatch, failure, cpus, error):
+    if cpus > 1 and "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the load forks no worker without fork")
+    path = tmp_path / "v.txt"
+    path.write_text(tiny_model(10, rows=10), encoding="utf-8")
+    monkeypatch.setattr(sgns, "_ROWS_PER_BLOCK", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    failing = {"killed": _parse_range_dying_in_a_worker, "raises": _parse_range_failing_after_the_first}
+    monkeypatch.setattr(sgns, "_parse_range", failing[failure])
+    with pytest.raises(error):
+        load_embeddings(path)
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(sgns, "_parse_range", _real_parse_range)
+    assert load_embeddings(path).vocab.words == [f"w{i}" for i in range(10)]
+
+
+def test_check_savable_refuses_a_spaced_context_only_with_contexts():
+    store = edge_store(["a", "b"], ["x", "1 000_nummod"])
+    sgns.check_savable(store.vocab)
+    with pytest.raises(EmbeddingFormatError, match=re.escape("cannot save '1 000_nummod'")):
+        sgns.check_savable(store.vocab, include_context=True)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_load_refuses_a_pipe(tmp_path):
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, b"1 2\na 0 0\n")
+        os.close(write_end)
+        with pytest.raises(EmbeddingFormatError, match="not a regular file"):
+            load_embeddings(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
