@@ -26,6 +26,13 @@ def _add_config_arg(parser):
     )
 
 
+def _add_embeddings_arg(parser):
+    parser.add_argument(
+        "--embeddings", required=True, metavar="FILE",
+        help="word2vec text model, such as depctx train writes; a regular file, not a pipe",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="depctx",
@@ -55,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="score an embedding file on the gold dataset")
     _add_config_arg(p_eval)
-    p_eval.add_argument("--embeddings", required=True, metavar="FILE")
+    _add_embeddings_arg(p_eval)
     p_eval.add_argument("--classes", default=None, help="comma list, e.g. A,V,N or ALL")
 
     p_search = sub.add_parser("search", help="run the best-configuration search per class")
@@ -67,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_toefl = sub.add_parser("toefl", help="answer multiple-choice questions")
     _add_config_arg(p_toefl)
-    p_toefl.add_argument("--embeddings", required=True, metavar="FILE")
+    _add_embeddings_arg(p_toefl)
 
     p_simlex = sub.add_parser(
         "simlex-import", help="convert a SimLex-999 distribution file to the dataset format"
@@ -108,10 +115,12 @@ def cmd_train(args) -> int:
             f"unknown bag label(s): {', '.join(unknown)}; "
             f"the extracted bags are: {', '.join(sorted(manifest.counts))}"
         )
-    out_dir = Path(args.out).parent
-    if not out_dir.is_dir():
-        # checked before SGD, which at paper scale takes minutes
-        raise FileNotFoundError(f"cannot write {args.out}: {out_dir} is not a directory")
+    # checked before SGD, which at paper scale takes minutes
+    out = Path(args.out)
+    if not out.parent.is_dir():
+        raise FileNotFoundError(f"cannot write {args.out}: {out.parent} is not a directory")
+    if out.is_dir():
+        raise IsADirectoryError(f"cannot write {args.out}: it is a directory")
     stream = extraction.PairStream(exp.bag_dir(kind), config.bags, manifest)
     trainer = exp.cfg.trainer_config()
     vocab, word_ids, ctx_ids = sgns.encode(stream, trainer.min_count)

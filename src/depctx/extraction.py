@@ -7,8 +7,9 @@ variants. The window-based BOW and POSIT baseline contexts live here too.
 ``(word, context, bag)`` triples of either kind, a baseline as one bag named
 by its kind; :func:`write_bag_files` appends such texts, one per chunk of a
 corpus and in corpus order, to the bag files and writes their manifest. The
-pipeline runs :func:`bag_texts` on each chunk in a worker process when it
-has more than one, and in its own process otherwise.
+pipeline runs :func:`bag_texts` on each chunk, in a worker process when
+there is more than one, with a ``functools.partial`` of :func:`deps_pairs`
+or :func:`window_pairs`, which pickles, as its ``pairs_of``.
 
 A :class:`DependencyPair` is ``(word, context, bag)``: the context is the
 typed string a bag file stores, such as ``australian_amod`` or
@@ -250,6 +251,21 @@ def extract_posit_pairs(sentence: Sentence, window: int = 2) -> Iterator[tuple[s
 
 
 WINDOW_EXTRACTORS = {"bow": extract_bow_pairs, "posit": extract_posit_pairs}
+
+
+def deps_pairs(
+    table: BagMappingTable, config: ExtractionConfig, sentence: Sentence
+) -> Iterator[DependencyPair]:
+    """The dependency pairs of one sentence under ``config``: its prepositions
+    collapsed, then its arcs extracted."""
+    sentence = collapse_prepositions(sentence, config.collapse_targets)
+    return extract_deps_pairs(sentence, table, config.conj_variant)
+
+
+def window_pairs(kind: str, window: int, sentence: Sentence) -> list[tuple[str, str, str]]:
+    """The (word, context, bag) triples of one sentence in the ``kind``
+    baseline, "bow" or "posit": one bag, named ``kind``."""
+    return [(word, context, kind) for word, context in WINDOW_EXTRACTORS[kind](sentence, window)]
 
 
 def effective_bags(table: BagMappingTable, config: ExtractionConfig) -> tuple[str, ...]:

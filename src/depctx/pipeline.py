@@ -7,8 +7,8 @@ one half of that class's gold pairs under ``fold_seed``, named "A:0" in the
 fitness cache by :func:`fold_key` alone; :meth:`Experiment.fitness_function`
 alone resolves it to entry indices. The dependency bags and each window
 baseline have their own bag directory, keyed by the corpus bytes and the
-settings that extraction reads. Extraction parses and extracts a corpus of
-more than one chunk in forked worker processes, one per CPU, and this
+settings that extraction reads. Extraction parses and extracts the chunks
+of a corpus in forked worker processes (:func:`workers.in_order`), and this
 process writes their text to the bag files in corpus order. A trained
 configuration is kept in memory only as its gold-pair cosines, which score
 it on every class and fold.
@@ -29,10 +29,9 @@ import logging
 import math
 import os
 import time
-from contextlib import nullcontext
 from dataclasses import astuple, dataclass, field, fields, replace
-from functools import cached_property
-from itertools import chain, islice
+from functools import cached_property, partial
+from itertools import chain
 from importlib import resources
 from pathlib import Path
 
@@ -325,40 +324,22 @@ class Experiment:
     # -- extraction --
 
     def _pairs_of(self, kind: str):
-        """The function from a sentence to its (word, context, bag) triples
-        in ``kind``'s extraction, and the bags of that extraction."""
+        """The picklable function from a sentence to its (word, context, bag)
+        triples in ``kind``'s extraction, and the bags of that extraction."""
         if kind == "deps":
-            table, config = self.table, self.cfg.extraction_config()
-
-            def pairs_of(sentence):
-                sentence = extraction.collapse_prepositions(sentence, config.collapse_targets)
-                return extraction.extract_deps_pairs(sentence, table, config.conj_variant)
-
-            return pairs_of, extraction.effective_bags(table, config)
-        extract, window = extraction.WINDOW_EXTRACTORS[kind], self.cfg.window
-
-        def pairs_of(sentence):
-            return [(word, context, kind) for word, context in extract(sentence, window)]
-
-        return pairs_of, (kind,)
-
-    def extract_chunk(self, kind: str, chunk: tuple[bytes, int]):
-        """One chunk of :func:`conllu.read_chunks`: its per-bag text in
-        ``kind``'s extraction, and its skip warnings, logged by no one yet."""
-        data, first_line = chunk
-        skipped: list[str] = []
-        sentences = conllu.parse_conllu(conllu.chunk_lines(data), first_line, skipped.append)
-        pairs_of, bags = self._pairs_of(kind)
-        return extraction.bag_texts(sentences, pairs_of, bags), skipped
+            config = self.cfg.extraction_config()
+            pairs_of = partial(extraction.deps_pairs, self.table, config)
+            return pairs_of, extraction.effective_bags(self.table, config)
+        return partial(extraction.window_pairs, kind, self.cfg.window), (kind,)
 
     def _extract(self, kind: str, force: bool) -> extraction.Manifest:
         """``kind``'s manifest: from its bag directory when an up-to-date one is
         there and ``force`` is off, else from writing the directory afresh.
 
-        A corpus of more than one chunk is parsed and extracted in a
-        :meth:`worker_pool`, at most two chunks per worker in flight; this
-        process logs each chunk's skip warnings and writes its text, in
-        corpus order, so the files are those of one process.
+        The chunks are parsed and extracted by :func:`workers.in_order`, at
+        most two chunks per worker in flight; this process logs each chunk's
+        skip warnings and writes its text, in corpus order, so the files are
+        those of one process.
         """
         if not self.cfg.corpus:
             raise ExperimentConfigError("extract requires at least one corpus path")
@@ -374,19 +355,13 @@ class Experiment:
                     logger.info("extraction cache hit: %s", out)
                     return manifest
         logger.info("extracting to %s", out)
-        _, bags = self._pairs_of(kind)
+        pairs_of, bags = self._pairs_of(kind)
         chunks = chain.from_iterable(map(conllu.read_chunks, self.cfg.corpus))
-        head = list(islice(chunks, 2))
-        chunks = chain(head, chunks)
-        with (self.worker_pool() if len(head) > 1 else nullcontext()) as pool:
-            if pool is None:
-                results = (self.extract_chunk(kind, chunk) for chunk in chunks)
-            else:
-                jobs = ((kind, chunk) for chunk in chunks)
-                results = workers.in_order(pool, _extract_in_worker, jobs)
+        jobs = ((pairs_of, bags, chunk) for chunk in chunks)
+        with workers.fork_pool() as pool:
 
             def texts():
-                for text, skipped in results:
+                for text, skipped in workers.in_order(pool, _chunk_texts, jobs):
                     for message in skipped:
                         conllu.logger.warning(message)
                     yield text
@@ -429,12 +404,11 @@ class Experiment:
     # -- worker processes --
 
     def worker_pool(self):
-        """A :func:`workers.fork_pool` whose workers work for this experiment:
-        they parse and extract corpus chunks (:meth:`extract_chunk`) or train
-        configurations (:meth:`prefetch`).
+        """A :func:`workers.fork_pool` whose workers train configurations for
+        this experiment's search (:meth:`prefetch`).
 
         The workers inherit this experiment as it stands when the pool first
-        submits, so a task sends only its chunk or configuration. A spawned
+        submits, so a task sends only its configuration. A spawned
         worker would import numpy and depctx afresh (about 0.13 s), longer
         than most trainings of a small search.
         """
@@ -656,12 +630,17 @@ def _init_worker(experiment: Experiment) -> None:
     _worker_experiment = experiment
 
 
-def _extract_in_worker(kind: str, chunk: tuple[bytes, int]):
-    return _worker_experiment.extract_chunk(kind, chunk)
-
-
 def _train_in_worker(config: search.Configuration) -> tuple[np.ndarray, float]:
     return _worker_experiment.train_configuration(config)
+
+
+def _chunk_texts(pairs_of, bags, chunk: tuple[bytes, int]):
+    """One chunk of :func:`conllu.read_chunks`: its :func:`extraction.bag_texts`,
+    and its skip warnings, logged by no one yet."""
+    data, first_line = chunk
+    skipped: list[str] = []
+    sentences = conllu.parse_conllu(conllu.chunk_lines(data), first_line, skipped.append)
+    return extraction.bag_texts(sentences, pairs_of, bags), skipped
 
 
 def render_report(rows: list[ReportRow], timing: bool = False) -> str:

@@ -21,12 +21,13 @@ Matrices are float32; the gradient-check helper runs at whatever precision
 its inputs carry.
 
 A model is saved as word2vec text, formatted in blocks of _ROWS_PER_BLOCK
-rows on every CPU (:func:`workers.fork_pool`) and written in row order, so
+rows on every CPU (:func:`workers.in_order`) and written in row order, so
 the bytes are those of one process and at most two blocks per CPU are in
 memory as text. It is loaded on every CPU as well: each worker reads and
 parses its own byte range of about _ROWS_PER_BLOCK rows, and this process
 copies the ranges' rows, in file order, into one matrix, so the vectors are
-those of one parse and this process never holds the text.
+those of one parse and this process never holds the text. Like every stage,
+a side of one block or a file of one range starts no process.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import os
 import stat
 import time
 from array import array
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple, TextIO
@@ -156,17 +156,19 @@ def build_vocab(
     pair_stream: Iterable[tuple[str, str]], min_count: int = TrainerConfig.min_count
 ) -> Vocabulary:
     """Count words and contexts over the stream and drop entries below min_count."""
-    return _count(pair_stream, min_count)[0]
+    return encode(pair_stream, min_count)[0]
 
 
-def _count(
+def encode(
     pair_stream: Iterable[tuple[str, str]], min_count: int
-) -> tuple[Vocabulary, tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Read the stream once into a vocabulary and, per side, (raw ids, lookup).
+) -> tuple[Vocabulary, np.ndarray, np.ndarray]:
+    """The vocabulary and the stream as id arrays, in one read of the stream.
 
-    Raw ids number tokens in first-seen order; ``lookup[raw]`` is the token's
-    vocabulary id, or -1 when min_count filtered it out.
+    Pairs whose word or context min_count filtered out are dropped. A caller
+    that must vet the vocabulary before SGD, such as ``depctx train`` with
+    :func:`check_savable`, trains the result with :func:`fit`.
     """
+    # raw ids number tokens in first-seen order
     word_index: dict[str, int] = {}
     ctx_index: dict[str, int] = {}
     word_buf, ctx_buf = array("i"), array("i")
@@ -189,7 +191,10 @@ def _count(
         words=words,
         contexts=contexts,
     )
-    return vocab, (raw_words, word_lookup), (raw_ctxs, ctx_lookup)
+    word_ids, ctx_ids = word_lookup[raw_words], ctx_lookup[raw_ctxs]
+    del word_buf, ctx_buf, raw_words, raw_ctxs  # spent: freed before the copies below
+    both = (word_ids >= 0) & (ctx_ids >= 0)
+    return vocab, word_ids[both], ctx_ids[both]
 
 
 def _rank(
@@ -206,21 +211,6 @@ def _rank(
     lookup = np.full(len(tokens), -1, dtype=np.int32)
     lookup[kept] = np.arange(len(kept), dtype=np.int32)
     return [tokens[i] for i in kept], counts[kept], lookup
-
-
-def encode(
-    pair_stream: Iterable[tuple[str, str]], min_count: int
-) -> tuple[Vocabulary, np.ndarray, np.ndarray]:
-    """The vocabulary and the stream as id arrays, in one read of the stream.
-
-    Pairs whose word or context min_count filtered out are dropped. A caller
-    that must vet the vocabulary before SGD, such as ``depctx train`` with
-    :func:`check_savable`, trains the result with :func:`fit`.
-    """
-    vocab, (raw_words, word_lookup), (raw_ctxs, ctx_lookup) = _count(pair_stream, min_count)
-    word_ids, ctx_ids = word_lookup[raw_words], ctx_lookup[raw_ctxs]
-    both = (word_ids >= 0) & (ctx_ids >= 0)
-    return vocab, word_ids[both], ctx_ids[both]
 
 
 def keep_probabilities(counts: np.ndarray, t: float) -> np.ndarray:
@@ -552,9 +542,9 @@ def _format_rows(tokens: list[str], rows: np.ndarray) -> str:
 
 def _write_rows(f: TextIO, tokens: list[str], matrix: np.ndarray, pool) -> None:
     """The "count dim" header, then the rows of ``tokens``, formatted in
-    blocks of _ROWS_PER_BLOCK rows: in ``pool`` when there is one, with at
-    most two blocks per CPU in flight, else in this process. This process
-    writes the blocks in row order, so the bytes do not depend on the pool."""
+    blocks of _ROWS_PER_BLOCK rows by :func:`workers.in_order` on ``pool``.
+    This process writes the blocks in row order, so the bytes do not depend
+    on the pool."""
     f.write(f"{len(tokens)} {matrix.shape[1]}\n")
     blocks = (
         (tokens[start:start + _ROWS_PER_BLOCK], matrix[start:start + _ROWS_PER_BLOCK])
@@ -584,11 +574,10 @@ def save_embeddings(store: EmbeddingStore, path: str | Path, include_context: bo
     holds one raises EmbeddingFormatError (:func:`check_savable`) before any
     file is opened.
 
-    A model of more than one block of _ROWS_PER_BLOCK rows is formatted in a
+    Each side's blocks of _ROWS_PER_BLOCK rows are formatted in a
     :func:`workers.fork_pool`, so at most two blocks per CPU are in memory as
-    text. One CPU, no ``fork`` or a one-block model formats in this process.
-    A save that fails removes the files it was writing, stops its workers
-    and raises the error.
+    text; a side of one block formats in this process. A save that fails
+    removes the files it was writing, stops its workers and raises the error.
     """
     path = Path(path)
     check_savable(store.vocab, include_context)
@@ -596,10 +585,9 @@ def save_embeddings(store: EmbeddingStore, path: str | Path, include_context: bo
     if include_context:
         ctx_path = path.with_name(path.stem + "_ctx" + path.suffix)
         sides.append((ctx_path, store.vocab.contexts, store.context_vectors))
-    many = any(len(tokens) > _ROWS_PER_BLOCK for _, tokens, _ in sides)
     opened: list[Path] = []
     try:
-        with (workers.fork_pool() if many else nullcontext()) as pool:
+        with workers.fork_pool() as pool:
             for out, tokens, matrix in sides:
                 with open(out, "w", encoding="utf-8", newline="\n") as f:
                     opened.append(out)
@@ -686,8 +674,8 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
     two ranges per CPU are in flight. This process copies each range's rows
     into one float32 matrix, allocated from the header but never larger than
     the file's bytes could fill, so the words, values and layout are those
-    of one parse of the whole file. One CPU, no ``fork`` or a one-range file
-    parses in this process. The first malformed row, in file order, raises
+    of one parse of the whole file; a file of one range parses in this
+    process. The first malformed row, in file order, raises
     EmbeddingFormatError naming its line, as do more or fewer rows than the
     header declares. The workers reopen the file, so it must be a regular
     file, not a pipe.
@@ -711,7 +699,7 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
     matrix = np.empty((min(count, (info.st_size - len(first) + 1) // (dim + 1)), dim), np.float32)
     words: list[str] = []
     jobs = ((path, start, stop, dim) for start, stop in ranges)
-    with (workers.fork_pool() if len(ranges) > 1 else nullcontext()) as pool:
+    with workers.fork_pool() as pool:
         for block, values, fault in workers.in_order(pool, _parse_range, jobs):
             row = len(words)
             # the rows this range reached, its malformed row included

@@ -3,9 +3,10 @@
 Extraction parses corpus chunks, a search trains configurations, a model
 save formats blocks of rows and a model load parses byte ranges of its file
 in the pool of :func:`fork_pool`. A forked worker inherits this process as
-it stands when the pool first submits, so it imports nothing afresh. On one
-CPU, or where ``fork`` is not available, there is no pool and the caller
-runs the same function in this process.
+it stands when the pool first submits, so it imports nothing afresh.
+:func:`in_order` alone decides whether a stage forks: its jobs run in
+workers when there is a pool and at least two jobs, else in this process.
+On one CPU, or where ``fork`` is not available, there is no pool.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from contextlib import contextmanager
+from itertools import chain, islice
 
 
 def cpu_count() -> int:
@@ -26,10 +28,10 @@ def fork_pool(initializer=None, initargs=()):
     its pending tasks cancelled; None on one CPU or without fork.
 
     The executor forks its workers at its first submit, so a block that
-    submits nothing starts no process.
+    submits nothing starts no process; it still imports
+    ``concurrent.futures``.
     """
     cpus = cpu_count()
-    # imported here, so that commands which start no process do not pay for it
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
@@ -46,16 +48,21 @@ def fork_pool(initializer=None, initargs=()):
 
 
 def in_order(pool, fn, arg_tuples):
-    """``fn(*args)`` for each of ``arg_tuples``, run in ``pool`` and yielded
-    in order, with at most two tasks per CPU submitted and not yet yielded;
-    with no pool, run in this process as they are asked for."""
-    if pool is None:
-        for args in arg_tuples:
+    """``fn(*args)`` for each of ``arg_tuples``, yielded in order.
+
+    With a pool and at least two jobs, they run in ``pool``, with at most
+    two tasks per CPU submitted and not yet yielded; otherwise they run in
+    this process as they are asked for, and no process starts.
+    """
+    jobs = iter(arg_tuples)
+    head = [] if pool is None else list(islice(jobs, 2))
+    if len(head) < 2:
+        for args in chain(head, jobs):
             yield fn(*args)
         return
     ahead = 2 * cpu_count()
     pending = deque()
-    for args in arg_tuples:
+    for args in chain(head, jobs):
         pending.append(pool.submit(fn, *args))
         if len(pending) >= ahead:
             yield pending.popleft().result()

@@ -7,6 +7,24 @@ import pytest
 from depctx.conllu import Sentence, Token
 
 
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="worker pool needs fork"
+)
+
+
+def count_process_starts(monkeypatch) -> list:
+    """Record the name of every process this process starts."""
+    started = []
+    real_start = multiprocessing.process.BaseProcess.start
+
+    def counting_start(process):
+        started.append(process.name)
+        real_start(process)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
+    return started
+
+
 @pytest.fixture(autouse=True)
 def no_leaked_worker_processes():
     """Fail a test that leaves child processes running, such as a worker

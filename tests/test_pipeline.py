@@ -1,6 +1,5 @@
 import hashlib
 import logging
-import multiprocessing
 import os
 import re
 import time
@@ -11,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import count_process_starts, needs_fork
 from depctx import cli, conllu, extraction, pipeline, search, sgns
 from depctx.extraction import MANIFEST_NAME, ExtractionConfig
 from depctx.pipeline import (
@@ -25,10 +25,6 @@ from depctx.sgns import TrainerConfig
 TREEBANK = bundled_path("fixture_treebank.conllu")
 SIMILARITY = bundled_path("toy_similarity.tsv")
 TOEFL = bundled_path("toy_toefl.txt")
-
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(), reason="worker pool needs fork"
-)
 
 BAG13 = {
     "subj", "obj", "comp", "nummod", "appos", "nmod", "acl",
@@ -372,18 +368,18 @@ def test_failed_window_extraction_leaves_a_marker_and_is_redone(tmp_path, monkey
     exp = Experiment(load_experiment_config(write_config(tmp_path)))
     exp.extract_window_pairs("bow")
     golden = file_hashes(exp.bag_dir("bow"))
-    real_extract_chunk = Experiment.extract_chunk
+    real_parse = conllu.parse_conllu
 
-    def failing_extract_chunk(self, kind, chunk):
-        if chunk[1] > 1:  # a chunk after the first
+    def failing_parse(lines, first_line, warn):
+        if first_line > 1:  # a chunk after the first
             raise RuntimeError("corpus read failed")
-        return real_extract_chunk(self, kind, chunk)
+        return real_parse(lines, first_line, warn)
 
-    monkeypatch.setattr(Experiment, "extract_chunk", failing_extract_chunk)
+    monkeypatch.setattr(conllu, "parse_conllu", failing_parse)
     with pytest.raises(RuntimeError, match="corpus read failed"):
         exp.extract_window_pairs("bow", force=True)
     assert (exp.bag_dir("bow") / "_INCOMPLETE").exists()
-    monkeypatch.setattr(Experiment, "extract_chunk", real_extract_chunk)
+    monkeypatch.setattr(conllu, "parse_conllu", real_parse)
     manifest = Experiment(exp.cfg).extract_window_pairs("bow")
     assert file_hashes(exp.bag_dir("bow")) == golden
     assert manifest.counts == extraction.Manifest.load(exp.bag_dir("bow")).counts
@@ -394,19 +390,19 @@ def test_killed_extraction_worker_fails_the_extraction_and_it_is_redone(tmp_path
     monkeypatch.setattr(conllu, "CHUNK_BYTES", SMALL_CHUNK)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     parent = os.getpid()
-    real_extract_chunk = Experiment.extract_chunk
+    real_parse = conllu.parse_conllu
 
-    def dying_extract_chunk(self, kind, chunk):
+    def dying_parse(lines, first_line, warn):
         if os.getpid() != parent:
             os._exit(1)
-        return real_extract_chunk(self, kind, chunk)
+        return real_parse(lines, first_line, warn)
 
-    monkeypatch.setattr(Experiment, "extract_chunk", dying_extract_chunk)
+    monkeypatch.setattr(conllu, "parse_conllu", dying_parse)
     exp = Experiment(load_experiment_config(write_config(tmp_path)))
     with pytest.raises(BrokenProcessPool):
         exp.extract()
     assert (exp.bag_dir() / "_INCOMPLETE").exists()
-    monkeypatch.setattr(Experiment, "extract_chunk", real_extract_chunk)
+    monkeypatch.setattr(conllu, "parse_conllu", real_parse)
     Experiment(exp.cfg).extract()
     assert file_hashes(exp.bag_dir()) == GOLDEN_SHA256
 
@@ -922,6 +918,11 @@ def test_cli_train_checks_the_output_directory_before_sgd(tmp_path, monkeypatch,
             argv = ["train", "-c", str(config), "--bags", "amod+conj", "--out", str(out)]
             assert cli.main(argv + ["--save-context"]) == 1
             assert f"cannot write {out}: {out.parent} is not a directory" in capsys.readouterr().err
+        # an existing directory as --out
+        for flags in ([], ["--save-context"]):
+            argv = ["train", "-c", str(config), "--bags", "amod+conj", "--out", str(tmp_path)]
+            assert cli.main(argv + flags) == 1
+            assert f"cannot write {tmp_path}: it is a directory" in capsys.readouterr().err
         assert sgd_calls == []
     # a valid --out writes what training and saving the model write
     out = tmp_path / "v.txt"
@@ -1075,19 +1076,6 @@ def test_pooled_smoke_search_writes_what_one_process_writes(tmp_path, one_proces
     assert len({canonical for canonical, _ in expected["records"]}) == len(trained_alone) == 37
     # with a pool, the workers train every configuration
     assert trained_here == []
-
-
-def count_process_starts(monkeypatch) -> list:
-    """Record the name of every process this process starts."""
-    started = []
-    real_start = multiprocessing.process.BaseProcess.start
-
-    def counting_start(process):
-        started.append(process.name)
-        real_start(process)
-
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
-    return started
 
 
 @needs_fork

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import count_process_starts, needs_fork
 from depctx import sgns
 from depctx.sgns import (
     EmbeddingFormatError,
@@ -878,6 +879,24 @@ def test_a_one_range_file_or_one_cpu_loads_without_a_process(tmp_path, monkeypat
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     loaded = load_embeddings(path)
     assert np.array_equal(loaded.word_vectors, matrix, equal_nan=True)
+
+
+@needs_fork
+def test_only_a_file_of_several_ranges_loads_in_workers(tmp_path, monkeypatch):
+    path = tmp_path / "v.txt"
+    path.write_text(
+        "10 3\n" + "".join(f"w{i} {i}.5 -{i} {i}e-3\n" for i in range(10)), encoding="utf-8"
+    )
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    started = count_process_starts(monkeypatch)
+    one = load_embeddings(path)
+    assert started == []
+    monkeypatch.setattr(sgns, "_ROWS_PER_BLOCK", 1)
+    several = load_embeddings(path)
+    assert len(started) == 2
+    assert one.vocab.words == several.vocab.words == [f"w{i}" for i in range(10)]
+    assert np.array_equal(one.word_vectors, several.word_vectors)
+    assert one.word_vectors[3].tolist() == np.float32([3.5, -3, 3e-3]).tolist()
 
 
 _real_parse_range = sgns._parse_range
