@@ -29,7 +29,7 @@ def _add_config_arg(parser):
 def _add_embeddings_arg(parser):
     parser.add_argument(
         "--embeddings", required=True, metavar="FILE",
-        help="word2vec text model, such as depctx train writes; a regular file, not a pipe",
+        help="word2vec text model, such as depctx train writes",
     )
 
 

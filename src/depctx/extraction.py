@@ -9,7 +9,7 @@ by its kind; :func:`write_bag_files` appends such texts, one per chunk of a
 corpus and in corpus order, to the bag files and writes their manifest. The
 pipeline runs :func:`bag_texts` on each chunk, in a worker process when
 there is more than one, with a ``functools.partial`` of :func:`deps_pairs`
-or :func:`window_pairs`, which pickles, as its ``pairs_of``.
+or :func:`window_pairs` as its ``pairs_of``.
 
 A :class:`DependencyPair` is ``(word, context, bag)``: the context is the
 typed string a bag file stores, such as ``australian_amod`` or

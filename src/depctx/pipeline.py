@@ -8,14 +8,14 @@ fitness cache by :func:`fold_key` alone; :meth:`Experiment.fitness_function`
 alone resolves it to entry indices. The dependency bags and each window
 baseline have their own bag directory, keyed by the corpus bytes and the
 settings that extraction reads. Extraction parses and extracts the chunks
-of a corpus in forked worker processes (:func:`workers.in_order`), and this
+of a corpus in forked worker processes (:func:`workers.forked`), and this
 process writes their text to the bag files in corpus order. A trained
 configuration is kept in memory only as its gold-pair cosines, which score
 it on every class and fold.
 A search advances every (class, dev fold) run together, in rounds: each
-round trains what all runs asked for in one batch, in forked worker
-processes that return those cosines, and then every run is told the scores
-of its asks (:func:`search.run_rounds`).
+round trains what all runs asked for in one batch, in the forked workers
+of one :func:`workers.forked` block that return those cosines, and then
+every run is told the scores of its asks (:func:`search.run_rounds`).
 This process alone writes the fitness cache.
 Reports deliberately exclude wall-clock times so identical experiments
 reproduce byte-identical report files; timings stay available in the fitness
@@ -324,8 +324,8 @@ class Experiment:
     # -- extraction --
 
     def _pairs_of(self, kind: str):
-        """The picklable function from a sentence to its (word, context, bag)
-        triples in ``kind``'s extraction, and the bags of that extraction."""
+        """The function from a sentence to its (word, context, bag) triples
+        in ``kind``'s extraction, and the bags of that extraction."""
         if kind == "deps":
             config = self.cfg.extraction_config()
             pairs_of = partial(extraction.deps_pairs, self.table, config)
@@ -336,10 +336,10 @@ class Experiment:
         """``kind``'s manifest: from its bag directory when an up-to-date one is
         there and ``force`` is off, else from writing the directory afresh.
 
-        The chunks are parsed and extracted by :func:`workers.in_order`, at
-        most two chunks per worker in flight; this process logs each chunk's
-        skip warnings and writes its text, in corpus order, so the files are
-        those of one process.
+        The chunks are parsed and extracted in a :func:`workers.forked`
+        block, whose tasks carry only their chunk; this process logs each
+        chunk's skip warnings and writes its text, in corpus order, so the
+        files are those of one process.
         """
         if not self.cfg.corpus:
             raise ExperimentConfigError("extract requires at least one corpus path")
@@ -357,11 +357,10 @@ class Experiment:
         logger.info("extracting to %s", out)
         pairs_of, bags = self._pairs_of(kind)
         chunks = chain.from_iterable(map(conllu.read_chunks, self.cfg.corpus))
-        jobs = ((pairs_of, bags, chunk) for chunk in chunks)
-        with workers.fork_pool() as pool:
+        with workers.forked(partial(_chunk_texts, pairs_of, bags)) as run:
 
             def texts():
-                for text, skipped in workers.in_order(pool, _chunk_texts, jobs):
+                for text, skipped in run((chunk,) for chunk in chunks):
                     for message in skipped:
                         conllu.logger.warning(message)
                     yield text
@@ -401,32 +400,16 @@ class Experiment:
             cosines = evaluation.pair_cosines(store, self.dataset)
         return cosines, time.perf_counter() - start
 
-    # -- worker processes --
+    def prefetch(self, train, asks) -> None:
+        """Train, largest first, the configurations of ``asks``, ((word
+        class, fold), configuration) pairs, that have no fitness record on
+        their fold and have not been trained yet, by ``train``: a
+        :func:`workers.forked` run of :meth:`train_configuration`.
 
-    def worker_pool(self):
-        """A :func:`workers.fork_pool` whose workers train configurations for
-        this experiment's search (:meth:`prefetch`).
-
-        The workers inherit this experiment as it stands when the pool first
-        submits, so a task sends only its configuration. A spawned
-        worker would import numpy and depctx afresh (about 0.13 s), longer
-        than most trainings of a small search.
+        The fitness calls that follow train none of them again, so every
+        value is unchanged. On a failure, the fitness calls train what is
+        left in this process, in tell order, and meet the same error.
         """
-        return workers.fork_pool(_init_worker, (self,))
-
-    def prefetch(self, pool, asks) -> None:
-        """Train in ``pool`` the configurations of ``asks``, ((word class,
-        fold), configuration) pairs, that have no fitness record on their
-        fold and have not been trained yet.
-
-        With no pool, the fitness calls train them in this process. Each
-        worker returns the result of :meth:`train_configuration`, so the
-        fitness calls that follow train nothing and every value is
-        unchanged. A worker's failure is dropped: the fitness call trains
-        that configuration again and meets the same error.
-        """
-        if pool is None:
-            return
         todo: dict[str, search.Configuration] = {}
         for fold, config in asks:
             if (
@@ -434,20 +417,13 @@ class Experiment:
                 and self.fitness_cache.get(config.canonical, fold_key(*fold)) is None
             ):
                 todo.setdefault(config.canonical, config)
-        from concurrent.futures import BrokenExecutor
-
         # largest first, so that no long training starts last
         configs = sorted(todo.values(), key=lambda c: self.manifest.total(c.bags), reverse=True)
         try:
-            futures = [(config, pool.submit(_train_in_worker, config)) for config in configs]
-        except BrokenExecutor:
-            logger.debug("a training worker died earlier; training in this process")
-            return
-        for config, future in futures:
-            try:
-                self._trained[config.canonical] = future.result()
-            except Exception as exc:
-                logger.debug("training %s in a worker failed: %r", config, exc)
+            for config, trained in zip(configs, train((config,) for config in configs)):
+                self._trained[config.canonical] = trained
+        except Exception as exc:
+            logger.debug("a round's training failed: %r; the fitness calls train the rest", exc)
 
     # -- fitness plumbing --
 
@@ -455,9 +431,9 @@ class Experiment:
         """Config -> Spearman rho on fold ``fold`` (0 or 1) of ``word_class``'s
         2-fold split under ``fold_seed``, through the fitness cache.
 
-        A configuration is trained once per experiment, on its first fold:
-        in a worker, when a search round with a worker pool asked for it,
-        and in this process otherwise. Untrainable or unscorable
+        A configuration is trained once per experiment: by the
+        :meth:`prefetch` of the search round that asked for it, else on its
+        first fold, in this process. Untrainable or unscorable
         configurations come back as -inf so they lose to everything real
         instead of aborting the whole search.
         """
@@ -488,13 +464,13 @@ class Experiment:
 
     # -- the search protocol --
 
-    def _search_classes(self, classes, pool) -> list[ClassSearchResult]:
+    def _search_classes(self, classes, train) -> list[ClassSearchResult]:
         """Per-class protocol: 2-fold split, then per dev fold a pool build,
         descent and test score on the other fold; each fold is dev once.
 
         Every (class, dev fold) run advances together, in the rounds of
         :func:`search.run_rounds`: a round trains in one :meth:`prefetch`
-        batch on ``pool`` what all runs asked for, then each run is told the
+        batch by ``train`` what all runs asked for, then each run is told the
         values of its asks on its dev fold and asks for more.
         """
         all_bags = sorted(self.manifest.counts)
@@ -511,7 +487,7 @@ class Experiment:
                 dev_folds.append((word_class, dev))
 
         def before_round(asks):
-            self.prefetch(pool, [(dev_folds[index], config) for index, config in asks])
+            self.prefetch(train, [(dev_folds[index], config) for index, config in asks])
 
         done = iter(search.run_rounds(runs, before_round))
         for result in results:
@@ -560,8 +536,8 @@ class Experiment:
         self.extract()
         # loaded before the training workers fork, so that they inherit it
         self.dataset
-        with self.worker_pool() as pool:
-            results = self._search_classes(self.cfg.classes, pool)
+        with workers.forked(self.train_configuration) as train:
+            results = self._search_classes(self.cfg.classes, train)
         self.write_search_report(results)
         self.write_resolved_config()
         return results
@@ -619,19 +595,6 @@ class Experiment:
             rows.append(ReportRow(canonical, rhos, mean, complete, pair_count, wall))
         rows.sort(key=lambda r: (not r.complete, -r.mean_rho, r.configuration))
         return rows
-
-
-# The experiment a pool worker works for, set once in each worker process.
-_worker_experiment: Experiment | None = None
-
-
-def _init_worker(experiment: Experiment) -> None:
-    global _worker_experiment
-    _worker_experiment = experiment
-
-
-def _train_in_worker(config: search.Configuration) -> tuple[np.ndarray, float]:
-    return _worker_experiment.train_configuration(config)
 
 
 def _chunk_texts(pairs_of, bags, chunk: tuple[bytes, int]):

@@ -21,13 +21,14 @@ Matrices are float32; the gradient-check helper runs at whatever precision
 its inputs carry.
 
 A model is saved as word2vec text, formatted in blocks of _ROWS_PER_BLOCK
-rows on every CPU (:func:`workers.in_order`) and written in row order, so
+rows on every CPU (:func:`workers.forked`) and written in row order, so
 the bytes are those of one process and at most two blocks per CPU are in
 memory as text. It is loaded on every CPU as well: each worker reads and
 parses its own byte range of about _ROWS_PER_BLOCK rows, and this process
 copies the ranges' rows, in file order, into one matrix, so the vectors are
 those of one parse and this process never holds the text. Like every stage,
-a side of one block or a file of one range starts no process.
+a side of one block or a file of one range starts no process; nor does a
+model read from a pipe, which this process parses as one range.
 """
 
 from __future__ import annotations
@@ -540,17 +541,17 @@ def _format_rows(tokens: list[str], rows: np.ndarray) -> str:
     return "".join([line % (token, *row) for token, row in zip(tokens, rows.tolist())])
 
 
-def _write_rows(f: TextIO, tokens: list[str], matrix: np.ndarray, pool) -> None:
+def _write_rows(f: TextIO, tokens: list[str], matrix: np.ndarray, run) -> None:
     """The "count dim" header, then the rows of ``tokens``, formatted in
-    blocks of _ROWS_PER_BLOCK rows by :func:`workers.in_order` on ``pool``.
-    This process writes the blocks in row order, so the bytes do not depend
-    on the pool."""
+    blocks of _ROWS_PER_BLOCK rows by ``run``, a :func:`workers.forked` run
+    of :func:`_format_rows`. This process writes the blocks in row order, so
+    the bytes do not depend on where they were formatted."""
     f.write(f"{len(tokens)} {matrix.shape[1]}\n")
     blocks = (
         (tokens[start:start + _ROWS_PER_BLOCK], matrix[start:start + _ROWS_PER_BLOCK])
         for start in range(0, len(tokens), _ROWS_PER_BLOCK)
     )
-    for text in workers.in_order(pool, _format_rows, blocks):
+    for text in run(blocks):
         f.write(text)
 
 
@@ -574,10 +575,11 @@ def save_embeddings(store: EmbeddingStore, path: str | Path, include_context: bo
     holds one raises EmbeddingFormatError (:func:`check_savable`) before any
     file is opened.
 
-    Each side's blocks of _ROWS_PER_BLOCK rows are formatted in a
-    :func:`workers.fork_pool`, so at most two blocks per CPU are in memory as
-    text; a side of one block formats in this process. A save that fails
-    removes the files it was writing, stops its workers and raises the error.
+    Each side's blocks of _ROWS_PER_BLOCK rows are formatted in one
+    :func:`workers.forked` block, so at most two blocks per CPU are in
+    memory as text; a side of one block formats in this process. A save
+    that fails removes the files it was writing, stops its workers and
+    raises the error.
     """
     path = Path(path)
     check_savable(store.vocab, include_context)
@@ -587,11 +589,11 @@ def save_embeddings(store: EmbeddingStore, path: str | Path, include_context: bo
         sides.append((ctx_path, store.vocab.contexts, store.context_vectors))
     opened: list[Path] = []
     try:
-        with workers.fork_pool() as pool:
+        with workers.forked(_format_rows) as run:
             for out, tokens, matrix in sides:
                 with open(out, "w", encoding="utf-8", newline="\n") as f:
                     opened.append(out)
-                    _write_rows(f, tokens, matrix, pool)
+                    _write_rows(f, tokens, matrix, run)
     except BaseException:
         for out in opened:
             # never a device or a link, such as /dev/stdout
@@ -625,13 +627,18 @@ def _value_fault(text: str, dim: int) -> str | None:
 
 
 def _parse_range(path: Path, start: int, stop: int, dim: int):
-    """The rows held by bytes [start, stop) of ``path``, which begin a line
-    and end one: (words, float32 values, fault). ``fault`` says what is wrong
-    with the first malformed row, or is None; the words and values are those
-    of the rows before it."""
+    """:func:`_parse_rows` of bytes [start, stop) of ``path``, which begin a
+    line and end one."""
     with open(path, "rb") as f:
         f.seek(start)
-        lines = f.read(stop - start).decode("utf-8").split("\n")
+        return _parse_rows(f.read(stop - start), dim)
+
+
+def _parse_rows(data: bytes, dim: int):
+    """The rows of ``data``, whole lines: (words, float32 values, fault).
+    ``fault`` says what is wrong with the first malformed row, or is None;
+    the words and values are those of the rows before it."""
+    lines = data.decode("utf-8").split("\n")
     if lines[-1] == "":  # the range ends with a line feed
         lines.pop()
     n = next((i for i, line in enumerate(lines) if line.count(" ") != dim), len(lines))
@@ -669,16 +676,16 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
 
     This process reads and checks the header; the rows after it are cut at
     line feeds into byte ranges of about _ROWS_PER_BLOCK rows, which are
-    parsed by ``np.loadtxt`` in a :func:`workers.fork_pool`. Each worker
+    parsed by ``np.loadtxt`` in a :func:`workers.forked` block. Each worker
     reads its own range, so this process never holds the text, and at most
     two ranges per CPU are in flight. This process copies each range's rows
     into one float32 matrix, allocated from the header but never larger than
     the file's bytes could fill, so the words, values and layout are those
     of one parse of the whole file; a file of one range parses in this
-    process. The first malformed row, in file order, raises
-    EmbeddingFormatError naming its line, as do more or fewer rows than the
-    header declares. The workers reopen the file, so it must be a regular
-    file, not a pipe.
+    process. The workers reopen the file, so a file that is not a regular
+    one, such as a pipe, is read by this process and parsed as one range.
+    The first malformed row, in file order, raises EmbeddingFormatError
+    naming its line, as do more or fewer rows than the header declares.
     """
     path = Path(path)
     with open(path, "rb") as f:
@@ -691,16 +698,19 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
         if count < 0 or dim < 0:
             raise EmbeddingFormatError(f"{path}:1: bad header {header!r}")
         info = os.fstat(f.fileno())
-        if not stat.S_ISREG(info.st_mode):
-            raise EmbeddingFormatError(f"{path}: not a regular file")
-        # a saved value takes at most 16 bytes: a space and "%.9g" of a float32
-        ranges = _ranges(f, len(first), info.st_size, _ROWS_PER_BLOCK * (dim + 1) * 16)
+        if stat.S_ISREG(info.st_mode):
+            size = info.st_size - len(first)
+            # a saved value takes at most 16 bytes: a space and "%.9g" of a float32
+            ranges = _ranges(f, len(first), info.st_size, _ROWS_PER_BLOCK * (dim + 1) * 16)
+            parse, jobs = _parse_range, ((path, start, stop, dim) for start, stop in ranges)
+        else:
+            data = f.read()
+            size, parse, jobs = len(data), _parse_rows, [(data, dim)]
     # a row holds dim spaces and, unless it is the last, a line feed
-    matrix = np.empty((min(count, (info.st_size - len(first) + 1) // (dim + 1)), dim), np.float32)
+    matrix = np.empty((min(count, (size + 1) // (dim + 1)), dim), np.float32)
     words: list[str] = []
-    jobs = ((path, start, stop, dim) for start, stop in ranges)
-    with workers.fork_pool() as pool:
-        for block, values, fault in workers.in_order(pool, _parse_range, jobs):
+    with workers.forked(parse) as run:
+        for block, values, fault in run(jobs):
             row = len(words)
             # the rows this range reached, its malformed row included
             reached = row + len(block) + (fault is not None)

@@ -1,12 +1,13 @@
-"""Forked worker pools, one worker per CPU, shared by every parallel stage.
+"""Forked workers, one per CPU, shared by every parallel stage.
 
 Extraction parses corpus chunks, a search trains configurations, a model
 save formats blocks of rows and a model load parses byte ranges of its file
-in the pool of :func:`fork_pool`. A forked worker inherits this process as
-it stands when the pool first submits, so it imports nothing afresh.
-:func:`in_order` alone decides whether a stage forks: its jobs run in
-workers when there is a pool and at least two jobs, else in this process.
-On one CPU, or where ``fork`` is not available, there is no pool.
+in a :func:`forked` block. The workers fork at the block's first run of at
+least two jobs, so each inherits this process as it stands then, the
+block's function included: a task sends only its arguments, and a worker
+imports nothing afresh. A run of one job, a run on one CPU and a run where
+``os.fork`` is not available call the function in this process, and import
+neither ``multiprocessing`` nor ``concurrent.futures``.
 """
 
 from __future__ import annotations
@@ -16,55 +17,62 @@ from collections import deque
 from contextlib import contextmanager
 from itertools import chain, islice
 
+# the function of the block that forked this worker process
+_fn = None
+
 
 def cpu_count() -> int:
     """The CPUs this process may run on."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
+def _set_fn(fn) -> None:
+    global _fn
+    _fn = fn
+
+
+def _call(*args):
+    return _fn(*args)
+
+
 @contextmanager
-def fork_pool(initializer=None, initargs=()):
-    """A pool of forked workers, one per CPU, shut down when the block ends,
-    its pending tasks cancelled; None on one CPU or without fork.
+def forked(fn):
+    """Yield ``run(arg_tuples)``, which yields ``fn(*args)`` for each of
+    ``arg_tuples``, in order.
 
-    The executor forks its workers at its first submit, so a block that
-    submits nothing starts no process; it still imports
-    ``concurrent.futures``.
+    A run of at least two jobs, on more than one CPU with ``os.fork``, runs
+    in forked workers, one per CPU, with at most two tasks per CPU submitted
+    and not yet yielded; every other run calls ``fn`` here as its results
+    are asked for. The workers fork at the block's first forking run and
+    serve its later ones; they inherit ``fn``, which is never pickled. When
+    the block ends, they are shut down and their pending tasks cancelled.
     """
-    cpus = cpu_count()
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
     pool = None
-    if cpus > 1 and "fork" in multiprocessing.get_all_start_methods():
-        pool = ProcessPoolExecutor(
-            cpus, multiprocessing.get_context("fork"), initializer, initargs
-        )
+
+    def run(arg_tuples):
+        nonlocal pool
+        jobs = iter(arg_tuples)
+        cpus = cpu_count()
+        head = list(islice(jobs, 2)) if cpus > 1 and hasattr(os, "fork") else []
+        if len(head) < 2:
+            for args in chain(head, jobs):
+                yield fn(*args)
+            return
+        if pool is None:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(cpus, multiprocessing.get_context("fork"), _set_fn, (fn,))
+        pending = deque()
+        for args in chain(head, jobs):
+            pending.append(pool.submit(_call, *args))
+            if len(pending) >= 2 * cpus:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
     try:
-        yield pool
+        yield run
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-
-
-def in_order(pool, fn, arg_tuples):
-    """``fn(*args)`` for each of ``arg_tuples``, yielded in order.
-
-    With a pool and at least two jobs, they run in ``pool``, with at most
-    two tasks per CPU submitted and not yet yielded; otherwise they run in
-    this process as they are asked for, and no process starts.
-    """
-    jobs = iter(arg_tuples)
-    head = [] if pool is None else list(islice(jobs, 2))
-    if len(head) < 2:
-        for args in chain(head, jobs):
-            yield fn(*args)
-        return
-    ahead = 2 * cpu_count()
-    pending = deque()
-    for args in chain(head, jobs):
-        pending.append(pool.submit(fn, *args))
-        if len(pending) >= ahead:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()

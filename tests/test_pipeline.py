@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import count_process_starts, needs_fork
-from depctx import cli, conllu, extraction, pipeline, search, sgns
+from depctx import cli, conllu, extraction, pipeline, search, sgns, workers
 from depctx.extraction import MANIFEST_NAME, ExtractionConfig
 from depctx.pipeline import (
     Experiment,
@@ -1161,21 +1161,22 @@ def test_two_diverging_trainings_in_one_round_fail_alike_with_and_without_worker
     assert "acl: non-finite" in messages[0]
 
 
-@needs_fork
-def test_a_lone_untrained_configuration_trains_in_a_worker(tmp_path, monkeypatch):
+def test_a_lone_untrained_configuration_trains_here(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    started = count_process_starts(monkeypatch)
     trained = count_trainings(monkeypatch)
     exp = Experiment(load_experiment_config(write_config(tmp_path)))
     exp.extract()
     config = search.Configuration.from_bags(["amod"])
-    with exp.worker_pool() as pool:
-        exp.prefetch(pool, [(("N", 0), config)])
+    with workers.forked(exp.train_configuration) as train:
+        exp.prefetch(train, [(("N", 0), config)])
+        assert trained == [("amod",)]
         rho = exp.fitness_function("N", 0)(config)
-    assert trained == []
+    assert trained == [("amod",)] and started == []
     (tmp_path / "alone").mkdir()
     alone = Experiment(load_experiment_config(write_config(tmp_path / "alone")))
     assert alone.fitness_function("N", 0)(config) == rho
-    assert trained == [("amod",)]
+    assert trained == [("amod",), ("amod",)]
 
 
 @needs_fork
@@ -1195,8 +1196,8 @@ def test_first_fitness_record_of_a_worker_trained_model_counts_its_training(
     dev = exp.fitness_function("N", 0)
     test = exp.fitness_function("N", 1)
     configs = [search.Configuration.from_bags([bag]) for bag in ("amod", "obj")]
-    with exp.worker_pool() as pool:
-        exp.prefetch(pool, [(("N", 0), config) for config in configs])
+    with workers.forked(exp.train_configuration) as train:
+        exp.prefetch(train, [(("N", 0), config) for config in configs])
         for config in configs:
             dev(config)
             test(config)

@@ -942,13 +942,29 @@ def test_check_savable_refuses_a_spaced_context_only_with_contexts():
         sgns.check_savable(store.vocab, include_context=True)
 
 
-@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
-def test_load_refuses_a_pipe(tmp_path):
+def load_through_a_pipe(data: bytes):
+    """:func:`load_embeddings` of ``data`` written to a pipe."""
     read_end, write_end = os.pipe()
     try:
-        os.write(write_end, b"1 2\na 0 0\n")
+        os.write(write_end, data)
         os.close(write_end)
-        with pytest.raises(EmbeddingFormatError, match="not a regular file"):
-            load_embeddings(f"/dev/fd/{read_end}")
+        return load_embeddings(f"/dev/fd/{read_end}")
     finally:
         os.close(read_end)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_load_reads_a_pipe(tmp_path, monkeypatch):
+    # several load ranges on two CPUs, were it a file
+    monkeypatch.setattr(sgns, "_ROWS_PER_BLOCK", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    data = tiny_model(10, rows=10).encode("utf-8")
+    path = tmp_path / "v.txt"
+    path.write_bytes(data)
+    from_file, from_pipe = load_embeddings(path), load_through_a_pipe(data)
+    assert from_pipe.vocab.words == from_file.vocab.words == [f"w{i}" for i in range(10)]
+    assert np.array_equal(from_pipe.word_vectors, from_file.word_vectors)
+    assert from_pipe.word_vectors.shape == (10, 3)
+    bad = tiny_model(10, rows=10, faults=[(4, "w4 0.1 0.2")]).encode("utf-8")
+    with pytest.raises(EmbeddingFormatError, match=r":6: expected 4 fields, got 3"):
+        load_through_a_pipe(bad)
