@@ -15,8 +15,13 @@ and the configuration. The stream is drawn one chunk of _CHUNK pairs at a
 time, and the index work of the updates (which rows each batch touches) is
 planned once per window of successive chunks holding at least _CHUNK drawn
 pairs, across epoch boundaries: a window is one chunk at paper scale, and
-about _CHUNK / n epochs for a stream of n < _CHUNK pairs. Windows change no
-draw and no arithmetic, and finiteness is still checked after each epoch.
+about _CHUNK / n epochs for a stream of n < _CHUNK pairs. A window's plan
+finds the rows each batch touches by marking them in an array of flags when
+the window's key range is small next to its key count, as on the smoke
+search, and by sorting otherwise, as at paper scale; it also holds each
+batch's word counts, and a window's batch losses are summed in one
+reduction. Windows change no draw and no arithmetic, so no GEMM operand,
+and finiteness is still checked after each epoch.
 Matrices are float32; the gradient-check helper runs at whatever precision
 its inputs carry.
 
@@ -375,9 +380,12 @@ def _train_window(W: np.ndarray, C: np.ndarray, window: list, learning_rate: flo
     summed loss.
 
     Batches of BATCH_SIZE kept pairs are cut inside each chunk. Everything
-    that does not depend on W and C is done once for the window: the
-    scatter plans of both matrices, the masked learning rates, and the
-    losses, from the scores the batches leave in one buffer.
+    that does not depend on W and C is done once for the window: the plans
+    of both matrices (:func:`_plan`), the masked learning rates, and the
+    losses, from the scores the batches leave in one buffer. The full
+    batches' losses are summed in one reduction, a row per batch, and each
+    partial batch, which ends a chunk, alone; every sum is the float64
+    pairwise sum of the batch's own ``.sum``.
     """
     chunks = [chunk for chunk in window if chunk is not None]
     bounds: list[tuple[int, int]] = []  # each batch's [start, stop) in the window
@@ -391,7 +399,7 @@ def _train_window(W: np.ndarray, C: np.ndarray, window: list, learning_rate: flo
         rows = np.concatenate([chunk.rows for chunk in chunks])
         lrs = np.concatenate([chunk.lrs for chunk in chunks])
         starts = np.array([start for start, _ in bounds] + [offset])
-        w_plans = _plan(words[:, None], starts, len(W))
+        w_plans = _plan(words[:, None], starts, len(W), W.dtype)
         c_plans = _plan(rows, starts, len(C))
         live = np.ones(rows.shape, dtype=bool)
         live[:, 1:] = rows[:, 1:] != rows[:, :1]
@@ -421,33 +429,80 @@ def _train_window(W: np.ndarray, C: np.ndarray, window: list, learning_rate: flo
         # -log s(x) = logaddexp(0, -x) = logaddexp(0, x) - x
         losses = np.logaddexp(0.0, scores) * live
         losses[:, 0] -= scores[:, 0]
-    return [float(losses[start:stop].sum(dtype=np.float64)) for start, stop in bounds]
+    full = np.diff(starts) == BATCH_SIZE
+    first_rows = starts[:-1][full]
+    # each full batch's losses as one row of the block
+    block = losses[first_rows[:, None] + np.arange(BATCH_SIZE)]
+    block = block.reshape(len(first_rows), BATCH_SIZE * rows.shape[1])
+    sums = np.empty(len(bounds))
+    sums[full] = block.sum(axis=1, dtype=np.float64)
+    for j in np.flatnonzero(~full).tolist():
+        sums[j] = losses[slice(*bounds[j])].sum(dtype=np.float64)
+    return sums.tolist()
 
 
-def _plan(ids: np.ndarray, starts: np.ndarray, n_rows: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def _by_counting(span: int, n_keys: int) -> bool:
+    """Whether :func:`_plan` finds the unique keys of a window by marking
+    them among ``span`` flags, about ``span`` steps, rather than by sorting
+    its ``n_keys`` keys, about n log2 n steps. Only the window's sizes
+    decide, and both sides give the same plan."""
+    return span <= n_keys * math.log2(n_keys)
+
+
+def _plan(
+    ids: np.ndarray, starts: np.ndarray, n_rows: int, dtype: np.dtype | None = None
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per batch, the (unique ids, bincount slots) that :func:`_scatter_add`
-    takes, from one sort of the window's ids.
+    takes, from one pass over the window's ids; with a ``dtype``, the
+    (unique ids, counts) that :func:`_batch_step` takes instead.
 
     Batch j holds the rows ``ids[starts[j]:starts[j + 1]]``. Its unique ids
     are sorted, as ``np.unique`` of the batch alone gives them, and the
     entry (b, k) of the batch goes to slot ``u * len(batch) + b``, where u
-    is the position of ``ids[b, k]`` among them.
+    is the position of ``ids[b, k]`` among them. The counts are those slots
+    counted in ``dtype``, shaped (unique ids) x len(batch): the coefficients
+    of an update whose every coefficient is 1.
+
+    The keys ``batch * n_rows + id`` lie below ``span = batches * n_rows``.
+    When ``span <= keys * log2(keys)`` (:func:`_by_counting`), as on
+    search-smoke (about 80 batches of at most 150 contexts against 25k
+    keys), the keys are marked in ``span`` flags, and the flags' running
+    count gives each key's rank and each batch's first unique key, with no
+    sort and no search. Otherwise, as on train-paper (about 40 batches of
+    21.8k contexts against 40k keys), they are sorted by ``np.unique``.
     """
     sizes = np.diff(starts)
     batch = np.repeat(np.arange(len(sizes)), sizes)
-    keys = batch[:, None] * n_rows + ids
-    uniq_keys, inv = np.unique(keys.ravel(), return_inverse=True)
-    # first unique key of each batch, and the end
-    first = np.searchsorted(uniq_keys, np.arange(len(starts)) * n_rows)
-    uniq = uniq_keys - np.repeat(np.arange(len(sizes)) * n_rows, np.diff(first))
+    keys = (batch[:, None] * n_rows + ids).ravel()
+    span = len(sizes) * n_rows
+    if _by_counting(span, len(keys)):
+        marked = np.zeros(span, dtype=bool)
+        marked[keys] = True
+        rank = np.cumsum(marked)  # unique keys up to each key
+        uniq_keys = np.flatnonzero(marked)
+        inv = rank[keys] - 1
+        # first unique key of each batch, and the end
+        first = np.concatenate(([0], rank[n_rows - 1::n_rows]))
+    else:
+        uniq_keys, inv = np.unique(keys, return_inverse=True)
+        first = np.searchsorted(uniq_keys, np.arange(len(starts)) * n_rows)
+    n_uniq = np.diff(first)
+    uniq = uniq_keys - np.repeat(np.arange(len(sizes)) * n_rows, n_uniq)
     local = inv.reshape(ids.shape) - first[batch][:, None]
     position = np.arange(len(ids)) - starts[batch]
-    slots = (local * sizes[batch][:, None] + position[:, None]).ravel()
-    width = ids.shape[1]
-    return [
-        (uniq[first[j]:first[j + 1]], slots[starts[j] * width:starts[j + 1] * width])
-        for j in range(len(sizes))
-    ]
+    slots = local * sizes[batch][:, None] + position[:, None]
+    cuts = first.tolist()
+    uniq_of = [uniq[i:j] for i, j in zip(cuts, cuts[1:])]
+    if dtype is None:
+        flat, entry_cuts = slots.ravel(), (starts * ids.shape[1]).tolist()
+        return list(zip(uniq_of, [flat[i:j] for i, j in zip(entry_cuts, entry_cuts[1:])]))
+    # the batches' count matrices, one after another in one array
+    ends = np.cumsum(n_uniq * sizes)
+    begins = ends - n_uniq * sizes
+    counts = np.bincount((slots + begins[batch][:, None]).ravel(), minlength=ends[-1])
+    counts = counts.astype(dtype)
+    shapes = zip(begins.tolist(), ends.tolist(), n_uniq.tolist(), sizes.tolist())
+    return [(u, counts[i:j].reshape(n, size)) for u, (i, j, n, size) in zip(uniq_of, shapes)]
 
 
 def _batch_step(
@@ -469,28 +524,32 @@ def _batch_step(
     where a negative equals the positive. Pair b's step on context row
     ``rows[b, j]`` is ``g[b, j] * W[words[b]]``, with ``g`` its rate-scaled
     residual, so the context update is a sum of word vectors;
-    ``_scatter_add`` applies it, along the plans of :func:`_plan`, as one
-    GEMM instead of 1 + K rows per pair.
+    ``_scatter_add`` applies it, along the plan of :func:`_plan`, as one
+    GEMM instead of 1 + K rows per pair. ``w_plan`` holds the batch's unique
+    words and their counts per pair, so the word update is one GEMM too.
     """
     w_vecs = W[words]
     c_vecs = C[rows]
-    np.matmul(c_vecs, w_vecs[:, :, None])[:, :, 0].clip(-MAX_SCORE, MAX_SCORE, out=scores)
+    np.maximum(np.matmul(c_vecs, w_vecs[:, :, None])[:, :, 0], -MAX_SCORE, out=scores)
+    np.minimum(scores, MAX_SCORE, out=scores)
     residual = labels - 1.0 / (1.0 + np.exp(-scores))
     g = np.multiply(residual, live_lrs, out=residual)
     grad_w = np.matmul(g[:, None, :], c_vecs)[:, 0]
-    _scatter_add(W, w_plan, None, grad_w)
+    uniq, counts = w_plan
+    W[uniq] += counts @ grad_w
     _scatter_add(C, c_plan, g.ravel(), w_vecs)
 
 
 def _scatter_add(
-    M: np.ndarray, plan: tuple[np.ndarray, np.ndarray], coef: np.ndarray | None, vecs: np.ndarray
+    M: np.ndarray, plan: tuple[np.ndarray, np.ndarray], coef: np.ndarray, vecs: np.ndarray
 ) -> None:
     """M[ids[b, j]] += coef[b, j] * vecs[b] for every (b, j), repeated ids summing.
 
-    ``plan`` is the (unique ids, slots) of ``ids`` from :func:`_plan`; a
-    coefficient of None is 1 for every entry. The coefficients are summed
-    into one dense (unique ids) x B matrix, so the whole update is a single
-    GEMM over the distinct rows it touches.
+    ``plan`` is the (unique ids, slots) of ``ids`` from :func:`_plan`. The
+    coefficients are summed into one dense (unique ids) x B matrix, so the
+    whole update is a single GEMM over the distinct rows it touches. This is
+    the context update of :func:`_batch_step`; the word update, whose
+    coefficients are all 1, takes that matrix from its plan.
     """
     uniq, slots = plan
     B = len(vecs)

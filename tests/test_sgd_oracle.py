@@ -4,7 +4,9 @@ The reference below is the trainer's loop as it was before the index work of
 the updates was planned per window: every batch takes its own `np.unique` in
 `_scatter_add` and computes its own loss. Both make the same draws and the
 same GEMM calls on the same operands, so W, C and the epoch losses must be
-equal, not close, on any BLAS kernel.
+equal, not close, on any BLAS kernel. The trainer finds a window's unique
+ids by counting or by sorting, as the window's sizes decide; the cases take
+each side on each matrix.
 """
 
 import numpy as np
@@ -75,19 +77,30 @@ def reference_scatter_add(M, ids, coef, vecs):
 
 
 @pytest.mark.parametrize(
-    "n_pairs, epochs, dim, negatives, subsample",
+    "n_pairs, epochs, dim, negatives, subsample, n_words, n_ctxs, counted",
     [
-        (16, 30, 24, 5, 1.0),  # an epoch shorter than one batch
-        (300, 30, 24, 5, 1e-2),  # windows of 14 epochs, so a window closes mid-run
-        (16, 30, 8, 3, 1e-3),  # some epochs keep no pair at all
-        (sgns._CHUNK + 2 * sgns.BATCH_SIZE + 5, 2, 16, 5, 1.0),  # several chunks per epoch
-        (1000, 2, 300, 15, 1e-2),  # paper dim and negatives
+        (16, 30, 24, 5, 1.0, 40, 30, (True, True)),  # an epoch shorter than one batch
+        # windows of 14 epochs, so a window closes mid-run
+        (300, 30, 24, 5, 1e-2, 40, 30, (True, True)),
+        # some epochs keep no pair at all, and too few words are kept to count them
+        (16, 30, 8, 3, 1e-3, 40, 30, (False, True)),
+        # several chunks per epoch
+        (sgns._CHUNK + 2 * sgns.BATCH_SIZE + 5, 2, 16, 5, 1.0, 40, 30, (True, True)),
+        (1000, 2, 300, 15, 1e-2, 40, 30, (True, True)),  # paper dim and negatives
+        # a context range that _plan sorts, as at paper scale; the words it counts
+        (300, 30, 24, 5, 1.0, 40, 20_000, (True, False)),
+        # both ranges sorted
+        (300, 30, 24, 5, 1.0, 5_000, 20_000, (False, False)),
     ],
-    ids=["short-epochs", "window-boundary", "empty-epochs", "many-chunks", "paper-shape"],
+    ids=[
+        "short-epochs", "window-boundary", "empty-epochs", "many-chunks", "paper-shape",
+        "sorted-contexts", "sorted-both",
+    ],
 )
-def test_sgd_matches_the_per_batch_reference_bit_for_bit(n_pairs, epochs, dim, negatives, subsample):
+def test_sgd_matches_the_per_batch_reference_bit_for_bit(
+    monkeypatch, n_pairs, epochs, dim, negatives, subsample, n_words, n_ctxs, counted
+):
     rng = np.random.default_rng(n_pairs + dim)
-    n_words, n_ctxs = 40, 30
     # a frequent word 0 and context 0, so ids repeat inside batches, and a
     # small table, so negatives repeat and some equal the positive
     word_ids = np.where(rng.random(n_pairs) < 0.5, 0, rng.integers(1, n_words, n_pairs))
@@ -102,8 +115,18 @@ def test_sgd_matches_the_per_batch_reference_bit_for_bit(n_pairs, epochs, dim, n
     W0 = ((rng.random((n_words, dim)) - 0.5) / dim).astype(np.float32)
     C0 = ((rng.random((n_ctxs, dim)) - 0.5) / dim).astype(np.float32)
 
+    # each window plans W, then C; record the side of the plan each takes
+    sides = []
+    rule = sgns._by_counting
+
+    def recorded(span, n_keys):
+        sides.append(rule(span, n_keys))
+        return sides[-1]
+
+    monkeypatch.setattr(sgns, "_by_counting", recorded)
     W, C = W0.copy(), C0.copy()
     losses = sgns._sgd(W, C, word_ids, ctx_ids, table, keep_prob, config)
+    assert (set(sides[0::2]), set(sides[1::2])) == ({counted[0]}, {counted[1]})
     W_ref, C_ref = W0.copy(), C0.copy()
     ref_losses = reference_sgd(W_ref, C_ref, word_ids, ctx_ids, table, keep_prob, config)
 

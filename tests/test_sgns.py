@@ -347,7 +347,7 @@ def test_batch_step_at_paper_shapes_matches_float64_reference():
     lrs = rng.uniform(0.01, 0.05, size=B)
     assert (rows[:, 1:] == rows[:, :1]).any() and len(np.unique(rows[:, 1:])) == 3
     # the batch's plans, masked rates, labels and score buffer, as _sgd makes them
-    (w_plan,) = sgns._plan(words[:, None], np.array([0, B]), len(W0))
+    (w_plan,) = sgns._plan(words[:, None], np.array([0, B]), len(W0), W0.dtype)
     (c_plan,) = sgns._plan(rows, np.array([0, B]), len(C0))
     live = np.ones(rows.shape, dtype=bool)
     live[:, 1:] = rows[:, 1:] != rows[:, :1]
@@ -384,6 +384,67 @@ def test_batch_step_at_paper_shapes_matches_float64_reference():
     # atol only covers float32 rounding of entries that cancel to near zero
     np.testing.assert_allclose(W, expected_w, rtol=1e-5, atol=1e-6)
     np.testing.assert_allclose(C, expected_c, rtol=1e-5, atol=1e-6)
+
+
+def reference_plan(ids, starts):
+    """Each batch's unique ids, slots and float32 counts, from np.unique and
+    np.bincount of the batch alone."""
+    for start, stop in zip(starts[:-1], starts[1:]):
+        batch = ids[start:stop]
+        B = len(batch)
+        uniq, inv = np.unique(batch.ravel(), return_inverse=True)
+        slots = inv * B + np.repeat(np.arange(B), batch.shape[1])
+        counts = np.bincount(slots, minlength=len(uniq) * B).reshape(len(uniq), B)
+        yield uniq, slots, counts.astype(np.float32)
+
+
+def plan_windows():
+    """(batch sizes, width, n_rows) of edge windows, then random ones."""
+    yield [64], 1, 1  # one batch, one row
+    yield [1], 16, 1
+    yield [64, 64, 17], 6, 30  # ends in a partial batch
+    yield [64, 9, 64, 64, 40], 16, 20_000  # a partial batch inside, and at the end
+    yield [64] * 3, 1, 5_000
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        sizes = [sgns.BATCH_SIZE if rng.random() < 0.7 else int(rng.integers(1, 64))
+                 for _ in range(rng.integers(1, 9))]
+        yield sizes, int(rng.choice([1, 2, 6, 16])), int(rng.choice([1, 2, 7, 30, 500, 20_000]))
+
+
+def test_plan_sides_agree_with_per_batch_unique(monkeypatch):
+    """The counting and sorting sides of _plan give every batch the ids,
+    slots and counts of np.unique over the batch alone."""
+    rule = sgns._by_counting
+    natural_sides = set()
+    for sizes, width, n_rows in plan_windows():
+        starts = np.concatenate(([0], np.cumsum(sizes)))
+        rng = np.random.default_rng(len(sizes) * width + n_rows)
+        ids = rng.integers(0, n_rows, size=(starts[-1], width)).astype(np.int32)
+        ids[-1, -1] = n_rows - 1  # the window's last key, at the end of its span
+        natural_sides.add(rule(len(sizes) * n_rows, ids.size))
+        expected = list(reference_plan(ids, starts))
+        for counting in (True, False):
+            monkeypatch.setattr(sgns, "_by_counting", lambda span, n_keys: counting)
+            slot_plans = sgns._plan(ids, starts, n_rows)
+            count_plans = sgns._plan(ids, starts, n_rows, np.float32)
+            assert len(slot_plans) == len(count_plans) == len(sizes)
+            for (uniq, slots), (count_uniq, counts), (ref_uniq, ref_slots, ref_counts) in zip(
+                slot_plans, count_plans, expected
+            ):
+                assert np.array_equal(uniq, ref_uniq) and np.array_equal(count_uniq, ref_uniq)
+                assert np.array_equal(slots, ref_slots)
+                assert counts.dtype == np.float32 and np.array_equal(counts, ref_counts)
+    assert natural_sides == {True, False}
+
+
+def test_plan_counts_at_search_scale_and_sorts_at_paper_scale():
+    # search-smoke: about 80 batches of at most 150 contexts against 25k keys
+    assert sgns._by_counting(80 * 150, 25_000)
+    # train-paper: about 40 batches of 21.8k contexts against 40k keys
+    assert not sgns._by_counting(40 * 21_800, 40_000)
+    # one key sorts, as a span holds at least one row
+    assert not sgns._by_counting(1, 1)
 
 
 # -- training behavior --
