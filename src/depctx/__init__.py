@@ -24,9 +24,8 @@ from .extraction import (
     PairStream,
     bag_texts,
     collapse_prepositions,
-    extract_bow_pairs,
     extract_deps_pairs,
-    extract_posit_pairs,
+    window_pairs,
     write_bag_files,
 )
 from .search import (
@@ -72,9 +71,7 @@ __all__ = [
     "cosine",
     "count_space",
     "evaluate",
-    "extract_bow_pairs",
     "extract_deps_pairs",
-    "extract_posit_pairs",
     "load_embeddings",
     "parse_conllu",
     "read_corpus",
@@ -83,5 +80,6 @@ __all__ = [
     "split_folds",
     "toefl_evaluate",
     "train",
+    "window_pairs",
     "write_bag_files",
 ]

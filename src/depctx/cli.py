@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_extract = sub.add_parser("extract", help="extract context pairs into per-bag files")
     _add_config_arg(p_extract)
     p_extract.add_argument(
-        "--context-type", choices=("deps", *extraction.WINDOW_EXTRACTORS), default="deps",
+        "--context-type", choices=("deps", *extraction.WINDOW_KINDS), default="deps",
         help="dependency bags (default) or window baselines",
     )
     p_extract.add_argument("--force", action="store_true", help="ignore the extraction cache")
@@ -103,7 +103,7 @@ def cmd_extract(args) -> int:
 def cmd_train(args) -> int:
     exp = _experiment(args)
     # a window baseline is a configuration of one bag, named by its kind
-    kind = args.bags if args.bags in extraction.WINDOW_EXTRACTORS else "deps"
+    kind = args.bags if args.bags in extraction.WINDOW_KINDS else "deps"
     manifest = exp.extract() if kind == "deps" else exp.extract_window_pairs(kind)
     try:
         config = search.Configuration.from_string(args.bags)

@@ -2,14 +2,15 @@
 
 Dependency arcs are grouped into labeled context bags after prepositional
 arc collapsing and label merging; coordination arcs come in two directional
-variants. The window-based BOW and POSIT baseline contexts live here too.
-:func:`bag_texts` turns sentences into the text of each bag's file, the
-``(word, context, bag)`` triples of either kind, a baseline as one bag named
-by its kind; :func:`write_bag_files` appends such texts, one per chunk of a
-corpus and in corpus order, to the bag files and writes their manifest. The
-pipeline runs :func:`bag_texts` on each chunk, in a worker process when
-there is more than one, with a ``functools.partial`` of :func:`deps_pairs`
-or :func:`window_pairs` as its ``pairs_of``.
+variants. :func:`window_pairs` gives the window baselines of
+:data:`WINDOW_KINDS`, BOW and POSIT, POSIT offsets recomputed from token
+positions. :func:`bag_texts` turns sentences into the text of each bag's
+file, from the ``(word, context, bag)`` triples of either kind, a baseline
+as one bag named by its kind; :func:`write_bag_files` appends such texts,
+one per chunk of a corpus and in corpus order, to the bag files and writes
+their manifest. The pipeline runs :func:`bag_texts` on each chunk, in a
+worker process when there is more than one, with a ``functools.partial`` of
+:func:`deps_pairs` or :func:`window_pairs` as its ``pairs_of``.
 
 A :class:`DependencyPair` is ``(word, context, bag)``: the context is the
 typed string a bag file stores, such as ``australian_amod`` or
@@ -46,6 +47,9 @@ CONJ_VARIANTS = (*CONJ_BAGS, "both")
 MANIFEST_NAME = "manifest.txt"
 INCOMPLETE_MARKER = "_INCOMPLETE"
 PAIR_FILE_SUFFIX = ".pairs"
+
+# The window baselines; each is one bag, named by its kind.
+WINDOW_KINDS = ("bow", "posit")
 
 
 class DependencyPair(NamedTuple):
@@ -222,37 +226,6 @@ def extract_deps_pairs(
         yield _new_pair((tok.form, f"{head.form}_{rel}-1", bag))
 
 
-def extract_bow_pairs(sentence: Sentence, window: int = 2) -> Iterator[tuple[str, str]]:
-    """Plain bag-of-words pairs: every neighbor within +-window, same sentence."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    forms = [t.form for t in sentence]
-    n = len(forms)
-    for i in range(n):
-        for j in range(max(0, i - window), min(n, i + window + 1)):
-            if j != i:
-                yield (forms[i], forms[j])
-
-
-def extract_posit_pairs(sentence: Sentence, window: int = 2) -> Iterator[tuple[str, str]]:
-    """BOW pairs with the literal signed token offset appended to the context.
-
-    Offsets are recomputed from token positions ("stars_+1" for an adjacent
-    right neighbor), not copied from any published rendering of them.
-    """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    forms = [t.form for t in sentence]
-    n = len(forms)
-    for i in range(n):
-        for j in range(max(0, i - window), min(n, i + window + 1)):
-            if j != i:
-                yield (forms[i], f"{forms[j]}_{j - i:+d}")
-
-
-WINDOW_EXTRACTORS = {"bow": extract_bow_pairs, "posit": extract_posit_pairs}
-
-
 def deps_pairs(
     table: BagMappingTable, config: ExtractionConfig, sentence: Sentence
 ) -> Iterator[DependencyPair]:
@@ -264,8 +237,25 @@ def deps_pairs(
 
 def window_pairs(kind: str, window: int, sentence: Sentence) -> list[tuple[str, str, str]]:
     """The (word, context, bag) triples of one sentence in the ``kind``
-    baseline, "bow" or "posit": one bag, named ``kind``."""
-    return [(word, context, kind) for word, context in WINDOW_EXTRACTORS[kind](sentence, window)]
+    baseline, one bag named ``kind``: every neighbor within +-``window`` in
+    the same sentence. A "bow" context is the neighbor's form; a "posit"
+    context appends the signed offset, recomputed from token positions
+    ("stars_+1" for an adjacent right neighbor), not copied from any
+    published rendering of it. An unknown ``kind`` or a ``window`` below 1
+    raises ValueError."""
+    if kind not in WINDOW_KINDS:
+        raise ValueError(f"window kind must be one of {WINDOW_KINDS}, got {kind!r}")
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    forms = [t.form for t in sentence]
+    n = len(forms)
+    posit = kind == "posit"
+    return [
+        (forms[i], f"{forms[j]}_{j - i:+d}" if posit else forms[j], kind)
+        for i in range(n)
+        for j in range(max(0, i - window), min(n, i + window + 1))
+        if j != i
+    ]
 
 
 def effective_bags(table: BagMappingTable, config: ExtractionConfig) -> tuple[str, ...]:

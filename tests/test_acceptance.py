@@ -142,17 +142,20 @@ def test_strategy_ordering_over_random_landscapes():
                 ("alg1", beam_steps),
                 ("greedy", greedy_steps),
             ):
-                calls = []
-
-                def counted(config, _calls=calls):
-                    _calls.append(config.canonical)
-                    return table[config.canonical]
-
-                memo = MemoizedFitness(counted)
-                per_bag = {b: memo(Configuration.from_bags([b])) for b in bags}
+                # the strategy is driven by hand, so every ask it makes is
+                # seen here, and none is answered from a memo
+                per_bag = {b: table[b] for b in bags}
                 pool = build_pool(per_bag, threshold=-1.0)
-                best, _ = run_rounds([(strategy(pool, per_bag), memo)])[0]
-                assert len(calls) == len(set(calls)), "configuration evaluated twice"
+                steps, told, asked = strategy(pool, per_bag), None, list(per_bag)
+                while True:
+                    try:
+                        ask = steps.send(told)
+                    except StopIteration as done:
+                        best, _ = done.value
+                        break
+                    asked += [c.canonical for c in ask]
+                    told = {c.canonical: table[c.canonical] for c in ask}
+                assert len(asked) == len(set(asked)), "configuration evaluated twice"
                 outcomes[name] = table[best.canonical]
 
             assert outcomes["exhaustive"] >= outcomes["alg1"] >= outcomes["greedy"]

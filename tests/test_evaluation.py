@@ -6,6 +6,7 @@ from scipy import stats
 
 from conftest import brute_force_spearman
 from depctx.evaluation import (
+    DatasetFormatError,
     ToeflQuestion,
     UndefinedCorrelationError,
     WordPair,
@@ -418,3 +419,60 @@ def test_convert_simlex(tmp_path):
     ds = WordPairDataset.load(dest)
     assert ds.entries[0] == WordPair("old", "new", 1.58, "A")
     assert ds.entries[1].gold_score == 9.2
+
+
+HEADER = "word1\tword2\tscore\tclass\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "{path}: empty dataset file"),
+        (HEADER + "a\tb\t1.0\tA\na\tb\t1.0\n", "{path}:3: expected 4 tab-separated fields, got 3"),
+        (HEADER + "a\tb\thigh\tA\n", "{path}:2: bad score 'high'"),
+        (HEADER + "\na\tb\tnan\tA\n", "{path}:3: non-finite score"),
+        (HEADER + "a\tb\tinf\tA\n", "{path}:2: non-finite score"),
+    ],
+)
+def test_dataset_load_names_the_file_and_line_of_a_bad_row(tmp_path, text, message):
+    path = tmp_path / "pairs.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DatasetFormatError) as exc:
+        WordPairDataset.load(path)
+    assert str(exc.value) == message.format(path=path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# comment\np a b c d\n", "{path}:2: expected 6 or 7 fields, got 5"),
+        ("p a b c d 0 A extra\n", "{path}:1: expected 6 or 7 fields, got 8"),
+        ("p a b c d first\n", "{path}:1: bad gold index 'first'"),
+        ("p a b c d 1.0\n", "{path}:1: bad gold index '1.0'"),
+    ],
+)
+def test_toefl_load_names_the_file_and_line_of_a_bad_row(tmp_path, text, message):
+    path = tmp_path / "toefl.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DatasetFormatError) as exc:
+        load_toefl(path)
+    assert str(exc.value) == message.format(path=path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "{path}: empty file"),
+        (
+            "word1\tword2\tPOS\tscore\nold\tnew\tA\t1.58\n",
+            "{path}: missing expected SimLex-999 columns in header: 'word1\\tword2\\tPOS\\tscore'",
+        ),
+    ],
+)
+def test_convert_simlex_rejects_a_file_without_its_header(tmp_path, text, message):
+    src = tmp_path / "SimLex-999.txt"
+    src.write_text(text, encoding="utf-8")
+    with pytest.raises(DatasetFormatError) as exc:
+        convert_simlex(src, tmp_path / "converted.tsv")
+    assert str(exc.value) == message.format(path=src)
+    assert not (tmp_path / "converted.tsv").exists()

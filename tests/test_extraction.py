@@ -1,5 +1,6 @@
 import collections
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,9 +15,8 @@ from depctx.extraction import (
     bag_texts,
     collapse_prepositions,
     effective_bags,
-    extract_bow_pairs,
     extract_deps_pairs,
-    extract_posit_pairs,
+    window_pairs,
     write_bag_files,
 )
 from conftest import make_sentence
@@ -345,43 +345,56 @@ def test_a_conj_arc_mapped_to_a_plain_label_is_an_ordinary_arc(boys_and_girls, t
 
 
 def test_bow_window2_fig1(fig1_sentence):
-    pairs = list(extract_bow_pairs(fig1_sentence, window=2))
-    neighbors = {c for w, c in pairs if w == "discovers"}
+    pairs = window_pairs("bow", 2, fig1_sentence)
+    neighbors = {c for w, c, _ in pairs if w == "discovers"}
     assert neighbors == {"australian", "scientist", "stars", "with"}
+    assert {bag for _, _, bag in pairs} == {"bow"}
 
 
 def test_posit_window2_fig1_literal_offsets(fig1_sentence):
-    pairs = list(extract_posit_pairs(fig1_sentence, window=2))
-    contexts = {c for w, c in pairs if w == "discovers"}
+    pairs = window_pairs("posit", 2, fig1_sentence)
+    contexts = {c for w, c, _ in pairs if w == "discovers"}
     # literal signed offsets recomputed from token positions
     assert contexts == {"australian_-2", "scientist_-1", "stars_+1", "with_+2"}
+    assert {bag for _, _, bag in pairs} == {"posit"}
 
 
 def test_window1_single_token():
     sent = make_sentence([(1, "hi", "INTJ", 0, "root")])
-    assert list(extract_bow_pairs(sent, window=1)) == []
-    assert list(extract_posit_pairs(sent, window=1)) == []
+    assert window_pairs("bow", 1, sent) == []
+    assert window_pairs("posit", 1, sent) == []
 
 
 def test_windows_do_not_cross_sentences(fig1_sentence):
-    pairs = list(extract_bow_pairs(fig1_sentence, window=3))
+    pairs = window_pairs("bow", 3, fig1_sentence)
     # leftmost token sees at most 3 right neighbors, nothing from elsewhere
-    assert {c for w, c in pairs if w == "australian"} == {"scientist", "discovers", "stars"}
+    assert {c for w, c, _ in pairs if w == "australian"} == {"scientist", "discovers", "stars"}
 
 
 def test_bow_is_posit_with_suffix_stripped(fig1_sentence):
-    bow = sorted(extract_bow_pairs(fig1_sentence, window=2))
-    posit = sorted((w, c.rsplit("_", 1)[0]) for w, c in extract_posit_pairs(fig1_sentence, window=2))
+    bow = [(w, c) for w, c, _ in window_pairs("bow", 2, fig1_sentence)]
+    posit = [(w, c.rsplit("_", 1)[0]) for w, c, _ in window_pairs("posit", 2, fig1_sentence)]
     assert bow == posit
 
 
-def test_a_window_baseline_is_one_bag_of_the_one_writer(fig1_sentence, tmp_path):
-    def pairs_of(sentence):
-        return [(word, context, "posit") for word, context in extract_posit_pairs(sentence, 2)]
+@pytest.mark.parametrize(
+    "kind, window, message",
+    [
+        ("bow", 0, "window must be >= 1, got 0"),
+        ("posit", -1, "window must be >= 1, got -1"),
+        ("deps", 2, "window kind must be one of ('bow', 'posit'), got 'deps'"),
+        ("BOW", 2, "window kind must be one of ('bow', 'posit'), got 'BOW'"),
+    ],
+)
+def test_window_pairs_rejects_a_bad_kind_or_window(fig1_sentence, kind, window, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        window_pairs(kind, window, fig1_sentence)
 
-    texts = [bag_texts([fig1_sentence], pairs_of, ["posit"])] * 2
+
+def test_a_window_baseline_is_one_bag_of_the_one_writer(fig1_sentence, tmp_path):
+    texts = [bag_texts([fig1_sentence], partial(window_pairs, "posit", 2), ["posit"])] * 2
     manifest = write_bag_files(texts, ["posit"], tmp_path, "h")
-    expected = list(extract_posit_pairs(fig1_sentence, 2)) * 2
+    expected = [(w, c) for w, c, _ in window_pairs("posit", 2, fig1_sentence)] * 2
     assert manifest.counts == {"posit": len(expected)}
     assert list(PairStream(tmp_path, ["posit"], Manifest.load(tmp_path))) == expected
     assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.txt", "posit.pairs"]
@@ -500,6 +513,15 @@ def test_compose_rejects_unknown_and_empty(fig1_sentence, tmp_path):
         PairStream(tmp_path / "bags", ["amod", "nosuchbag"], manifest)
     with pytest.raises(ValueError):
         PairStream(tmp_path / "bags", [], manifest)
+
+
+def test_a_stream_over_a_deleted_pair_file_names_it(fig1_sentence, tmp_path):
+    manifest = run_write([fig1_sentence], tmp_path)
+    path = tmp_path / "bags" / "amod.pairs"
+    path.unlink()
+    with pytest.raises(FileNotFoundError) as exc:
+        PairStream(tmp_path / "bags", ["amod", "subj"], manifest)
+    assert str(exc.value) == f"missing pair file for bag 'amod': {path}"
 
 
 def test_incomplete_marker_detected(fig1_sentence, tmp_path):

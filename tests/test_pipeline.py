@@ -811,16 +811,54 @@ def test_cli_missing_corpus_exits_2(tmp_path, capsys):
         (dict(subsample="inf"), "subsample must be a finite number, got inf"),
         (dict(unigram_power="nan"), "unigram_power must be a finite number, got nan"),
         (dict(unigram_power="-inf"), "unigram_power must be a finite number, got -inf"),
+        # write_config's header comment is line 1, so its dim is on line 5
+        (dict(dim="ten"), "exp.txt:5: invalid literal for int() with base 10: 'ten'"),
+        (dict(threshold="high"), "exp.txt:14: could not convert string to float: 'high'"),
+        # a relative path resolves against the config file's directory
+        (dict(dataset="gone.tsv"), "dataset path does not exist: {tmp}/gone.tsv"),
+        (dict(bag_table="gone.tsv"), "bag table does not exist: {tmp}/gone.tsv"),
     ],
 )
 def test_cli_rejected_settings_exit_2(tmp_path, capsys, setting, message):
-    if "bag_table" in setting:
+    if "\t" in setting.get("bag_table", ""):
         table = tmp_path / "table.tsv"
         table.write_text(f"{setting['bag_table']}\n*\tDISCARD\n", encoding="utf-8")
         setting = dict(setting, bag_table=table)
     config = write_config(tmp_path, **setting)
     assert cli.main(["extract", "-c", str(config)]) == 2
-    assert message in capsys.readouterr().err
+    assert message.format(tmp=tmp_path) in capsys.readouterr().err
+    assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "config file not found: {path}"),
+        ("# a comment\ndim 16\n", "{path}:2: expected key=value, got 'dim 16'"),
+    ],
+)
+def test_config_file_errors_name_the_file(tmp_path, capsys, text, message):
+    path = tmp_path / "exp.txt"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    with pytest.raises(ExperimentConfigError) as exc:
+        load_experiment_config(path)
+    assert str(exc.value) == message.format(path=path)
+    assert cli.main(["extract", "-c", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+
+def test_a_command_needing_an_unset_path_is_a_config_error(tmp_path, capsys):
+    exp = Experiment(load_experiment_config(write_config(tmp_path, dataset="", corpus="")))
+    with pytest.raises(ExperimentConfigError, match="^this command requires a dataset path$"):
+        exp.dataset
+    with pytest.raises(ExperimentConfigError, match="^extract requires at least one corpus path$"):
+        exp.extract()
+    config = write_config(tmp_path, toefl="")
+    # the toefl path is checked before the embeddings are read
+    assert cli.main(["toefl", "-c", str(config), "--embeddings", str(tmp_path / "none.txt")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: toefl command requires a toefl path in the config\n"
     assert not (tmp_path / "cache").exists()
 
 
