@@ -17,8 +17,11 @@ in corpus order.
 
 A chunk is decoded as UTF-8 in C, and only ``\n`` ends a line: a form
 holding U+2028, a form feed or a lone ``\r`` stays in one token, and the
-``\r`` of a CRLF line end is stripped. A :class:`Token` is a
-``NamedTuple``, built by one C call to ``tuple.__new__``.
+``\r`` of a CRLF line end is stripped. :func:`parse_conllu` parses each
+token line inside its loop, with no function call per line: one split into
+10 columns, the ``int`` of ID and HEAD, the DEPREL check and the lowercased
+form, and a :class:`Token`, a ``NamedTuple`` built by one C call to
+``tuple.__new__``.
 """
 
 from __future__ import annotations
@@ -97,29 +100,6 @@ class Sentence:
         return self.tokens[index - 1]
 
 
-def _parse_token(line: str, line_number: int) -> Token | None:
-    """Parse one token line; returns None for multiword ranges / empty nodes."""
-    try:
-        tok_id, form, lemma, upos, _, _, head, deprel, _, _ = line.split("\t")
-    except ValueError:
-        n_cols = line.count("\t") + 1
-        raise ConlluError(f"expected 10 columns, got {n_cols}", line_number) from None
-    if "-" in tok_id or "." in tok_id:
-        # Multiword token ranges and empty nodes carry no basic arc.
-        return None
-    try:
-        index = int(tok_id)
-    except ValueError:
-        raise ConlluError(f"non-numeric token ID {tok_id!r}", line_number) from None
-    try:
-        head_index = int(head)
-    except ValueError:
-        raise ConlluError(f"non-numeric HEAD {head!r}", line_number) from None
-    if not deprel:
-        raise ConlluError("empty DEPREL", line_number)
-    return new_token((index, form.lower(), lemma, upos, head_index, deprel))
-
-
 def _reject_undecodable(line: str, line_number: int) -> None:
     """Raise if a line decoded under ``surrogateescape`` held invalid UTF-8."""
     bad = UNDECODABLE.search(line)
@@ -185,6 +165,7 @@ def parse_conllu(
             tokens.clear()
         return sentence
 
+    append = tokens.append
     for raw in stream:
         line_number += 1
         try:
@@ -199,20 +180,33 @@ def parse_conllu(
             if sentence is not None:
                 yield sentence
             continue
-        if line.startswith("#"):
-            continue
-        if block_bad:
+        if block_bad or line[0] == "#":
             continue
         try:
             if _invalid_utf8_seen and not line.isascii():
                 _reject_undecodable(line, line_number)
-            token = _parse_token(line, line_number)
+            try:
+                tok_id, form, lemma, upos, _, _, head, deprel, _, _ = line.split("\t")
+            except ValueError:
+                n_cols = line.count("\t") + 1
+                raise ConlluError(f"expected 10 columns, got {n_cols}", line_number) from None
+            if "-" in tok_id or "." in tok_id:
+                continue  # multiword token ranges and empty nodes carry no basic arc
+            try:
+                index = int(tok_id)
+            except ValueError:
+                raise ConlluError(f"non-numeric token ID {tok_id!r}", line_number) from None
+            try:
+                head_index = int(head)
+            except ValueError:
+                raise ConlluError(f"non-numeric HEAD {head!r}", line_number) from None
+            if not deprel:
+                raise ConlluError("empty DEPREL", line_number)
         except ConlluError as exc:
             warn(f"skipping sentence: {exc}")
             block_bad = True
             continue
-        if token is not None:
-            tokens.append(token)
+        append(new_token((index, form.lower(), lemma, upos, head_index, deprel)))
     sentence = finish(line_number + 1)
     if sentence is not None:
         yield sentence

@@ -4,29 +4,33 @@ Dependency arcs are grouped into labeled context bags after prepositional
 arc collapsing and label merging; coordination arcs come in two directional
 variants. :func:`window_pairs` gives the window baselines of
 :data:`WINDOW_KINDS`, BOW and POSIT, POSIT offsets recomputed from token
-positions. :func:`bag_texts` turns sentences into the text of each bag's
-file, from the ``(word, context, bag)`` triples of either kind, a baseline
-as one bag named by its kind; :func:`write_bag_files` appends such texts,
-one per chunk of a corpus and in corpus order, to the bag files and writes
-their manifest. The pipeline runs :func:`bag_texts` on each chunk, in a
-worker process when there is more than one, with a ``functools.partial`` of
-:func:`deps_pairs` or :func:`window_pairs` as its ``pairs_of``.
+positions. A pair is born as the line its bag file stores: both
+:func:`deps_pairs` and :func:`window_pairs` give a sentence's ``(bag,
+line)`` pairs, each line ``"word<TAB>context<LF>"`` built by one f-string,
+a baseline as one bag named by its kind. :func:`bag_texts` joins each bag's
+lines of a chunk of sentences into one string; :func:`write_bag_files`
+appends such texts, one per chunk of a corpus and in corpus order, to the
+bag files and writes their manifest. The pipeline runs :func:`bag_texts` on
+each chunk, in a worker process when there is more than one, with a
+``functools.partial`` of :func:`deps_pairs` or :func:`window_pairs` as its
+``pairs_of``.
 
-A :class:`DependencyPair` is ``(word, context, bag)``: the context is the
-typed string a bag file stores, such as ``australian_amod`` or
-``scientist_amod-1`` (``-1`` marks the inverse arc), built once per arc.
+The arc rule is written once, in ``_arc_lines``. A context is the typed
+string a bag file stores, such as ``australian_amod`` or
+``scientist_amod-1`` (``-1`` marks the inverse arc).
+:func:`extract_deps_pairs` gives the same arcs as :class:`DependencyPair`
+triples ``(word, context, bag)``, each line split at its tab, for callers
+that read pairs rather than write bag files.
 
 Extraction touches every pair of a corpus, so it keeps the Python work per
-pair small: a pair is a ``NamedTuple`` built with ``tuple.__new__``,
-collapsing rebuilds only the tokens whose deprel changes,
-:meth:`BagMappingTable.map_label` runs each label's prefix scan once, and
-:func:`bag_texts` joins each bag's lines of a chunk into one string.
+pair small: each pair is one string and one 2-tuple, collapsing rebuilds
+only the tokens whose deprel changes, and
+:meth:`BagMappingTable.map_label` runs each label's prefix scan once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -58,10 +62,6 @@ class DependencyPair(NamedTuple):
     word: str
     context: str
     bag: str
-
-
-# DependencyPair from one 3-tuple, without NamedTuple.__new__'s Python frame.
-_new_pair = partial(tuple.__new__, DependencyPair)
 
 
 class BagMappingTable:
@@ -187,14 +187,35 @@ def collapse_prepositions(
     return Sentence(tokens)
 
 
-def _conj_arc_pairs(head: Token, dep: Token, variant: str) -> Iterator[DependencyPair]:
-    """conjlr marks the head-direction pair inverse, conjll does not."""
-    if variant in ("conjlr", "both"):
-        yield _new_pair((head.form, dep.form + "_conj", "conjlr"))
-        yield _new_pair((dep.form, head.form + "_conj-1", "conjlr"))
-    if variant in ("conjll", "both"):
-        yield _new_pair((head.form, dep.form + "_conj", "conjll"))
-        yield _new_pair((dep.form, head.form + "_conj", "conjll"))
+def _arc_lines(
+    tokens: tuple[Token, ...], table: BagMappingTable, variant: str
+) -> Iterator[tuple[str, str]]:
+    """The (bag, line) pairs of every arc of ``tokens``, both directions, in arc order.
+
+    Every non-discarded arc h --r--> m gives the lines "h<TAB>m_r" and
+    "m<TAB>h_r-1", with every ``prep:X`` written as plain ``prep`` so
+    contexts match bag granularity. An arc the table maps to ``conj`` gives
+    the lines of the coordination variants instead: conjlr marks the
+    head-direction line inverse, conjll does not.
+    """
+    for _, form, _, _, head, deprel in tokens:
+        if head == 0 or deprel == COLLAPSED:
+            continue
+        bag = table.map_label(deprel)
+        if bag == DISCARD:
+            continue
+        head_form = tokens[head - 1][1]
+        if bag == CONJ_ROUTE:
+            if variant in ("conjlr", "both"):
+                yield "conjlr", f"{head_form}\t{form}_conj\n"
+                yield "conjlr", f"{form}\t{head_form}_conj-1\n"
+            if variant in ("conjll", "both"):
+                yield "conjll", f"{head_form}\t{form}_conj\n"
+                yield "conjll", f"{form}\t{head_form}_conj\n"
+            continue
+        rel = "prep" if deprel.startswith("prep:") else deprel
+        yield bag, f"{head_form}\t{form}_{rel}\n"
+        yield bag, f"{form}\t{head_form}_{rel}-1\n"
 
 
 def extract_deps_pairs(
@@ -202,56 +223,52 @@ def extract_deps_pairs(
     table: BagMappingTable,
     conj_variant: str = "both",
 ) -> Iterator[DependencyPair]:
-    """All dependency pairs of one sentence, both arc directions.
+    """All dependency pairs of one sentence as it stands, both arc directions,
+    in arc order.
 
-    Every non-discarded arc h --r--> m yields (h, m_r) and (m, h_r-1), with
-    every ``prep:X`` written as plain ``prep`` so contexts match bag
-    granularity; arcs the table maps to ``conj`` are routed through the
-    coordination variants instead. An unknown ``conj_variant`` raises ValueError.
+    Every non-discarded arc h --r--> m yields (h, m_r) and (m, h_r-1), and
+    an arc the table maps to ``conj`` the pairs of the coordination
+    variants: the lines of the arc rule :func:`deps_pairs` follows, each
+    split at its tab. Prepositions are not collapsed here. An unknown
+    ``conj_variant`` raises ValueError.
     """
     _check_conj_variant(conj_variant)
-    tokens = sentence.tokens
-    for tok in tokens:
-        if tok.head == 0 or tok.deprel == COLLAPSED:
-            continue
-        bag = table.map_label(tok.deprel)
-        if bag == DISCARD:
-            continue
-        head = tokens[tok.head - 1]
-        if bag == CONJ_ROUTE:
-            yield from _conj_arc_pairs(head, tok, conj_variant)
-            continue
-        rel = "prep" if tok.deprel.startswith("prep:") else tok.deprel
-        yield _new_pair((head.form, f"{tok.form}_{rel}", bag))
-        yield _new_pair((tok.form, f"{head.form}_{rel}-1", bag))
+    for bag, line in _arc_lines(sentence.tokens, table, conj_variant):
+        word, _, context = line[:-1].partition("\t")
+        yield DependencyPair(word, context, bag)
 
 
 def deps_pairs(
     table: BagMappingTable, config: ExtractionConfig, sentence: Sentence
-) -> Iterator[DependencyPair]:
-    """The dependency pairs of one sentence under ``config``: its prepositions
-    collapsed, then its arcs extracted."""
+) -> Iterator[tuple[str, str]]:
+    """The (bag, line) pairs of one sentence under ``config``: its
+    prepositions collapsed, then the lines of its arcs."""
     sentence = collapse_prepositions(sentence, config.collapse_targets)
-    return extract_deps_pairs(sentence, table, config.conj_variant)
+    return _arc_lines(sentence.tokens, table, config.conj_variant)
 
 
-def window_pairs(kind: str, window: int, sentence: Sentence) -> list[tuple[str, str, str]]:
-    """The (word, context, bag) triples of one sentence in the ``kind``
-    baseline, one bag named ``kind``: every neighbor within +-``window`` in
-    the same sentence. A "bow" context is the neighbor's form; a "posit"
-    context appends the signed offset, recomputed from token positions
-    ("stars_+1" for an adjacent right neighbor), not copied from any
-    published rendering of it. An unknown ``kind`` or a ``window`` below 1
-    raises ValueError."""
+def check_window(kind: str, window: int) -> None:
+    """Raise ValueError unless ``kind`` is one of :data:`WINDOW_KINDS` and ``window`` >= 1."""
     if kind not in WINDOW_KINDS:
         raise ValueError(f"window kind must be one of {WINDOW_KINDS}, got {kind!r}")
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
+
+
+def window_pairs(kind: str, window: int, sentence: Sentence) -> list[tuple[str, str]]:
+    """The (bag, line) pairs of one sentence in the ``kind`` baseline, one
+    bag named ``kind``: a line "word<TAB>context<LF>" for every neighbor
+    within +-``window`` in the same sentence. A "bow" context is the
+    neighbor's form; a "posit" context appends the signed offset, recomputed
+    from token positions ("stars_+1" for an adjacent right neighbor), not
+    copied from any published rendering of it. An unknown ``kind`` or a
+    ``window`` below 1 raises ValueError."""
+    check_window(kind, window)
     forms = [t.form for t in sentence]
     n = len(forms)
     posit = kind == "posit"
     return [
-        (forms[i], f"{forms[j]}_{j - i:+d}" if posit else forms[j], kind)
+        (kind, f"{forms[i]}\t{forms[j]}_{j - i:+d}\n" if posit else f"{forms[i]}\t{forms[j]}\n")
         for i in range(n)
         for j in range(max(0, i - window), min(n, i + window + 1))
         if j != i
@@ -312,18 +329,18 @@ class Manifest:
 
 def bag_texts(
     sentences: Iterable[Sentence],
-    pairs_of: Callable[[Sentence], Iterable[tuple[str, str, str]]],
+    pairs_of: Callable[[Sentence], Iterable[tuple[str, str]]],
     bags: Iterable[str],
 ) -> dict[str, str]:
     """The lines each of ``bags`` gets from ``sentences``, one string per bag.
 
-    ``pairs_of(sentence)`` gives that sentence's (word, context, bag) triples;
-    every bag it names must be in ``bags``. A line is "word<TAB>context".
+    ``pairs_of(sentence)`` gives that sentence's (bag, line) pairs, each
+    line "word<TAB>context<LF>"; every bag it names must be in ``bags``.
     """
     pending: dict[str, list[str]] = {bag: [] for bag in bags}
     for sentence in sentences:
-        for word, context, bag in pairs_of(sentence):
-            pending[bag].append(f"{word}\t{context}\n")
+        for bag, line in pairs_of(sentence):
+            pending[bag].append(line)
     return {bag: "".join(lines) for bag, lines in pending.items()}
 
 

@@ -324,12 +324,15 @@ class Experiment:
     # -- extraction --
 
     def _pairs_of(self, kind: str):
-        """The function from a sentence to its (word, context, bag) triples
-        in ``kind``'s extraction, and the bags of that extraction."""
+        """The function from a sentence to its (bag, line) pairs in
+        ``kind``'s extraction, and the bags of that extraction. A kind other
+        than "deps" must be a window kind, and the window at least 1, or
+        this raises ValueError."""
         if kind == "deps":
             config = self.cfg.extraction_config()
             pairs_of = partial(extraction.deps_pairs, self.table, config)
             return pairs_of, extraction.effective_bags(self.table, config)
+        extraction.check_window(kind, self.cfg.window)
         return partial(extraction.window_pairs, kind, self.cfg.window), (kind,)
 
     def _extract(self, kind: str, force: bool) -> extraction.Manifest:
@@ -343,6 +346,8 @@ class Experiment:
         """
         if not self.cfg.corpus:
             raise ExperimentConfigError("extract requires at least one corpus path")
+        # a bad kind or window fails here, before any directory is named or made
+        pairs_of, bags = self._pairs_of(kind)
         fingerprint = self.extraction_fingerprint(kind)
         out = self.bag_dir(kind)
         if not force and (out / extraction.MANIFEST_NAME).exists():
@@ -355,7 +360,6 @@ class Experiment:
                     logger.info("extraction cache hit: %s", out)
                     return manifest
         logger.info("extracting to %s", out)
-        pairs_of, bags = self._pairs_of(kind)
         chunks = chain.from_iterable(map(conllu.read_chunks, self.cfg.corpus))
         with workers.forked(partial(_chunk_texts, pairs_of, bags)) as run:
 

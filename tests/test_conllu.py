@@ -158,6 +158,39 @@ def test_malformed_sentence_is_skipped_with_one_warning(
     assert skip_warnings(caplog) == [f"skipping sentence: {reason}"]
 
 
+# (the second token line of a block, warning after "skipping sentence: line N: ")
+TOKEN_FAULTS = {
+    "nine-columns": (row("2", "b", "b", "X", "_", "_", "1", "dep", "_"),
+                     "expected 10 columns, got 9"),
+    "non-numeric-id": (row("2x", "b", "b", "X", "_", "_", "1", "dep"),
+                       "non-numeric token ID '2x'"),
+    "non-numeric-head": (row("2", "b", "b", "X", "_", "_", "1z", "dep"),
+                         "non-numeric HEAD '1z'"),
+    "empty-deprel": (row("2", "b", "b", "X", "_", "_", "1", ""), "empty DEPREL"),
+    "invalid-utf8": (row("2", "b\udcfe", "b", "X", "_", "_", "1", "dep"),
+                     "invalid UTF-8 (byte 0xfe)"),
+}
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("bad,reason", TOKEN_FAULTS.values(), ids=TOKEN_FAULTS)
+def test_a_token_fault_after_a_comment_names_its_line(
+    tmp_path, fig1_conllu_text, caplog, monkeypatch, newline, bad, reason
+):
+    # lines 1-7 a sentence, 8 blank, 9 a comment, 10 a good token, 11 the bad
+    # one, 12 a good token again, 13 blank, then the first sentence again
+    block = "# sent_id = 2\n" + row("1", "a", "a", "X", "_", "_", "0", "root") + "\n"
+    block += bad + "\n" + row("3", "c", "c", "X", "_", "_", "1", "dep") + "\n"
+    text = fig1_conllu_text + "\n" + block + "\n" + fig1_conllu_text
+    path = tmp_path / "bad.conllu"
+    path.write_bytes(text.replace("\n", newline).encode("utf-8", "surrogateescape"))
+    # as in a process that has not yet decoded a bad byte
+    monkeypatch.setattr(conllu, "_invalid_utf8_seen", False)
+    sentences = list(read_corpus(str(path)))
+    assert sentences == parse_all(fig1_conllu_text) * 2
+    assert skip_warnings(caplog) == [f"skipping sentence: line 11: {reason}"]
+
+
 def test_round_trip_fig1(fig1_conllu_text):
     sent = parse_all(fig1_conllu_text)[0]
     again = parse_all(sentence_to_conllu(sent) + "\n")[0]

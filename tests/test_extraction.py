@@ -14,6 +14,7 @@ from depctx.extraction import (
     PairStream,
     bag_texts,
     collapse_prepositions,
+    deps_pairs,
     effective_bags,
     extract_deps_pairs,
     window_pairs,
@@ -29,13 +30,9 @@ TABLE = BagMappingTable.default()
 
 def write_deps(corpus, out_dir, table=TABLE, config=ExtractionConfig(), config_hash=""):
     """The dependency bag files of a corpus, written as ``depctx extract`` writes them."""
-
-    def pairs_of(sentence):
-        sentence = collapse_prepositions(sentence, config.collapse_targets)
-        return extract_deps_pairs(sentence, table, config.conj_variant)
-
     bags = effective_bags(table, config)
-    return write_bag_files([bag_texts(corpus, pairs_of, bags)], bags, out_dir, config_hash)
+    texts = bag_texts(corpus, partial(deps_pairs, table, config), bags)
+    return write_bag_files([texts], bags, out_dir, config_hash)
 
 
 BAG13 = {
@@ -50,6 +47,11 @@ def contexts_of(word, pairs):
 
 def pair_set(pairs):
     return {(p.word, p.context) for p in pairs}
+
+
+def line_contexts(word, pairs):
+    """The contexts of ``word`` in (bag, line) pairs."""
+    return {line[len(word) + 1 : -1] for _, line in pairs if line.startswith(f"{word}\t")}
 
 
 # -- bag mapping table --
@@ -252,6 +254,25 @@ def test_pair_symmetry_property():
         assert normals == inverses
 
 
+def test_deps_pairs_are_the_bag_file_lines_in_arc_order(fig1_sentence):
+    # collapsed: "with" is consumed and "telescope" hangs off a prep arc
+    lines = list(deps_pairs(TABLE, ExtractionConfig(), fig1_sentence))
+    assert lines == [
+        ("amod", "scientist\taustralian_amod\n"),
+        ("amod", "australian\tscientist_amod-1\n"),
+        ("subj", "discovers\tscientist_nsubj\n"),
+        ("subj", "scientist\tdiscovers_nsubj-1\n"),
+        ("obj", "discovers\tstars_dobj\n"),
+        ("obj", "stars\tdiscovers_dobj-1\n"),
+        ("prep", "discovers\ttelescope_prep\n"),
+        ("prep", "telescope\tdiscovers_prep-1\n"),
+    ]
+    # extract_deps_pairs gives the same arcs' lines, split at the tab
+    collapsed = collapse_prepositions(fig1_sentence)
+    pairs = extract_deps_pairs(collapsed, TABLE)
+    assert [(p.bag, f"{p.word}\t{p.context}\n") for p in pairs] == lines
+
+
 # -- coordination variants --
 
 
@@ -346,17 +367,18 @@ def test_a_conj_arc_mapped_to_a_plain_label_is_an_ordinary_arc(boys_and_girls, t
 
 def test_bow_window2_fig1(fig1_sentence):
     pairs = window_pairs("bow", 2, fig1_sentence)
-    neighbors = {c for w, c, _ in pairs if w == "discovers"}
+    neighbors = line_contexts("discovers", pairs)
     assert neighbors == {"australian", "scientist", "stars", "with"}
-    assert {bag for _, _, bag in pairs} == {"bow"}
+    assert {bag for bag, _ in pairs} == {"bow"}
+    assert all(line.count("\t") == 1 and line.endswith("\n") for _, line in pairs)
 
 
 def test_posit_window2_fig1_literal_offsets(fig1_sentence):
     pairs = window_pairs("posit", 2, fig1_sentence)
-    contexts = {c for w, c, _ in pairs if w == "discovers"}
+    contexts = line_contexts("discovers", pairs)
     # literal signed offsets recomputed from token positions
     assert contexts == {"australian_-2", "scientist_-1", "stars_+1", "with_+2"}
-    assert {bag for _, _, bag in pairs} == {"posit"}
+    assert {bag for bag, _ in pairs} == {"posit"}
 
 
 def test_window1_single_token():
@@ -368,12 +390,12 @@ def test_window1_single_token():
 def test_windows_do_not_cross_sentences(fig1_sentence):
     pairs = window_pairs("bow", 3, fig1_sentence)
     # leftmost token sees at most 3 right neighbors, nothing from elsewhere
-    assert {c for w, c, _ in pairs if w == "australian"} == {"scientist", "discovers", "stars"}
+    assert line_contexts("australian", pairs) == {"scientist", "discovers", "stars"}
 
 
 def test_bow_is_posit_with_suffix_stripped(fig1_sentence):
-    bow = [(w, c) for w, c, _ in window_pairs("bow", 2, fig1_sentence)]
-    posit = [(w, c.rsplit("_", 1)[0]) for w, c, _ in window_pairs("posit", 2, fig1_sentence)]
+    bow = [line for _, line in window_pairs("bow", 2, fig1_sentence)]
+    posit = [line.rsplit("_", 1)[0] + "\n" for _, line in window_pairs("posit", 2, fig1_sentence)]
     assert bow == posit
 
 
@@ -394,7 +416,8 @@ def test_window_pairs_rejects_a_bad_kind_or_window(fig1_sentence, kind, window, 
 def test_a_window_baseline_is_one_bag_of_the_one_writer(fig1_sentence, tmp_path):
     texts = [bag_texts([fig1_sentence], partial(window_pairs, "posit", 2), ["posit"])] * 2
     manifest = write_bag_files(texts, ["posit"], tmp_path, "h")
-    expected = [(w, c) for w, c, _ in window_pairs("posit", 2, fig1_sentence)] * 2
+    lines = [line for _, line in window_pairs("posit", 2, fig1_sentence)] * 2
+    expected = [tuple(line[:-1].split("\t")) for line in lines]
     assert manifest.counts == {"posit": len(expected)}
     assert list(PairStream(tmp_path, ["posit"], Manifest.load(tmp_path))) == expected
     assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.txt", "posit.pairs"]

@@ -5,7 +5,7 @@ import re
 import time
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -223,6 +223,54 @@ def test_extraction_bytes_are_golden(tmp_path):
     assert len(list((tmp_path / "cache").iterdir())) == 3
 
 
+# the dependency bags of the bundled treebank under other extraction
+# settings: (settings, cache directory, the files whose sha256 differs from
+# GOLDEN_SHA256, the files the setting does not write). With
+# collapse_targets=() the prep file is empty; the fixture holds no obl arc,
+# so adding obl changes only the manifest's fingerprint.
+GOLDEN_SETTINGS = {
+    "conjlr": (
+        {"conj_variant": "conjlr"},
+        "bags-d2d0c57c255371c0",
+        {"manifest.txt": "c7b8c17dee4161ecd4b240a69ab98069f1d52cc4ffaac61f7112221ed9e85ab8"},
+        {"conjll.pairs"},
+    ),
+    "conjll": (
+        {"conj_variant": "conjll"},
+        "bags-af8664fd089249d8",
+        {"manifest.txt": "03e63ce34a49bbb2a95a7f6fb359106db4da881e36ef22cecf9c18cefb118786"},
+        {"conjlr.pairs"},
+    ),
+    "no-collapse": (
+        {"collapse_targets": ""},
+        "bags-9022b1e5bfc9afd6",
+        {
+            "manifest.txt": "7e828e8f0ef53f4045d021d035059bc7618b43f1e1aa7d6ec006c1b83a10c69f",
+            "nmod.pairs": "aef8cedc719af30dcc4e4a09b0ce65399be97b213e8772b6797d12b8ee7cf0cb",
+            "prep.pairs": hashlib.sha256(b"").hexdigest(),
+        },
+        set(),
+    ),
+    "nmod-obl": (
+        {"collapse_targets": "nmod,obl"},
+        "bags-8a18e0333b5b3e13",
+        {"manifest.txt": "f56f18e22b0544a7a7ea6c0bd9f4bb0788d3342450bbd1650df61564f4879a23"},
+        set(),
+    ),
+}
+
+
+@pytest.mark.parametrize("settings,bag_dir,changed,absent", GOLDEN_SETTINGS.values(),
+                         ids=GOLDEN_SETTINGS)
+def test_extraction_bytes_are_golden_under_each_setting(tmp_path, settings, bag_dir, changed,
+                                                        absent):
+    exp = Experiment(load_experiment_config(write_config(tmp_path, **settings)))
+    exp.extract()
+    assert exp.bag_dir().name == bag_dir
+    expected = {name: h for name, h in GOLDEN_SHA256.items() if name not in absent}
+    assert file_hashes(exp.bag_dir()) == {**expected, **changed}
+
+
 def test_bundled_smoke_experiment_cache_names_are_pinned(tmp_path, monkeypatch):
     # a user's cache of the bundled experiment is found again only under these
     # names; a change to how scopes are hashed orphans it
@@ -383,6 +431,20 @@ def test_failed_window_extraction_leaves_a_marker_and_is_redone(tmp_path, monkey
     manifest = Experiment(exp.cfg).extract_window_pairs("bow")
     assert file_hashes(exp.bag_dir("bow")) == golden
     assert manifest.counts == extraction.Manifest.load(exp.bag_dir("bow")).counts
+
+
+@pytest.mark.parametrize(
+    "kind, window, message",
+    [
+        ("Bow", 2, "window kind must be one of ('bow', 'posit'), got 'Bow'"),
+        ("bow", 0, "window must be >= 1, got 0"),
+    ],
+)
+def test_a_bad_window_kind_or_window_makes_no_bag_directory(tmp_path, kind, window, message):
+    cfg = replace(load_experiment_config(write_config(tmp_path)), window=window)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Experiment(cfg).extract_window_pairs(kind)
+    assert not list((tmp_path / "cache").glob("bags-*"))
 
 
 @needs_fork
