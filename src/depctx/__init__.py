@@ -6,7 +6,7 @@ searches the space of context-bag configurations for the best one per word
 class.
 """
 
-from .conllu import ConlluError, Sentence, Token, parse_conllu, read_corpus
+from .conllu import ConlluError, Token, parse_conllu, read_corpus
 from .evaluation import (
     EvalResult,
     WordPairDataset,
@@ -18,13 +18,11 @@ from .evaluation import (
 )
 from .extraction import (
     BagMappingTable,
-    DependencyPair,
     ExtractionConfig,
     Manifest,
     PairStream,
     bag_texts,
     collapse_prepositions,
-    extract_deps_pairs,
     window_pairs,
     write_bag_files,
 )
@@ -51,7 +49,6 @@ __all__ = [
     "BagMappingTable",
     "Configuration",
     "ConlluError",
-    "DependencyPair",
     "EmbeddingStore",
     "EvalResult",
     "ExtractionConfig",
@@ -59,7 +56,6 @@ __all__ = [
     "Manifest",
     "PairStream",
     "SearchTrace",
-    "Sentence",
     "Token",
     "TrainerConfig",
     "Vocabulary",
@@ -71,7 +67,6 @@ __all__ = [
     "cosine",
     "count_space",
     "evaluate",
-    "extract_deps_pairs",
     "load_embeddings",
     "parse_conllu",
     "read_corpus",

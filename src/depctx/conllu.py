@@ -6,8 +6,11 @@ ending just after a blank line, so no sentence spans two chunks and
 :func:`parse_conllu` parses each chunk's :func:`chunk_lines` on its own, in
 any process. :func:`read_corpus` parses the chunks in turn; the pipeline
 parses them in its worker processes. Memory is bounded by the chunks in
-flight, not by the corpus. Surface forms are lowercased at parse time; lemma
-and POS columns are kept as-is.
+flight, not by the corpus. A parsed sentence is a plain tuple of its
+:class:`Token` values, token ``i`` at ``sentence[i - 1]``: the indices run
+1..n, each HEAD is in 0..n and is not the token's own index, and exactly one
+token is the root. Surface forms are lowercased at parse time; lemma and POS
+columns are kept as-is.
 
 A sentence with a malformed line is skipped with one ``skipping sentence:
 line N: <reason>`` warning, N counted from the start of the file. That
@@ -30,7 +33,6 @@ import codecs
 import gzip
 import logging
 import re
-from dataclasses import dataclass
 from functools import partial
 from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
@@ -83,23 +85,6 @@ class Token(NamedTuple):
 new_token = partial(tuple.__new__, Token)
 
 
-@dataclass(frozen=True)
-class Sentence:
-    """An ordered sequence of tokens with consecutive indices 1..n."""
-
-    tokens: tuple[Token, ...]
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __iter__(self) -> Iterator[Token]:
-        return iter(self.tokens)
-
-    def token(self, index: int) -> Token:
-        """Look up a token by its 1-based index."""
-        return self.tokens[index - 1]
-
-
 def _reject_undecodable(line: str, line_number: int) -> None:
     """Raise if a line decoded under ``surrogateescape`` held invalid UTF-8."""
     bad = UNDECODABLE.search(line)
@@ -108,7 +93,7 @@ def _reject_undecodable(line: str, line_number: int) -> None:
         raise ConlluError(f"invalid UTF-8 (byte 0x{byte:02x})", line_number)
 
 
-def _build_sentence(tokens: list[Token], line_number: int) -> Sentence:
+def _build_sentence(tokens: list[Token], line_number: int) -> tuple[Token, ...]:
     """Validate structural invariants of a finished token block."""
     n = len(tokens)
     roots = 0
@@ -118,7 +103,7 @@ def _build_sentence(tokens: list[Token], line_number: int) -> Sentence:
                 f"token indices not consecutive: expected {pos}, got {index}",
                 line_number,
             )
-        if head > n:
+        if head > n or head < 0:
             raise ConlluError(f"HEAD {head} out of range (n={n})", line_number)
         if head == index:
             raise ConlluError(f"token {index} is its own head", line_number)
@@ -126,15 +111,15 @@ def _build_sentence(tokens: list[Token], line_number: int) -> Sentence:
             roots += 1
     if roots != 1:
         raise ConlluError(f"expected exactly one root, got {roots}", line_number)
-    return Sentence(tuple(tokens))
+    return tuple(tokens)
 
 
 def parse_conllu(
     stream: Iterable[str],
     first_line: int = 1,
     warn: Callable[[str], object] = logger.warning,
-) -> Iterator[Sentence]:
-    """Yield one Sentence per CoNLL-U block read from ``stream``.
+) -> Iterator[tuple[Token, ...]]:
+    """Yield the tokens of each CoNLL-U block read from ``stream``, as one tuple.
 
     ``stream`` is any iterable of text lines, the first of them line
     ``first_line`` of its file. Comment lines, multiword ranges and empty
@@ -148,7 +133,7 @@ def parse_conllu(
     block_bad = False
     line_number = first_line - 1
 
-    def finish(at_line: int) -> Sentence | None:
+    def finish(at_line: int) -> tuple[Token, ...] | None:
         nonlocal block_bad
         if block_bad:
             block_bad = False
@@ -212,8 +197,8 @@ def parse_conllu(
         yield sentence
 
 
-def sentence_to_conllu(sentence: Sentence) -> str:
-    """Serialize a Sentence back to a 10-column block (no trailing blank line)."""
+def sentence_to_conllu(sentence: tuple[Token, ...]) -> str:
+    """Serialize a sentence back to a 10-column block (no trailing blank line)."""
     lines = []
     for tok in sentence:
         lines.append(
@@ -294,7 +279,7 @@ def chunk_lines(data: bytes) -> list[str]:
     return lines
 
 
-def read_corpus(path: str) -> Iterator[Sentence]:
+def read_corpus(path: str) -> Iterator[tuple[Token, ...]]:
     """Parse sentences from a (possibly gzipped) UTF-8 CoNLL-U file, one
     chunk at a time, logging each skipped sentence's warning."""
     for data, first_line in read_chunks(path):

@@ -1,26 +1,26 @@
 """Turning parsed sentences into (word, context) training pairs.
 
-Dependency arcs are grouped into labeled context bags after prepositional
-arc collapsing and label merging; coordination arcs come in two directional
-variants. :func:`window_pairs` gives the window baselines of
-:data:`WINDOW_KINDS`, BOW and POSIT, POSIT offsets recomputed from token
-positions. A pair is born as the line its bag file stores: both
-:func:`deps_pairs` and :func:`window_pairs` give a sentence's ``(bag,
-line)`` pairs, each line ``"word<TAB>context<LF>"`` built by one f-string,
-a baseline as one bag named by its kind. :func:`bag_texts` joins each bag's
-lines of a chunk of sentences into one string; :func:`write_bag_files`
-appends such texts, one per chunk of a corpus and in corpus order, to the
-bag files and writes their manifest. The pipeline runs :func:`bag_texts` on
-each chunk, in a worker process when there is more than one, with a
-``functools.partial`` of :func:`deps_pairs` or :func:`window_pairs` as its
-``pairs_of``.
+A sentence is the tuple of :class:`~depctx.conllu.Token` values that
+:func:`~depctx.conllu.parse_conllu` yields. Dependency arcs are grouped into
+labeled context bags after prepositional arc collapsing and label merging;
+coordination arcs come in two directional variants. :func:`window_pairs`
+gives the window baselines of :data:`WINDOW_KINDS`, BOW and POSIT, POSIT
+offsets recomputed from token positions. A pair is born as the line its bag
+file stores: both :func:`deps_pairs` and :func:`window_pairs` give a
+sentence's ``(bag, line)`` pairs, each line ``"word<TAB>context<LF>"`` built
+by one f-string, a baseline as one bag named by its kind. :func:`bag_texts`
+joins each bag's lines of a chunk of sentences into one string;
+:func:`write_bag_files` appends such texts, one per chunk of a corpus and in
+corpus order, to the bag files and writes their manifest. The pipeline runs
+:func:`bag_texts` on each chunk, in a worker process when there is more than
+one, with a ``functools.partial`` of :func:`deps_pairs` or
+:func:`window_pairs` as its ``pairs_of``.
 
-The arc rule is written once, in ``_arc_lines``. A context is the typed
-string a bag file stores, such as ``australian_amod`` or
-``scientist_amod-1`` (``-1`` marks the inverse arc).
-:func:`extract_deps_pairs` gives the same arcs as :class:`DependencyPair`
-triples ``(word, context, bag)``, each line split at its tab, for callers
-that read pairs rather than write bag files.
+The arc rule is written once, in ``_arc_lines``, and its lines are the
+one form of an arc. A context is the typed string a bag file stores, such as
+``australian_amod`` or ``scientist_amod-1`` (``-1`` marks the inverse arc).
+An ``ExtractionConfig`` with empty ``collapse_targets`` gives the arcs of a
+sentence as it stands.
 
 Extraction touches every pair of a corpus, so it keeps the Python work per
 pair small: each pair is one string and one 2-tuple, collapsing rebuilds
@@ -33,9 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator
 
-from .conllu import Sentence, Token, new_token
+from .conllu import Token, new_token
 
 DISCARD = "DISCARD"
 # Routing label: the arcs the bag table maps here, and only those, are split
@@ -54,14 +54,6 @@ PAIR_FILE_SUFFIX = ".pairs"
 
 # The window baselines; each is one bag, named by its kind.
 WINDOW_KINDS = ("bow", "posit")
-
-
-class DependencyPair(NamedTuple):
-    """One (word, context) training pair from a single dependency arc, and its bag."""
-
-    word: str
-    context: str
-    bag: str
 
 
 class BagMappingTable:
@@ -127,11 +119,6 @@ class BagMappingTable:
             return cls.from_file(path)
 
 
-def _check_conj_variant(variant: str) -> None:
-    if variant not in CONJ_VARIANTS:
-        raise ValueError(f"conj_variant must be one of {CONJ_VARIANTS}, got {variant!r}")
-
-
 @dataclass(frozen=True)
 class ExtractionConfig:
     """Knobs for dependency pair extraction.
@@ -145,46 +132,46 @@ class ExtractionConfig:
     collapse_targets: tuple[str, ...] = ("nmod",)
 
     def __post_init__(self):
-        _check_conj_variant(self.conj_variant)
-
-
-def _base_label(deprel: str) -> str:
-    return deprel.split(":", 1)[0]
+        if self.conj_variant not in CONJ_VARIANTS:
+            raise ValueError(
+                f"conj_variant must be one of {CONJ_VARIANTS}, got {self.conj_variant!r}"
+            )
 
 
 def collapse_prepositions(
-    sentence: Sentence, targets: tuple[str, ...] = ExtractionConfig.collapse_targets
-) -> Sentence:
+    tokens: tuple[Token, ...], targets: tuple[str, ...] = ExtractionConfig.collapse_targets
+) -> tuple[Token, ...]:
     """Collapse case-marking arcs into prep pseudo-arcs.
 
     For every arc h --t--> m with t in ``targets`` where m has a ``case``
     dependent c, the case arc is removed (marked with a reserved deprel) and
-    m's relation becomes ``prep:`` + form(c). With several case dependents the
-    linearly first one supplies the preposition and all of them are removed.
-    Sentences without the pattern, and every sentence when ``targets`` is
-    empty, come back unchanged.
+    m's relation becomes ``prep:`` + form(c). A label is read up to its
+    colon, so a ``case:loc`` dependent of an ``nmod:tmod`` head collapses.
+    With several case dependents the linearly first one supplies the
+    preposition and all of them are removed. Sentences without the pattern,
+    and every sentence when ``targets`` is empty, come back as the same
+    tuple.
     """
     case_of: dict[int, list[Token]] = {}
-    for tok in sentence:
-        if _base_label(tok.deprel) == "case" and tok.head != 0:
+    for tok in tokens:
+        if tok.deprel.partition(":")[0] == "case" and tok.head != 0:
             case_of.setdefault(tok.head, []).append(tok)
     if not case_of:
-        return sentence
+        return tokens
 
     new_deprels: dict[int, str] = {}
     for index in sorted(case_of):
-        tok, cases = sentence.token(index), case_of[index]
-        if _base_label(tok.deprel) in targets and tok.head != 0:
+        tok, cases = tokens[index - 1], case_of[index]
+        if tok.deprel.partition(":")[0] in targets and tok.head != 0:
             new_deprels[index] = "prep:" + cases[0].form.lower()
             for c in cases:
                 new_deprels[c.index] = COLLAPSED
     if not new_deprels:
-        return sentence
-    tokens = tuple(
+        return tokens
+    return tuple(
         new_token((*t[:5], new_deprels[t.index])) if t.index in new_deprels else t
-        for t in sentence.tokens
+        for t in tokens
     )
-    return Sentence(tokens)
 
 
 def _arc_lines(
@@ -218,33 +205,13 @@ def _arc_lines(
         yield bag, f"{form}\t{head_form}_{rel}-1\n"
 
 
-def extract_deps_pairs(
-    sentence: Sentence,
-    table: BagMappingTable,
-    conj_variant: str = "both",
-) -> Iterator[DependencyPair]:
-    """All dependency pairs of one sentence as it stands, both arc directions,
-    in arc order.
-
-    Every non-discarded arc h --r--> m yields (h, m_r) and (m, h_r-1), and
-    an arc the table maps to ``conj`` the pairs of the coordination
-    variants: the lines of the arc rule :func:`deps_pairs` follows, each
-    split at its tab. Prepositions are not collapsed here. An unknown
-    ``conj_variant`` raises ValueError.
-    """
-    _check_conj_variant(conj_variant)
-    for bag, line in _arc_lines(sentence.tokens, table, conj_variant):
-        word, _, context = line[:-1].partition("\t")
-        yield DependencyPair(word, context, bag)
-
-
 def deps_pairs(
-    table: BagMappingTable, config: ExtractionConfig, sentence: Sentence
+    table: BagMappingTable, config: ExtractionConfig, sentence: tuple[Token, ...]
 ) -> Iterator[tuple[str, str]]:
     """The (bag, line) pairs of one sentence under ``config``: its
     prepositions collapsed, then the lines of its arcs."""
-    sentence = collapse_prepositions(sentence, config.collapse_targets)
-    return _arc_lines(sentence.tokens, table, config.conj_variant)
+    tokens = collapse_prepositions(sentence, config.collapse_targets)
+    return _arc_lines(tokens, table, config.conj_variant)
 
 
 def check_window(kind: str, window: int) -> None:
@@ -255,7 +222,7 @@ def check_window(kind: str, window: int) -> None:
         raise ValueError(f"window must be >= 1, got {window}")
 
 
-def window_pairs(kind: str, window: int, sentence: Sentence) -> list[tuple[str, str]]:
+def window_pairs(kind: str, window: int, sentence: tuple[Token, ...]) -> list[tuple[str, str]]:
     """The (bag, line) pairs of one sentence in the ``kind`` baseline, one
     bag named ``kind``: a line "word<TAB>context<LF>" for every neighbor
     within +-``window`` in the same sentence. A "bow" context is the
@@ -328,8 +295,8 @@ class Manifest:
 
 
 def bag_texts(
-    sentences: Iterable[Sentence],
-    pairs_of: Callable[[Sentence], Iterable[tuple[str, str]]],
+    sentences: Iterable[tuple[Token, ...]],
+    pairs_of: Callable[[tuple[Token, ...]], Iterable[tuple[str, str]]],
     bags: Iterable[str],
 ) -> dict[str, str]:
     """The lines each of ``bags`` gets from ``sentences``, one string per bag.

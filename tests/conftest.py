@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from depctx.conllu import Sentence, Token
+from depctx.conllu import Token
 
 
 needs_fork = pytest.mark.skipif(
@@ -38,10 +38,8 @@ def no_leaked_worker_processes():
 
 
 def make_sentence(rows):
-    """Build a Sentence from (index, form, upos, head, deprel) tuples."""
-    return Sentence(
-        tuple(Token(i, form, form, upos, head, deprel) for i, form, upos, head, deprel in rows)
-    )
+    """Build a sentence's tokens from (index, form, upos, head, deprel) tuples."""
+    return tuple(Token(i, form, form, upos, head, deprel) for i, form, upos, head, deprel in rows)
 
 
 def brute_force_spearman(xs, ys):

@@ -18,8 +18,9 @@ from conftest import brute_force_spearman
 from depctx import cli
 from depctx.extraction import (
     BagMappingTable,
+    ExtractionConfig,
     collapse_prepositions,
-    extract_deps_pairs,
+    deps_pairs,
 )
 from depctx.pipeline import Experiment, bundled_path, load_experiment_config
 from depctx.search import (
@@ -58,10 +59,14 @@ def test_extraction_golden(fig1_sentence, boys_and_girls):
     with criterion("extraction golden: published contexts reproduced exactly", 1.0):
         table = BagMappingTable.default()
 
+        def arcs(sentence, variant="both"):
+            """(bag, word, context) of the arcs of ``sentence`` as it stands."""
+            config = ExtractionConfig(conj_variant=variant, collapse_targets=())
+            lines = deps_pairs(table, config, sentence)
+            return [(bag, *line[:-1].split("\t")) for bag, line in lines]
+
         def contexts(sentence):
-            return {
-                p.context for p in extract_deps_pairs(sentence, table) if p.word == "discovers"
-            }
+            return {context for _, word, context in arcs(sentence) if word == "discovers"}
 
         assert contexts(fig1_sentence) == {
             "scientist_nsubj", "stars_dobj", "telescope_nmod",
@@ -72,9 +77,9 @@ def test_extraction_golden(fig1_sentence, boys_and_girls):
 
         def conj(variant):
             return {
-                (p.word, p.context)
-                for p in extract_deps_pairs(boys_and_girls, table, conj_variant=variant)
-                if p.bag == variant
+                (word, context)
+                for bag, word, context in arcs(boys_and_girls, variant)
+                if bag == variant
             }
 
         assert conj("conjlr") == {("boys", "girls_conj"), ("girls", "boys_conj-1")}

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from depctx import conllu
 from depctx.conllu import (
-    Sentence,
     Token,
     open_corpus,
     parse_conllu,
@@ -46,10 +45,10 @@ def test_fig1_block(fig1_conllu_text):
 
 def test_forms_lowercased_lemma_preserved(fig1_conllu_text):
     sent = parse_all(fig1_conllu_text)[0]
-    assert sent.token(1).form == "australian"
-    assert sent.token(1).lemma == "australian"
-    assert sent.token(3).lemma == "discover"
-    assert sent.token(3).upos == "VERB"
+    assert sent[0].form == "australian"
+    assert sent[0].lemma == "australian"
+    assert sent[2].lemma == "discover"
+    assert sent[2].upos == "VERB"
 
 
 def test_empty_stream():
@@ -61,7 +60,7 @@ def test_comments_skipped():
     text = "# sent_id = 1\n# text = hi\n1\thi\thi\tINTJ\t_\t_\t0\troot\t_\t_\n"
     sentences = parse_all(text)
     assert len(sentences) == 1
-    assert sentences[0].token(1).form == "hi"
+    assert sentences[0][0].form == "hi"
 
 
 def test_multiword_and_empty_nodes_skipped():
@@ -242,7 +241,7 @@ def valid_sentences(draw):
         lemma = draw(st.from_regex(r"[a-z]{1,6}", fullmatch=True))
         upos = draw(st.sampled_from(["NOUN", "VERB", "ADJ", "X"]))
         tokens.append(Token(i, form, lemma, upos, head, deprel))
-    return Sentence(tuple(tokens))
+    return tuple(tokens)
 
 
 @given(valid_sentences())
@@ -364,6 +363,23 @@ def test_gzip_and_plain_agree_on_a_malformed_block(tmp_path, fig1_conllu_text, c
     assert warned == ["skipping sentence: line 10: non-numeric HEAD 'z'"]
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_a_negative_head_skips_its_sentence(tmp_path, fig1_conllu_text, caplog, newline):
+    # HEAD -1 must not reach the extraction, which would read tokens[-2] as its head
+    bad = "".join(
+        row(*columns) + "\n"
+        for columns in [
+            ("1", "the", "the", "DET", "_", "_", "2", "det"),
+            ("2", "dog", "dog", "NOUN", "_", "_", "3", "nsubj"),
+            ("3", "barks", "bark", "VERB", "_", "_", "0", "root"),
+            ("4", "loud", "loud", "ADV", "_", "_", "-1", "advmod"),
+        ]
+    )
+    path = write_corpus(tmp_path / "bad.conllu", bad + "\n" + fig1_conllu_text, newline=newline)
+    assert list(read_corpus(path)) == parse_all(fig1_conllu_text)
+    assert skip_warnings(caplog) == ["skipping sentence: line 5: HEAD -1 out of range (n=4)"]
+
+
 @pytest.mark.parametrize("odd", ["\u2028", "\u2029", "\x0c", "\r", "\x85", "\x1c"])
 def test_only_newline_ends_a_line(tmp_path, odd):
     form = f"a{odd}b"
@@ -371,8 +387,8 @@ def test_only_newline_ends_a_line(tmp_path, odd):
     path = write_corpus(tmp_path / "odd.conllu", text)
     (sentence,) = read_corpus(path)
     assert len(sentence) == 1
-    assert sentence.token(1).form == form.lower()
-    assert sentence.token(1).lemma == form
+    assert sentence[0].form == form.lower()
+    assert sentence[0].lemma == form
 
 
 def test_invalid_utf8_skips_its_sentence_in_both_readers(
@@ -407,7 +423,7 @@ def test_valid_utf8_runs_no_surrogate_search(tmp_path, fig1_conllu_text, monkeyp
     text = fig1_conllu_text.replace("stars", "étoiles").replace("telescope", "télescope")
     path = write_corpus(tmp_path / "accented.conllu", text + "\n")
     expected = parse_all(text)
-    assert expected[0].token(4).form == "étoiles"
+    assert expected[0][3].form == "étoiles"
     # valid non-ASCII input, in a process that has seen no bad byte
     monkeypatch.setattr(conllu, "_invalid_utf8_seen", False)
     assert list(read_corpus(path)) == expected
@@ -420,7 +436,7 @@ def test_valid_utf8_runs_no_surrogate_search(tmp_path, fig1_conllu_text, monkeyp
 
 
 def test_tokens_are_immutable(fig1_conllu_text):
-    token = parse_all(fig1_conllu_text)[0].token(1)
+    token = parse_all(fig1_conllu_text)[0][0]
     assert token == Token(1, "australian", "australian", "ADJ", 2, "amod")
     with pytest.raises(AttributeError):
         token.form = "other"

@@ -16,7 +16,6 @@ from depctx.extraction import (
     collapse_prepositions,
     deps_pairs,
     effective_bags,
-    extract_deps_pairs,
     window_pairs,
     write_bag_files,
 )
@@ -41,12 +40,20 @@ BAG13 = {
 }
 
 
-def contexts_of(word, pairs):
-    return {p.context for p in pairs if p.word == word}
+def uncollapsed(sentence, conj_variant="both"):
+    """The (bag, line) pairs of the arcs of ``sentence`` as it stands."""
+    config = ExtractionConfig(conj_variant=conj_variant, collapse_targets=())
+    return list(deps_pairs(TABLE, config, sentence))
 
 
-def pair_set(pairs):
-    return {(p.word, p.context) for p in pairs}
+def split_line(line):
+    """The (word, context) of a bag-file line."""
+    return tuple(line[:-1].split("\t"))
+
+
+def line_pairs(pairs):
+    """The set of (word, context) of (bag, line) pairs."""
+    return {split_line(line) for _, line in pairs}
 
 
 def line_contexts(word, pairs):
@@ -123,13 +130,12 @@ def test_table_rejects_labels_that_clash_with_names_or_paths(tmp_path, target):
 
 def test_collapse_fig1(fig1_sentence):
     collapsed = collapse_prepositions(fig1_sentence)
-    assert collapsed.token(6).deprel == "prep:with"
-    assert collapsed.token(6).head == 3
+    assert collapsed[5].deprel == "prep:with"
+    assert collapsed[5].head == 3
     # the case arc is gone: its token no longer carries an extractable arc
-    assert collapsed.token(5).deprel == "_collapsed"
+    assert collapsed[4].deprel == "_collapsed"
     # everything else untouched
-    for idx in (1, 2, 3, 4):
-        assert collapsed.token(idx) == fig1_sentence.token(idx)
+    assert collapsed[:4] == fig1_sentence[:4]
 
 
 def test_collapse_identity_without_pattern(boys_and_girls):
@@ -148,9 +154,9 @@ def test_collapse_two_case_dependents():
         ]
     )
     collapsed = collapse_prepositions(sent)
-    assert collapsed.token(4).deprel == "prep:out"
-    assert collapsed.token(2).deprel == "_collapsed"
-    assert collapsed.token(3).deprel == "_collapsed"
+    assert collapsed[3].deprel == "prep:out"
+    assert collapsed[1].deprel == "_collapsed"
+    assert collapsed[2].deprel == "_collapsed"
 
 
 def test_collapse_only_configured_targets():
@@ -172,7 +178,29 @@ def test_collapse_only_configured_targets():
         ]
     )
     collapsed = collapse_prepositions(sent2, targets=("nmod", "obl"))
-    assert collapsed.token(3).deprel == "prep:with"
+    assert collapsed[2].deprel == "prep:with"
+
+
+def test_collapse_reads_a_case_label_up_to_its_colon():
+    # a case:loc dependent of an nmod:tmod head collapses: both labels are
+    # read up to their colon
+    sent = make_sentence(
+        [
+            (1, "left", "VERB", 0, "root"),
+            (2, "in", "ADP", 3, "case:loc"),
+            (3, "may", "NOUN", 1, "nmod:tmod"),
+        ]
+    )
+    assert [t.deprel for t in collapse_prepositions(sent)] == ["root", "_collapsed", "prep:in"]
+    # but "cases" is not a case label
+    sent = make_sentence(
+        [
+            (1, "left", "VERB", 0, "root"),
+            (2, "in", "ADP", 3, "cases"),
+            (3, "may", "NOUN", 1, "nmod"),
+        ]
+    )
+    assert collapse_prepositions(sent) is sent
 
 
 def test_collapse_preserves_other_arc_count(fig1_sentence):
@@ -193,8 +221,8 @@ def test_collapse_preserves_other_arc_count(fig1_sentence):
 
 
 def test_fig1_deps_contexts_before_collapsing(fig1_sentence):
-    pairs = list(extract_deps_pairs(fig1_sentence, TABLE))
-    assert contexts_of("discovers", pairs) == {
+    pairs = uncollapsed(fig1_sentence)
+    assert line_contexts("discovers", pairs) == {
         "scientist_nsubj",
         "stars_dobj",
         "telescope_nmod",
@@ -202,21 +230,20 @@ def test_fig1_deps_contexts_before_collapsing(fig1_sentence):
 
 
 def test_fig1_deps_contexts_after_collapsing(fig1_sentence):
-    collapsed = collapse_prepositions(fig1_sentence)
-    pairs = list(extract_deps_pairs(collapsed, TABLE))
-    assert contexts_of("discovers", pairs) == {
+    pairs = list(deps_pairs(TABLE, ExtractionConfig(), fig1_sentence))
+    assert line_contexts("discovers", pairs) == {
         "scientist_nsubj",
         "stars_dobj",
         "telescope_prep",
     }
     # inverse pairs point back at the head with the -1 marker
-    assert contexts_of("scientist", pairs) == {"discovers_nsubj-1", "australian_amod"}
-    assert contexts_of("telescope", pairs) == {"discovers_prep-1"}
+    assert line_contexts("scientist", pairs) == {"discovers_nsubj-1", "australian_amod"}
+    assert line_contexts("telescope", pairs) == {"discovers_prep-1"}
 
 
 def test_amod_pair_symmetry_lands_in_amod_bag(fig1_sentence):
-    pairs = [p for p in extract_deps_pairs(fig1_sentence, TABLE) if p.bag == "amod"]
-    assert pair_set(pairs) == {
+    pairs = [(bag, line) for bag, line in uncollapsed(fig1_sentence) if bag == "amod"]
+    assert line_pairs(pairs) == {
         ("scientist", "australian_amod"),
         ("australian", "scientist_amod-1"),
     }
@@ -224,7 +251,7 @@ def test_amod_pair_symmetry_lands_in_amod_bag(fig1_sentence):
 
 def test_single_token_sentence_is_empty():
     sent = make_sentence([(1, "hi", "INTJ", 0, "root")])
-    assert list(extract_deps_pairs(sent, TABLE)) == []
+    assert uncollapsed(sent) == []
 
 
 def test_pair_symmetry_property():
@@ -242,15 +269,15 @@ def test_pair_symmetry_property():
                 head = int(rng.choice([h for h in range(1, n + 1) if h != i]))
                 rows.append((i, f"w{i}", "X", head, str(rng.choice(labels))))
         sent = make_sentence(rows)
-        pairs = list(extract_deps_pairs(sent, TABLE))
         normals = set()
         inverses = set()
-        for p in pairs:
-            token, _, relation = p.context.rpartition("_")
+        for _, line in uncollapsed(sent):
+            word, context = split_line(line)
+            token, _, relation = context.rpartition("_")
             if relation.endswith("-1"):
-                inverses.add((token, p.word, relation[:-2]))
+                inverses.add((token, word, relation[:-2]))
             else:
-                normals.add((p.word, token, relation))
+                normals.add((word, token, relation))
         assert normals == inverses
 
 
@@ -267,10 +294,8 @@ def test_deps_pairs_are_the_bag_file_lines_in_arc_order(fig1_sentence):
         ("prep", "discovers\ttelescope_prep\n"),
         ("prep", "telescope\tdiscovers_prep-1\n"),
     ]
-    # extract_deps_pairs gives the same arcs' lines, split at the tab
-    collapsed = collapse_prepositions(fig1_sentence)
-    pairs = extract_deps_pairs(collapsed, TABLE)
-    assert [(p.bag, f"{p.word}\t{p.context}\n") for p in pairs] == lines
+    # they are the lines of the collapsed sentence's arcs as it stands
+    assert uncollapsed(collapse_prepositions(fig1_sentence)) == lines
 
 
 # -- coordination variants --
@@ -278,27 +303,27 @@ def test_deps_pairs_are_the_bag_file_lines_in_arc_order(fig1_sentence):
 
 def conj_pairs(sentence, variant):
     return [
-        p for p in extract_deps_pairs(sentence, TABLE, conj_variant=variant)
-        if p.bag in ("conjlr", "conjll")
+        (bag, line) for bag, line in uncollapsed(sentence, variant)
+        if bag in ("conjlr", "conjll")
     ]
 
 
 def test_conjlr_pairs(boys_and_girls):
     pairs = conj_pairs(boys_and_girls, "conjlr")
-    assert pair_set(pairs) == {("boys", "girls_conj"), ("girls", "boys_conj-1")}
-    assert all(p.bag == "conjlr" for p in pairs)
+    assert line_pairs(pairs) == {("boys", "girls_conj"), ("girls", "boys_conj-1")}
+    assert all(bag == "conjlr" for bag, _ in pairs)
 
 
 def test_conjll_pairs(boys_and_girls):
     pairs = conj_pairs(boys_and_girls, "conjll")
-    assert pair_set(pairs) == {("boys", "girls_conj"), ("girls", "boys_conj")}
-    assert all(p.bag == "conjll" for p in pairs)
+    assert line_pairs(pairs) == {("boys", "girls_conj"), ("girls", "boys_conj")}
+    assert all(bag == "conjll" for bag, _ in pairs)
 
 
 def test_conj_both_is_the_union(boys_and_girls):
     pairs = conj_pairs(boys_and_girls, "both")
     assert len(pairs) == 4
-    by_bag = collections.Counter(p.bag for p in pairs)
+    by_bag = collections.Counter(bag for bag, _ in pairs)
     assert by_bag == {"conjlr": 2, "conjll": 2}
 
 
@@ -310,12 +335,12 @@ def test_no_conj_arcs_empty(fig1_sentence):
 def test_unknown_conj_variant_raises(boys_and_girls, fig1_sentence, variant):
     for sentence in (boys_and_girls, fig1_sentence):
         with pytest.raises(ValueError, match=re.escape(str(CONJ_VARIANTS))):
-            list(extract_deps_pairs(sentence, TABLE, variant))
+            uncollapsed(sentence, variant)
 
 
 def test_deps_extraction_routes_conj(boys_and_girls):
-    pairs = list(extract_deps_pairs(boys_and_girls, TABLE, conj_variant="conjlr"))
-    assert pair_set(pairs) == {("boys", "girls_conj"), ("girls", "boys_conj-1")}
+    pairs = uncollapsed(boys_and_girls, "conjlr")
+    assert line_pairs(pairs) == {("boys", "girls_conj"), ("girls", "boys_conj-1")}
 
 
 def copied_table(tmp_path, old, new):
@@ -341,7 +366,7 @@ def test_the_bag_table_alone_routes_a_subtyped_conj_arc(tmp_path):
         [(1, "boys", "NOUN", 0, "root"), (2, "and", "CONJ", 3, "cc"),
          (3, "girls", "NOUN", 1, "conj:and")]
     )
-    assert list(extract_deps_pairs(and_arc, TABLE)) == []  # the default table discards it
+    assert uncollapsed(and_arc) == []  # the default table discards it
     table = copied_table(tmp_path, "conj\tconj\n", "conj\tconj\nconj:*\tconj\n")
     manifest = write_deps([and_arc], tmp_path / "bags", table)
     assert manifest.counts["conjlr"] == manifest.counts["conjll"] == 2
@@ -454,7 +479,7 @@ def test_a_form_holding_a_line_separator_round_trips(tmp_path, odd):
         f"2\t{form}\t{form}\tNOUN\t_\t_\t0\troot\t_\t_\n".encode("utf-8")
     )
     (sentence,) = read_corpus(str(corpus))
-    triples = [(p.word, p.context) for p in extract_deps_pairs(sentence, TABLE) if p.bag == "amod"]
+    triples = [split_line(line) for bag, line in uncollapsed(sentence) if bag == "amod"]
     assert triples == [(form, "big_amod"), ("big", f"{form}_amod-1")]
     manifest = run_write([sentence], tmp_path)
     assert manifest.counts["amod"] == 2
@@ -511,9 +536,8 @@ def test_deps_all_equals_union_of_13_bags(fig1_sentence, boys_and_girls, tmp_pat
     composed = collections.Counter(stream)
     direct = collections.Counter()
     for sent in corpus:
-        collapsed = collapse_prepositions(sent)
-        for p in extract_deps_pairs(collapsed, TABLE, "both"):
-            direct[(p.word, p.context)] += 1
+        for _, line in uncollapsed(collapse_prepositions(sent), "both"):
+            direct[split_line(line)] += 1
     assert composed == direct
     assert len(stream) == sum(manifest.counts.values())
 
@@ -564,15 +588,6 @@ def test_conj_variant_limits_bag_files(fig1_sentence, boys_and_girls, tmp_path):
 def test_extraction_config_validation():
     with pytest.raises(ValueError):
         ExtractionConfig(conj_variant="sideways")
-
-
-def test_dependency_pairs_are_immutable(fig1_sentence):
-    pair = next(extract_deps_pairs(fig1_sentence, TABLE))
-    assert pair == ("scientist", "australian_amod", "amod")
-    with pytest.raises(AttributeError):
-        pair.bag = "subj"
-    with pytest.raises(TypeError):
-        pair[2] = "subj"
 
 
 def test_map_label_memo_leaves_the_rules_alone():
