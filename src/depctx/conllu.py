@@ -22,9 +22,9 @@ A chunk is decoded as UTF-8 in C, and only ``\n`` ends a line: a form
 holding U+2028, a form feed or a lone ``\r`` stays in one token, and the
 ``\r`` of a CRLF line end is stripped. :func:`parse_conllu` parses each
 token line inside its loop, with no function call per line: one split into
-10 columns, the ``int`` of ID and HEAD, the DEPREL check and the lowercased
-form, and a :class:`Token`, a ``NamedTuple`` built by one C call to
-``tuple.__new__``.
+10 columns, the ASCII-digit check and the ``int`` of ID and HEAD, the DEPREL
+check and the lowercased form, and a :class:`Token`, a ``NamedTuple`` built
+by one C call to ``tuple.__new__``.
 """
 
 from __future__ import annotations
@@ -175,16 +175,18 @@ def parse_conllu(
             except ValueError:
                 n_cols = line.count("\t") + 1
                 raise ConlluError(f"expected 10 columns, got {n_cols}", line_number) from None
-            if "-" in tok_id or "." in tok_id:
-                continue  # multiword token ranges and empty nodes carry no basic arc
+            # int() alone would also take a "+", spaces, "_" and non-ASCII digits
+            if not (tok_id.isdigit() and tok_id.isascii()):
+                if "-" in tok_id or "." in tok_id:
+                    continue  # multiword token ranges and empty nodes carry no basic arc
+                raise ConlluError(f"non-numeric token ID {tok_id!r}", line_number)
+            # a negative HEAD is numeric, and out of range
+            if not (head.removeprefix("-").isdigit() and head.isascii()):
+                raise ConlluError(f"non-numeric HEAD {head!r}", line_number)
             try:
-                index = int(tok_id)
-            except ValueError:
-                raise ConlluError(f"non-numeric token ID {tok_id!r}", line_number) from None
-            try:
-                head_index = int(head)
-            except ValueError:
-                raise ConlluError(f"non-numeric HEAD {head!r}", line_number) from None
+                index, head_index = int(tok_id), int(head)
+            except ValueError as exc:  # more digits than int() converts
+                raise ConlluError(str(exc), line_number) from None
             if not deprel:
                 raise ConlluError("empty DEPREL", line_number)
         except ConlluError as exc:

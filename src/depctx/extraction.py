@@ -30,6 +30,7 @@ only the tokens whose deprel changes, and
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -56,6 +57,21 @@ PAIR_FILE_SUFFIX = ".pairs"
 WINDOW_KINDS = ("bow", "posit")
 
 
+def _check_rule(pattern: str, target: str) -> None:
+    """Raise ValueError unless ``target`` may be a bag label."""
+    # "+" joins bags in a configuration's name and "/" would leave the bag directory
+    if not target or "+" in target or "/" in target:
+        raise ValueError(
+            f"bad bag label in rule {pattern!r} -> {target!r}: "
+            "a label must be nonempty and hold no '+' or '/'"
+        )
+    if target in CONJ_BAGS:
+        raise ValueError(
+            f"bad bag label in rule {pattern!r} -> {target!r}: conjlr and conjll are "
+            f"reserved for the conj variants; map coordination arcs to {CONJ_ROUTE!r}"
+        )
+
+
 class BagMappingTable:
     """Ordered first-match-wins rules from raw deprel to bag label.
 
@@ -67,17 +83,7 @@ class BagMappingTable:
         if not rules or rules[-1][0] != "*":
             raise ValueError("mapping table requires a final catch-all '*' rule")
         for pattern, target in rules:
-            # "+" joins bags in a configuration's name and "/" would leave the bag directory
-            if not target or "+" in target or "/" in target:
-                raise ValueError(
-                    f"bad bag label in rule {pattern!r} -> {target!r}: "
-                    "a label must be nonempty and hold no '+' or '/'"
-                )
-            if target in CONJ_BAGS:
-                raise ValueError(
-                    f"bad bag label in rule {pattern!r} -> {target!r}: conjlr and conjll are "
-                    f"reserved for the conj variants; map coordination arcs to {CONJ_ROUTE!r}"
-                )
+            _check_rule(pattern, target)
         self.rules = list(rules)
         # Exact rules, then every label a prefix scan has resolved.
         self._mapped: dict[str, str] = {}
@@ -101,16 +107,26 @@ class BagMappingTable:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "BagMappingTable":
+        """The table of a file of ``pattern<TAB>target`` lines; a bad rule's
+        error names its ``path:line``."""
         rules = []
-        for raw in Path(path).read_text(encoding="utf-8").splitlines():
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        for line_no, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"bad mapping rule (want 'pattern<TAB>target'): {raw!r}")
+            try:
+                if len(parts) != 2:
+                    raise ValueError(f"bad mapping rule (want 'pattern<TAB>target'): {raw!r}")
+                _check_rule(*parts)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
             rules.append((parts[0], parts[1]))
-        return cls(rules)
+        try:
+            return cls(rules)
+        except ValueError as exc:  # no final catch-all
+            raise ValueError(f"{path}: {exc}") from None
 
     @classmethod
     def default(cls) -> "BagMappingTable":
@@ -331,19 +347,19 @@ def write_bag_files(
     marker.write_text("extraction in progress\n", encoding="utf-8")
 
     counts = {bag: 0 for bag in bags}
-    # only "\n" ends a line, so a form that holds a "\r" stays one field
-    handles = {
-        bag: open(out / f"{bag}{PAIR_FILE_SUFFIX}", "w", encoding="utf-8", newline="\n")
-        for bag in counts
-    }
-    try:
+    # the stack closes every file opened so far, also when a later open fails
+    with ExitStack() as files:
+        # only "\n" ends a line, so a form that holds a "\r" stays one field
+        handles = {
+            bag: files.enter_context(
+                open(out / f"{bag}{PAIR_FILE_SUFFIX}", "w", encoding="utf-8", newline="\n")
+            )
+            for bag in counts
+        }
         for chunk in texts:
             for bag, text in chunk.items():
                 handles[bag].write(text)
                 counts[bag] += text.count("\n")
-    finally:
-        for h in handles.values():
-            h.close()
 
     manifest = Manifest(counts=counts, meta={"config_hash": config_hash})
     manifest.save(out)

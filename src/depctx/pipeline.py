@@ -137,7 +137,8 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
 
     env_cache = os.environ.get(CACHE_ENV_VAR)
     if env_cache:
-        cfg = replace(cfg, cache_dir=env_cache)
+        # a path from the environment resolves against the working directory
+        cfg = replace(cfg, cache_dir=str(Path(env_cache).resolve()))
 
     def resolve(p: str) -> str:
         return str((base / p).resolve()) if p and not Path(p).is_absolute() else p
@@ -524,7 +525,7 @@ class Experiment:
             )
             trace = search.probe_trace(per_bag)
         else:
-            best, trace = yield from search.STRATEGY_STEPS[cfg.strategy](pool, per_bag)
+            best, trace = yield from search.lattice_steps(cfg.strategy, pool, per_bag)
             run.update(
                 best=best,
                 dev_rho=next(entry.fitness for entry in trace if entry.status == "best"),

@@ -2,17 +2,17 @@
 
 The pool is the sorted tuple of bags whose standalone fitness reaches the
 threshold (:func:`build_pool`); an empty pool means the run is infeasible.
-Each strategy takes the pool and the per-bag fitness table. The search starts
-from the full pool and walks down the subset lattice, keeping every child
-that scores at least as well as the parent it came from (a conservative beam
-over a DAG of configurations). A greedy variant keeps only the single best
-child per level, and an exhaustive oracle enumerates every nonempty subset
-for small pools.
+The search is one walk, :func:`lattice_steps`: it starts from the full pool
+and walks down the subset lattice one level at a time, asking for the
+children of what the level above kept. The strategies differ only in which
+children a level keeps: ``alg1`` (Algorithm 1, a conservative beam over a DAG
+of configurations) keeps every child that scores at least as well as a
+parent it came from, ``greedy`` only the best of those, and ``exhaustive``,
+an oracle for small pools, every child.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,9 +47,6 @@ class Configuration:
     @property
     def size(self) -> int:
         return len(self.bags)
-
-    def sort_key(self) -> tuple[int, str]:
-        return (self.size, self.canonical)
 
     def children(self) -> Iterator["Configuration"]:
         """All configurations one bag smaller, in deterministic order."""
@@ -154,7 +151,7 @@ class MemoizedFitness:
         return self.cache[key]
 
 
-# A strategy is a generator of asks (ask-and-tell, Collette et al. 2010, "On
+# The walk is a generator of asks (ask-and-tell, Collette et al. 2010, "On
 # Object-Oriented Programming of Optimizers"). Each ask lists, once each, the
 # configurations it needs values for next and that it has no value for yet.
 # It is sent back their values by canonical form, by :func:`run_rounds`, and
@@ -185,14 +182,6 @@ def probe_trace(per_bag_fitness: dict[str, float], pool: Iterable[str] = ()) -> 
     return trace
 
 
-def _start_search(
-    pool: tuple[str, ...], per_bag_fitness: dict[str, float]
-) -> tuple[dict[str, float], SearchTrace]:
-    """The values known before the search, by canonical form (a 1-set's is
-    its bag), and a trace of the probes behind the pool."""
-    return dict(per_bag_fitness), probe_trace(per_bag_fitness, pool)
-
-
 def _finish_search(trace: SearchTrace) -> tuple[Configuration, SearchTrace]:
     """Record the argmax over everything evaluated (pool-excluded 1-sets aside) as "best"."""
     candidates = [e for e in trace.entries if e.status != "pool-excluded"]
@@ -203,17 +192,37 @@ def _finish_search(trace: SearchTrace) -> tuple[Configuration, SearchTrace]:
     return best, trace
 
 
-def beam_steps(pool: tuple[str, ...], per_bag_fitness: dict[str, float]) -> Steps:
-    """Conservative top-down beam over the subset lattice (Algorithm 1).
+STRATEGIES = ("alg1", "greedy", "exhaustive")
 
-    Starting from the full pool configuration, each level keeps every child
-    (origin minus one bag) whose fitness is at least its origin's; children
-    are deduplicated by canonical form and asked for as one batch. The
-    descent stops at the first level that keeps no child. The returned best
-    is the argmax over everything evaluated, the pool 1-sets included; ties
+
+def lattice_steps(
+    strategy: str, pool: tuple[str, ...], per_bag_fitness: dict[str, float]
+) -> Steps:
+    """Top-down walk over the subset lattice (Algorithm 1), keeping at each
+    level the children that ``strategy`` keeps.
+
+    Starting from the full pool configuration, each level asks, as one
+    batch, for the children (origin minus one bag) of what the level above
+    kept, deduplicated by canonical form. A child qualifies when its fitness
+    is at least one of its origins'. ``alg1`` keeps every qualifying child,
+    ``greedy`` the best of them alone (ties go to the earlier canonical form)
+    and ``exhaustive`` every child, so it scores every subset of the pool;
+    it refuses pools above EXHAUSTIVE_GUARD bags before its first ask. The
+    walk stops at the first level that keeps no child. The returned best is
+    the argmax over everything evaluated, the pool 1-sets included; ties
     break toward smaller, then lexicographically earlier configurations.
     """
-    values, trace = _start_search(pool, per_bag_fitness)
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    K = len(pool)
+    if strategy == "exhaustive" and K > EXHAUSTIVE_GUARD:
+        raise ValueError(
+            f"exhaustive search over K={K} means {2 ** K - 1} evaluations; "
+            f"it is limited to pools of at most {EXHAUSTIVE_GUARD} bags: "
+            "use strategy alg1 or greedy, or raise threshold"
+        )
+    # the values known before the walk, by canonical form: a 1-set's is its bag
+    values, trace = dict(per_bag_fitness), probe_trace(per_bag_fitness, pool)
 
     root = Configuration.from_bags(pool)
     yield from _ask(values, [root])
@@ -230,73 +239,23 @@ def beam_steps(pool: tuple[str, ...], per_bag_fitness: dict[str, float]) -> Step
                     edges[key][1].append(origin)
                 else:
                     edges[key] = (child, [origin])
-        yield from _ask(values, (edges[key][0] for key in sorted(edges)))
-        next_frontier = []
-        for key in sorted(edges):
+        keys = sorted(edges)
+        yield from _ask(values, (edges[key][0] for key in keys))
+        qualifying = {
+            key: [o for o in origins if values[key] >= values[o.canonical]]
+            for key, (_, origins) in edges.items()
+        }
+        kept = {key for key in keys if qualifying[key] or strategy == "exhaustive"}
+        if strategy == "greedy" and kept:
+            kept = {min(kept, key=lambda k: (-values[k], k))}
+        for key in keys:
             child, origins = edges[key]
-            child_fitness = values[key]
-            qualifying = [o for o in origins if child_fitness >= values[o.canonical]]
-            if qualifying:
-                trace.record(child, child_fitness, "kept", qualifying[0].canonical)
-                next_frontier.append(child)
-            else:
-                trace.record(child, child_fitness, "pruned", origins[0].canonical)
-        frontier = next_frontier
+            status = "kept" if key in kept else "pruned"
+            trace.record(child, values[key], status, (qualifying[key] or origins)[0].canonical)
+        frontier = [edges[key][0] for key in kept]
         level -= 1
 
     return _finish_search(trace)
-
-
-def greedy_steps(pool: tuple[str, ...], per_bag_fitness: dict[str, float]) -> Steps:
-    """Like the beam descent, but at most one configuration survives per level."""
-    values, trace = _start_search(pool, per_bag_fitness)
-
-    current = Configuration.from_bags(pool)
-    yield from _ask(values, [current])
-    trace.record(current, values[current.canonical], "root")
-
-    while current.size > 1:
-        current_fitness = values[current.canonical]
-        children = list(current.children())
-        yield from _ask(values, children)
-        scored = [(child, values[child.canonical]) for child in children]
-        best_child, best_fitness = min(scored, key=lambda it: (-it[1], it[0].sort_key()))
-        for child, child_fitness in scored:
-            if child is best_child and child_fitness >= current_fitness:
-                trace.record(child, child_fitness, "kept", current.canonical)
-            else:
-                trace.record(child, child_fitness, "pruned", current.canonical)
-        if best_fitness < current_fitness:
-            break
-        current = best_child
-
-    return _finish_search(trace)
-
-
-def exhaustive_steps(pool: tuple[str, ...], per_bag_fitness: dict[str, float]) -> Steps:
-    """Evaluate every nonempty subset of the pool, one size per ask; the true optimum.
-
-    Pools above EXHAUSTIVE_GUARD bags raise ValueError before the first ask.
-    """
-    K = len(pool)
-    if K > EXHAUSTIVE_GUARD:
-        raise ValueError(
-            f"exhaustive search over K={K} means {2 ** K - 1} evaluations; "
-            f"it is limited to pools of at most {EXHAUSTIVE_GUARD} bags: "
-            "use strategy alg1 or greedy, or raise threshold"
-        )
-    values, trace = _start_search(pool, per_bag_fitness)
-    pool = sorted(pool)
-    for size in range(1, K + 1):
-        configs = [Configuration.from_bags(c) for c in itertools.combinations(pool, size)]
-        yield from _ask(values, configs)
-        for config in configs:
-            trace.record(config, values[config.canonical], "visited")
-    return _finish_search(trace)
-
-
-STRATEGY_STEPS = {"alg1": beam_steps, "greedy": greedy_steps, "exhaustive": exhaustive_steps}
-STRATEGIES = tuple(STRATEGY_STEPS)
 
 
 def run_rounds(runs, before_round=None) -> list:

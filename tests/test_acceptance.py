@@ -26,11 +26,9 @@ from depctx.pipeline import Experiment, bundled_path, load_experiment_config
 from depctx.search import (
     Configuration,
     MemoizedFitness,
-    beam_steps,
     build_pool,
     count_space,
-    exhaustive_steps,
-    greedy_steps,
+    lattice_steps,
     run_rounds,
 )
 from depctx.sgns import TrainerConfig, pair_loss_and_grad, train
@@ -118,7 +116,8 @@ def test_adjective_walkthrough():
         }
         per_bag = {k: table[k] for k in ("amod", "conjlr", "conjll")}
         memo = MemoizedFitness(lambda c: table[c.canonical])
-        best, trace = run_rounds([(beam_steps(build_pool(per_bag, 0.2), per_bag), memo)])[0]
+        steps = lattice_steps("alg1", build_pool(per_bag, 0.2), per_bag)
+        best, trace = run_rounds([(steps, memo)])[0]
         assert best.canonical == "amod+conj"
         assert table[best.canonical] == 0.546
         level2 = [e for e in trace if e.level == 2]
@@ -142,16 +141,12 @@ def test_strategy_ordering_over_random_landscapes():
                     table[Configuration.from_bags(combo).canonical] = float(rng.random())
 
             outcomes = {}
-            for name, strategy in (
-                ("exhaustive", exhaustive_steps),
-                ("alg1", beam_steps),
-                ("greedy", greedy_steps),
-            ):
+            for name in ("exhaustive", "alg1", "greedy"):
                 # the strategy is driven by hand, so every ask it makes is
                 # seen here, and none is answered from a memo
                 per_bag = {b: table[b] for b in bags}
                 pool = build_pool(per_bag, threshold=-1.0)
-                steps, told, asked = strategy(pool, per_bag), None, list(per_bag)
+                steps, told, asked = lattice_steps(name, pool, per_bag), None, list(per_bag)
                 while True:
                     try:
                         ask = steps.send(told)

@@ -165,6 +165,13 @@ TOKEN_FAULTS = {
                        "non-numeric token ID '2x'"),
     "non-numeric-head": (row("2", "b", "b", "X", "_", "_", "1z", "dep"),
                          "non-numeric HEAD '1z'"),
+    # int() takes each of these IDs and HEADs
+    "underscored-id": (row("0_2", "b", "b", "X", "_", "_", "1", "dep"),
+                       "non-numeric token ID '0_2'"),
+    "non-ascii-digit-id": (row("\u0662", "b", "b", "X", "_", "_", "1", "dep"),
+                           "non-numeric token ID '\u0662'"),
+    "signed-head": (row("2", "b", "b", "X", "_", "_", "+1", "dep"), "non-numeric HEAD '+1'"),
+    "spaced-head": (row("2", "b", "b", "X", "_", "_", " 1", "dep"), "non-numeric HEAD ' 1'"),
     "empty-deprel": (row("2", "b", "b", "X", "_", "_", "1", ""), "empty DEPREL"),
     "invalid-utf8": (row("2", "b\udcfe", "b", "X", "_", "_", "1", "dep"),
                      "invalid UTF-8 (byte 0xfe)"),
@@ -378,6 +385,12 @@ def test_a_negative_head_skips_its_sentence(tmp_path, fig1_conllu_text, caplog, 
     path = write_corpus(tmp_path / "bad.conllu", bad + "\n" + fig1_conllu_text, newline=newline)
     assert list(read_corpus(path)) == parse_all(fig1_conllu_text)
     assert skip_warnings(caplog) == ["skipping sentence: line 5: HEAD -1 out of range (n=4)"]
+
+
+def test_an_id_of_more_digits_than_int_takes_skips_its_sentence(fig1_conllu_text, caplog):
+    bad = row("1" * 5000, "a", "a", "X", "_", "_", "0", "root") + "\n"
+    assert parse_all(bad + "\n" + fig1_conllu_text) == parse_all(fig1_conllu_text)
+    assert len(skip_warnings(caplog)) == 1
 
 
 @pytest.mark.parametrize("odd", ["\u2028", "\u2029", "\x0c", "\r", "\x85", "\x1c"])

@@ -1,5 +1,7 @@
 import collections
+import gc
 import re
+import warnings
 from functools import partial
 
 import numpy as np
@@ -109,6 +111,23 @@ def test_table_from_file_rejects_bad_rows(tmp_path):
     path.write_text("amod amod\n*\tDISCARD\n", encoding="utf-8")
     with pytest.raises(ValueError):
         BagMappingTable.from_file(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# rules\nnsubj\tsubj\namod amod\n*\tDISCARD\n",
+         "{path}:3: bad mapping rule (want 'pattern<TAB>target'): 'amod amod'"),
+        ("nsubj\tsubj\namod\ta+b\n*\tDISCARD\n", "{path}:2: bad bag label in rule 'amod' -> 'a+b'"),
+        ("amod\tamod\n", "{path}: mapping table requires a final catch-all '*' rule"),
+    ],
+)
+def test_table_file_errors_name_their_line(tmp_path, text, message):
+    path = tmp_path / "table.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        BagMappingTable.from_file(path)
+    assert str(exc.value).startswith(message.format(path=path))
 
 
 @pytest.mark.parametrize("target", ["amod+obj", "../amod", "a/b", "", "conjlr", "conjll"])
@@ -509,6 +528,18 @@ def test_write_bag_files_empty_corpus(tmp_path):
     manifest = run_write([], tmp_path)
     assert set(manifest.counts) == BAG13
     assert all(n == 0 for n in manifest.counts.values())
+
+
+def test_write_bag_files_closes_the_files_it_opened_when_an_open_fails(tmp_path):
+    # the bags open in order, so acl and amod are open when nmod fails
+    (tmp_path / "nmod.pairs").mkdir()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(IsADirectoryError):
+            write_bag_files([], ["acl", "amod", "nmod", "obj"], tmp_path)
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert not (tmp_path / "obj.pairs").exists()
 
 
 def test_write_bag_files_linearity(fig1_sentence, tmp_path):

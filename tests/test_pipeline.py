@@ -116,6 +116,14 @@ def test_config_env_var_overrides_cache_dir(tmp_path, monkeypatch):
     assert cfg.cache_dir == str(tmp_path / "elsewhere")
 
 
+def test_config_env_var_cache_dir_resolves_against_the_working_directory(tmp_path, monkeypatch):
+    (tmp_path / "exps").mkdir()
+    write_config(tmp_path / "exps")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("DEPCTX_CACHE_DIR", "relcache")
+    assert load_experiment_config("exps/exp.txt").cache_dir == str(tmp_path / "relcache")
+
+
 def test_key_tables_list_every_experiment_key():
     keys = {f.name for f in fields(pipeline.ExperimentConfig)}
     for doc in ("README.md", "PAPER.md"):

@@ -8,11 +8,11 @@ from depctx.search import (
     Configuration,
     FitnessCache,
     MemoizedFitness,
-    beam_steps,
+    _ask,
+    _finish_search,
     build_pool,
     count_space,
-    exhaustive_steps,
-    greedy_steps,
+    lattice_steps,
     probe_trace,
     run_rounds,
 )
@@ -69,9 +69,9 @@ class CountingFitness:
         return self.table[config.canonical]
 
 
-def run_alone(steps, pool, per_bag, fitness_fn):
-    """Drive one strategy alone through run_rounds; returns (best, trace)."""
-    return run_rounds([(steps(pool, per_bag), fitness_fn)])[0]
+def run_alone(strategy, pool, per_bag, fitness_fn):
+    """Drive one strategy's walk alone through run_rounds; returns (best, trace)."""
+    return run_rounds([(lattice_steps(strategy, pool, per_bag), fitness_fn)])[0]
 
 
 def adjective_space():
@@ -144,7 +144,7 @@ def test_pool_threshold_minus_one_keeps_everything():
 
 def test_adjective_walkthrough_returns_pool_all():
     fitness = CountingFitness(ADJ_FITNESS)
-    best, trace = run_alone(beam_steps, *adjective_space(), fitness)
+    best, trace = run_alone("alg1", *adjective_space(), fitness)
     assert best.canonical == "amod+conj"
     level2 = [e for e in trace if e.level == 2]
     assert len(level2) == 3
@@ -158,7 +158,7 @@ def test_k_equals_one_returns_single_set_immediately():
     per_bag = {"amod": 0.5, "obj": 0.1}
     pool = build_pool(per_bag, threshold=0.2)
     fitness = CountingFitness({"amod": 0.5})
-    best, trace = run_alone(beam_steps, pool, per_bag, fitness)
+    best, trace = run_alone("alg1", pool, per_bag, fitness)
     assert best.canonical == "amod"
     assert fitness.calls == []  # seeded from pool construction
 
@@ -173,7 +173,7 @@ def test_additive_fitness_returns_pool_and_visits_k_children():
     pool = build_pool(per_bag, threshold=0.2)
     assert len(pool) == 4
     memo = MemoizedFitness(additive)
-    best, trace = run_alone(beam_steps, pool, per_bag, memo)
+    best, trace = run_alone("alg1", pool, per_bag, memo)
     assert best.canonical == "a+b+c+d"
     children = [e for e in trace if e.level == len(pool) - 1]
     assert len(children) == len(pool)
@@ -193,7 +193,7 @@ def test_argmax_includes_pool_one_sets():
         "a+b": 0.2,
     }
     per_bag = {"a": 0.6, "b": 0.3}
-    best, trace = run_alone(beam_steps, build_pool(per_bag, 0.2), per_bag, dict_fitness(table))
+    best, trace = run_alone("alg1", build_pool(per_bag, 0.2), per_bag, dict_fitness(table))
     assert best.canonical == "a"
     statuses = {e.canonical: e.status for e in trace}
     assert statuses["a"] == "best"
@@ -206,7 +206,7 @@ def test_tie_breaks_to_smaller_then_lexicographic():
         "a+b": 0.5,
     }
     per_bag = {"a": 0.5, "b": 0.5}
-    best, _ = run_alone(beam_steps, build_pool(per_bag, 0.2), per_bag, dict_fitness(table))
+    best, _ = run_alone("alg1", build_pool(per_bag, 0.2), per_bag, dict_fitness(table))
     assert best.canonical == "a"
 
 
@@ -224,7 +224,7 @@ def test_frontier_deduplicates_shared_children():
     }
     counting = CountingFitness(table)
     per_bag = {k: table[k] for k in "abc"}
-    best, trace = run_alone(beam_steps, build_pool(per_bag, 0.2), per_bag, counting)
+    best, trace = run_alone("alg1", build_pool(per_bag, 0.2), per_bag, counting)
     assert counting.calls.count("b") <= 1
     assert len(counting.calls) == len(set(counting.calls))
     canonicals = [e.canonical for e in trace]
@@ -242,7 +242,7 @@ def test_kept_children_satisfy_line_11_predicate():
         per_bag = {b: table[b] for b in bags}
         pool = build_pool(per_bag, threshold=-1.0)
         memo = MemoizedFitness(dict_fitness(table))
-        best, trace = run_alone(beam_steps, pool, per_bag, memo)
+        best, trace = run_alone("alg1", pool, per_bag, memo)
         for entry in trace:
             if entry.status == "kept":
                 assert entry.origin is not None
@@ -262,7 +262,7 @@ def test_failed_evaluations_poison_descent_but_not_search():
         "a+b": float("-inf"),  # e.g. untrainable configuration
     }
     per_bag = {"a": 0.5, "b": 0.4}
-    best, trace = run_alone(beam_steps, build_pool(per_bag, 0.2), per_bag, dict_fitness(table))
+    best, trace = run_alone("alg1", build_pool(per_bag, 0.2), per_bag, dict_fitness(table))
     assert best.canonical == "a"
 
 
@@ -272,7 +272,7 @@ def test_fitness_failure_names_configuration():
 
     per_bag = {"a": 0.5, "b": 0.4}
     with pytest.raises(RuntimeError, match="a\\+b"):
-        run_alone(beam_steps, build_pool(per_bag, 0.2), per_bag, explode)
+        run_alone("alg1", build_pool(per_bag, 0.2), per_bag, explode)
 
 
 # -- greedy variant --
@@ -280,7 +280,7 @@ def test_fitness_failure_names_configuration():
 
 def test_greedy_matches_alg1_on_adjective_fixture():
     fitness = CountingFitness(ADJ_FITNESS)
-    best, trace = run_alone(greedy_steps, *adjective_space(), fitness)
+    best, trace = run_alone("greedy", *adjective_space(), fitness)
     assert best.canonical == "amod+conj"
     level2 = [e for e in trace if e.level == 2]
     assert len(level2) == 3
@@ -300,8 +300,8 @@ def test_greedy_strictly_worse_on_trap_landscape():
     per_bag = {b: GREEDY_TRAP[b] for b in "abcd"}
     pool = build_pool(per_bag, threshold=0.2)
     fitness = dict_fitness(GREEDY_TRAP)
-    alg1_best, _ = run_alone(beam_steps, pool, per_bag, fitness)
-    greedy_best, _ = run_alone(greedy_steps, pool, per_bag, fitness)
+    alg1_best, _ = run_alone("alg1", pool, per_bag, fitness)
+    greedy_best, _ = run_alone("greedy", pool, per_bag, fitness)
     assert GREEDY_TRAP[alg1_best.canonical] == 0.7
     assert GREEDY_TRAP[greedy_best.canonical] == 0.48
     assert GREEDY_TRAP[greedy_best.canonical] < GREEDY_TRAP[alg1_best.canonical]
@@ -309,7 +309,7 @@ def test_greedy_strictly_worse_on_trap_landscape():
 
 def test_greedy_k_equals_one():
     per_bag = {"a": 0.5, "b": 0.1}
-    best, _ = run_alone(greedy_steps, build_pool(per_bag, 0.2), per_bag, dict_fitness({"a": 0.5}))
+    best, _ = run_alone("greedy", build_pool(per_bag, 0.2), per_bag, dict_fitness({"a": 0.5}))
     assert best.canonical == "a"
 
 
@@ -318,7 +318,7 @@ def test_greedy_k_equals_one():
 
 def test_exhaustive_k3_evaluates_7_subsets():
     memo = MemoizedFitness(dict_fitness(ADJ_FITNESS))
-    best, trace = run_alone(exhaustive_steps, *adjective_space(), memo)
+    best, trace = run_alone("exhaustive", *adjective_space(), memo)
     assert best.canonical == "amod+conj"
     subsets = {e.canonical for e in trace}
     assert len(subsets) == 7
@@ -337,7 +337,7 @@ def test_exhaustive_k10_counts_1023():
     per_bag = {b: 0.5 for b in bags}
     pool = build_pool(per_bag, threshold=0.2)
     memo = MemoizedFitness(fitness)
-    _, trace = run_alone(exhaustive_steps, pool, per_bag, memo)
+    _, trace = run_alone("exhaustive", pool, per_bag, memo)
     assert len({e.canonical for e in trace}) == 1023
 
 
@@ -345,7 +345,12 @@ def test_exhaustive_guard():
     bags = [f"b{i:02d}" for i in range(13)]
     per_bag = {b: 0.5 for b in bags}
     with pytest.raises(ValueError, match="at most 12 bags"):
-        run_alone(exhaustive_steps, build_pool(per_bag, 0.2), per_bag, dict_fitness({}))
+        run_alone("exhaustive", build_pool(per_bag, 0.2), per_bag, dict_fitness({}))
+
+
+def test_an_unknown_strategy_is_refused_before_the_first_ask():
+    with pytest.raises(ValueError, match="unknown strategy 'beam'"):
+        run_alone("beam", *adjective_space(), dict_fitness({}))
 
 
 def test_exhaustive_dominates_alg1_on_random_landscapes():
@@ -361,22 +366,25 @@ def test_exhaustive_dominates_alg1_on_random_landscapes():
         per_bag = {b: table[b] for b in bags}
         pool = build_pool(per_bag, threshold=-1.0)
         fitness = dict_fitness(table)
-        exh_best, _ = run_alone(exhaustive_steps, pool, per_bag, fitness)
-        alg1_best, _ = run_alone(beam_steps, pool, per_bag, fitness)
-        greedy_best, _ = run_alone(greedy_steps, pool, per_bag, fitness)
+        exh_best, _ = run_alone("exhaustive", pool, per_bag, fitness)
+        alg1_best, _ = run_alone("alg1", pool, per_bag, fitness)
+        greedy_best, _ = run_alone("greedy", pool, per_bag, fitness)
         assert table[exh_best.canonical] >= table[alg1_best.canonical]
         assert table[alg1_best.canonical] >= table[greedy_best.canonical]
         strict += table[exh_best.canonical] > table[alg1_best.canonical]
     assert strict >= 1  # the beam is not guaranteed to be globally optimal
 
 
-def random_landscape(rng):
+def random_landscape(rng, ties=False):
+    """Bags and a fitness table over all their subsets; with ``ties``, the
+    values are drawn from four levels, so many are equal."""
     k = int(rng.integers(2, 6))
     bags = [f"b{i}" for i in range(k)]
     table = {}
     for size in range(1, k + 1):
         for combo in itertools.combinations(bags, size):
-            table[Configuration.from_bags(combo).canonical] = float(rng.random())
+            value = int(rng.integers(0, 4)) / 4 if ties else float(rng.random())
+            table[Configuration.from_bags(combo).canonical] = value
     return bags, table
 
 
@@ -396,10 +404,8 @@ def as_rows(result):
     return best.canonical, [vars(entry) for entry in trace]
 
 
-@pytest.mark.parametrize(
-    "steps", [beam_steps, greedy_steps, exhaustive_steps], ids=["alg1", "greedy", "exhaustive"]
-)
-def test_strategies_ask_each_configuration_once_and_interleave_like_alone(steps):
+@pytest.mark.parametrize("strategy", ["alg1", "greedy", "exhaustive"])
+def test_strategies_ask_each_configuration_once_and_interleave_like_alone(strategy):
     rng = np.random.default_rng(99)
     for _ in range(30):
         bags, table = random_landscape(rng)
@@ -411,7 +417,8 @@ def test_strategies_ask_each_configuration_once_and_interleave_like_alone(steps)
         other_pool = build_pool(other_per_bag, threshold=-1.0)
 
         asks, other_asks = [], []
-        mine, other = steps(pool, per_bag), beam_steps(other_pool, other_per_bag)
+        mine = lattice_steps(strategy, pool, per_bag)
+        other = lattice_steps("alg1", other_pool, other_per_bag)
         result = other_result = None
         while result is None or other_result is None:
             if result is None:
@@ -430,11 +437,74 @@ def test_strategies_ask_each_configuration_once_and_interleave_like_alone(steps)
         assert all(logged[key] == table[key] for key in answered)
         # driven alone, the search evaluates exactly what it asked for
         memo = MemoizedFitness(dict_fitness(table))
-        assert as_rows(result) == as_rows(run_alone(steps, pool, per_bag, memo))
+        assert as_rows(result) == as_rows(run_alone(strategy, pool, per_bag, memo))
         assert sorted(memo.evaluations) == sorted(answered - set(per_bag))
         assert as_rows(other_result) == as_rows(
-            run_alone(beam_steps, other_pool, other_per_bag, dict_fitness(other_table))
+            run_alone("alg1", other_pool, other_per_bag, dict_fitness(other_table))
         )
+
+
+# -- the walk against separate greedy and exhaustive searches --
+
+
+def greedy_oracle(pool, per_bag_fitness):
+    """A separate greedy descent: each level asks for the children of the one
+    current configuration and moves to the best of them, ties to the earlier
+    canonical form, while it scores at least the current one's value."""
+    values, trace = dict(per_bag_fitness), probe_trace(per_bag_fitness, pool)
+    current = Configuration.from_bags(pool)
+    yield from _ask(values, [current])
+    trace.record(current, values[current.canonical], "root")
+    while current.size > 1:
+        current_fitness = values[current.canonical]
+        children = list(current.children())
+        yield from _ask(values, children)
+        scored = [(child, values[child.canonical]) for child in children]
+        best_child, best_fitness = min(scored, key=lambda it: (-it[1], it[0].canonical))
+        for child, child_fitness in scored:
+            if child is best_child and child_fitness >= current_fitness:
+                trace.record(child, child_fitness, "kept", current.canonical)
+            else:
+                trace.record(child, child_fitness, "pruned", current.canonical)
+        if best_fitness < current_fitness:
+            break
+        current = best_child
+    return _finish_search(trace)
+
+
+def exhaustive_oracle(pool, per_bag_fitness):
+    """A separate bottom-up enumeration: every nonempty subset of the pool,
+    one size per ask."""
+    values, trace = dict(per_bag_fitness), probe_trace(per_bag_fitness, pool)
+    for size in range(1, len(pool) + 1):
+        configs = [Configuration.from_bags(c) for c in itertools.combinations(pool, size)]
+        yield from _ask(values, configs)
+        for config in configs:
+            trace.record(config, values[config.canonical], "visited")
+    return _finish_search(trace)
+
+
+@pytest.mark.parametrize(
+    "strategy, oracle", [("greedy", greedy_oracle), ("exhaustive", exhaustive_oracle)]
+)
+def test_walk_matches_a_separate_search_on_landscapes_with_ties(strategy, oracle):
+    rng = np.random.default_rng(30)
+    for _ in range(200):
+        bags, table = random_landscape(rng, ties=True)
+        per_bag = {b: table[b] for b in bags}
+        pool = build_pool(per_bag, threshold=table[rng.choice(bags)])
+        walk_memo = MemoizedFitness(dict_fitness(table))
+        oracle_memo = MemoizedFitness(dict_fitness(table))
+        best, trace = run_alone(strategy, pool, per_bag, walk_memo)
+        oracle_best, oracle_trace = run_rounds([(oracle(pool, per_bag), oracle_memo)])[0]
+        assert best == oracle_best
+        assert sorted(walk_memo.evaluations) == sorted(oracle_memo.evaluations)
+        assert {(e.canonical, e.fitness) for e in trace} == {
+            (e.canonical, e.fitness) for e in oracle_trace
+        }
+        if strategy == "greedy":
+            # the same rows, in canonical order within a level
+            assert sorted(map(repr, trace)) == sorted(map(repr, oracle_trace))
 
 
 # -- run_rounds --
@@ -443,7 +513,7 @@ def test_strategies_ask_each_configuration_once_and_interleave_like_alone(steps)
 def random_runs(rng, n):
     """``n`` (strategy, (pool, per-bag table), table) triples over random landscapes."""
     runs = []
-    for strategy in rng.choice([beam_steps, greedy_steps, exhaustive_steps], n):
+    for strategy in rng.choice(["alg1", "greedy", "exhaustive"], n):
         bags, table = random_landscape(rng)
         per_bag = {b: table[b] for b in bags}
         space = (build_pool(per_bag, threshold=table[rng.choice(bags)]), per_bag)
@@ -464,11 +534,14 @@ def test_run_rounds_tells_runs_together_what_they_get_alone():
 
             return fn
 
-        together = [(make(*space), logged(i, table)) for i, (make, space, table) in enumerate(runs)]
+        together = [
+            (lattice_steps(strategy, *space), logged(i, table))
+            for i, (strategy, space, table) in enumerate(runs)
+        ]
         results = run_rounds(together, lambda a: events.append([(i, c.canonical) for i, c in a]))
         rounds = [event for event in events if isinstance(event, list)]
-        for index, ((make, space, table), result) in enumerate(zip(runs, results)):
-            steps, asks, alone = make(*space), [], None
+        for index, ((strategy, space, table), result) in enumerate(zip(runs, results)):
+            steps, asks, alone = lattice_steps(strategy, *space), [], None
             while alone is None:
                 alone = tell_table(steps, table, asks)
             assert as_rows(result) == as_rows(alone)
@@ -502,19 +575,22 @@ def test_run_rounds_raises_the_first_failure_in_run_order():
 
         return fn
 
-    # both runs first ask for the three pairs; the second run's first pair
-    # fails, but the first run's second pair comes first in (run, ask) order
+    # both runs first ask for the root, then for the three pairs; the second
+    # run's first pair fails, but the first run's second pair comes first in
+    # (run, ask) order
     runs = [
-        (exhaustive_steps(*space), fails_on("amod+conjlr", [])),
-        (exhaustive_steps(*space), fails_on("amod+conjll", later_calls)),
+        (lattice_steps("exhaustive", *space), fails_on("amod+conjlr", [])),
+        (lattice_steps("exhaustive", *space), fails_on("amod+conjll", later_calls)),
     ]
     with pytest.raises(RuntimeError, match="evaluation failed for amod[+]conjlr: diverged"):
         run_rounds(runs)
-    assert later_calls == []
+    assert later_calls == ["amod+conj"]
 
 
 def test_run_rounds_memoizes_plain_functions_and_keeps_a_passed_memo():
-    space = adjective_space()
+    def walk():
+        return lattice_steps("alg1", *adjective_space())
+
     calls = []
 
     def counted(config):
@@ -522,14 +598,14 @@ def test_run_rounds_memoizes_plain_functions_and_keeps_a_passed_memo():
         return ADJ_FITNESS[config.canonical]
 
     # a plain function gets a memo per run, so two runs evaluate everything twice
-    alone, again = run_rounds([(beam_steps(*space), counted), (beam_steps(*space), counted)])
+    alone, again = run_rounds([(walk(), counted), (walk(), counted)])
     assert as_rows(alone) == as_rows(again)
     assert len(calls) == 2 * len(set(calls))
     # a MemoizedFitness is used as it is, and so is shared between runs
     memo = MemoizedFitness(counted)
     memo.cache["amod+conj"] = 0.9  # a value it already holds is not evaluated again
     calls.clear()
-    best, _ = run_rounds([(beam_steps(*space), memo), (beam_steps(*space), memo)])[0]
+    best, _ = run_rounds([(walk(), memo), (walk(), memo)])[0]
     assert best.canonical == "amod+conj"
     assert sorted(calls) == sorted(set(calls)) == sorted(memo.evaluations)
     assert "amod+conj" not in calls
@@ -540,7 +616,7 @@ def test_run_rounds_memoizes_plain_functions_and_keeps_a_passed_memo():
 
     for fn in (fails, MemoizedFitness(fails)):
         with pytest.raises(RuntimeError, match=r"^fitness evaluation failed for amod\+conj: boom$"):
-            run_rounds([(beam_steps(*space), fn)])
+            run_rounds([(walk(), fn)])
 
 
 # -- count_space --
@@ -574,7 +650,7 @@ def test_visited_never_exceeds_count_space():
         if not pool:
             continue
         memo = MemoizedFitness(dict_fitness(table))
-        run_alone(beam_steps, pool, per_bag, memo)
+        run_alone("alg1", pool, per_bag, memo)
         # evaluations beyond the M pool probes stay within the lattice budget
         assert len(memo.evaluations) <= count_space(len(per_bag), len(pool))
 
