@@ -31,7 +31,6 @@ from .search import (
     FitnessCache,
     SearchTrace,
     build_pool,
-    count_space,
 )
 from .sgns import (
     EmbeddingStore,
@@ -65,7 +64,6 @@ __all__ = [
     "build_vocab",
     "collapse_prepositions",
     "cosine",
-    "count_space",
     "evaluate",
     "load_embeddings",
     "parse_conllu",

@@ -180,9 +180,13 @@ def parse_conllu(
                 if "-" in tok_id or "." in tok_id:
                     continue  # multiword token ranges and empty nodes carry no basic arc
                 raise ConlluError(f"non-numeric token ID {tok_id!r}", line_number)
-            # a negative HEAD is numeric, and out of range
-            if not (head.removeprefix("-").isdigit() and head.isascii()):
-                raise ConlluError(f"non-numeric HEAD {head!r}", line_number)
+            if not (head.isdigit() and head.isascii()):
+                # a negative HEAD is numeric, and out of range; a signed zero
+                # would read as the root
+                if not (head.startswith("-") and head[1:].isdigit() and head.isascii()):
+                    raise ConlluError(f"non-numeric HEAD {head!r}", line_number)
+                if not head.lstrip("-0"):
+                    raise ConlluError(f"signed zero HEAD {head!r}", line_number)
             try:
                 index, head_index = int(tok_id), int(head)
             except ValueError as exc:  # more digits than int() converts
@@ -197,29 +201,6 @@ def parse_conllu(
     sentence = finish(line_number + 1)
     if sentence is not None:
         yield sentence
-
-
-def sentence_to_conllu(sentence: tuple[Token, ...]) -> str:
-    """Serialize a sentence back to a 10-column block (no trailing blank line)."""
-    lines = []
-    for tok in sentence:
-        lines.append(
-            "\t".join(
-                [
-                    str(tok.index),
-                    tok.form,
-                    tok.lemma,
-                    tok.upos,
-                    "_",
-                    "_",
-                    str(tok.head),
-                    tok.deprel,
-                    "_",
-                    "_",
-                ]
-            )
-        )
-    return "\n".join(lines)
 
 
 def open_corpus(path: str) -> IO[bytes]:

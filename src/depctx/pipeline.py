@@ -278,7 +278,7 @@ class Experiment:
             raise ExperimentConfigError(f"bag table {cfg.bag_table}: {exc}") from None
         # canonical -> (gold-pair cosines, training seconds no fitness record
         # has counted yet)
-        self._trained: dict[str, tuple[np.ndarray, float]] = {}
+        self._trained: dict[str, tuple[np.ndarray | Exception, float]] = {}
 
     # -- fingerprints and directories --
 
@@ -391,16 +391,21 @@ class Experiment:
     def pair_stream(self, bags) -> extraction.PairStream:
         return extraction.PairStream(self.bag_dir(), bags, self.manifest)
 
-    def train_configuration(self, config: search.Configuration) -> tuple[np.ndarray, float]:
+    def train_configuration(
+        self, config: search.Configuration
+    ) -> tuple[np.ndarray | Exception, float]:
         """Train one configuration; returns the cosine of every gold pair, NaN
         where a word is out of vocabulary and everywhere when none is left,
-        and the seconds it took."""
+        and the seconds it took. A failed training returns its exception in
+        place of the cosines, which the fitness call that reads it raises."""
         start = time.perf_counter()
         try:
             store = sgns.train(self.pair_stream(config.bags), self.cfg.trainer_config())
         except sgns.VocabularyError as exc:
             logger.info("configuration %s cannot be trained: %s", config, exc)
             cosines = np.full(len(self.dataset), np.nan)
+        except Exception as exc:
+            cosines = exc
         else:
             cosines = evaluation.pair_cosines(store, self.dataset)
         return cosines, time.perf_counter() - start
@@ -412,8 +417,9 @@ class Experiment:
         :func:`workers.forked` run of :meth:`train_configuration`.
 
         The fitness calls that follow train none of them again, so every
-        value is unchanged. On a failure, the fitness calls train what is
-        left in this process, in tell order, and meet the same error.
+        value is unchanged, and a failed training's fitness call raises its
+        error, in tell order. If the workers fail, the fitness calls train
+        what is left in this process.
         """
         todo: dict[str, search.Configuration] = {}
         for fold, config in asks:
@@ -428,7 +434,7 @@ class Experiment:
             for config, trained in zip(configs, train((config,) for config in configs)):
                 self._trained[config.canonical] = trained
         except Exception as exc:
-            logger.debug("a round's training failed: %r; the fitness calls train the rest", exc)
+            logger.debug("a round's workers failed: %r; the fitness calls train the rest", exc)
 
     # -- fitness plumbing --
 
@@ -454,6 +460,8 @@ class Experiment:
                 self._trained[config.canonical] = self.train_configuration(config)
             # the training seconds count toward the first record only
             cosines, train_s = self._trained[config.canonical]
+            if isinstance(cosines, Exception):
+                raise cosines
             self._trained[config.canonical] = cosines, 0.0
             start = time.perf_counter()
             try:

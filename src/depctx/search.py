@@ -283,14 +283,6 @@ def run_rounds(runs, before_round=None) -> list:
     return results
 
 
-def count_space(M: int, K: int) -> int:
-    """Configurations the full protocol considers: every pool subset plus the
-    non-pool 1-sets that still needed a probe evaluation."""
-    if not 0 <= K <= M:
-        raise ValueError(f"need 0 <= K <= M, got M={M}, K={K}")
-    return (2**K - 1) + (M - K)
-
-
 @dataclass
 class CacheRecord:
     rho: float

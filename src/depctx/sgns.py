@@ -22,8 +22,7 @@ search, and by sorting otherwise, as at paper scale; it also holds each
 batch's word counts, and a window's batch losses are summed in one
 reduction. Windows change no draw and no arithmetic, so no GEMM operand,
 and finiteness is still checked after each epoch.
-Matrices are float32; the gradient-check helper runs at whatever precision
-its inputs carry.
+Matrices are float32.
 
 A model is saved as word2vec text, formatted in blocks of _ROWS_PER_BLOCK
 rows on every CPU (:func:`workers.forked`) and written in row order, so
@@ -241,39 +240,6 @@ def build_unigram_table(
     # cumulative[-1] is exactly 1.0, so the last boundary is table_size
     boundaries = np.rint(cumulative * table_size).astype(np.int64)
     return np.repeat(np.arange(len(weights), dtype=np.int32), np.diff(boundaries, prepend=0))
-
-
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def pair_loss_and_grad(
-    word_vec: np.ndarray, ctx_vecs: np.ndarray, labels: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Loss and analytic gradients of one positive-plus-negatives update.
-
-    loss = -sum_i [ y_i log s(w.c_i) + (1 - y_i) log s(-w.c_i) ] with
-    s the sigmoid. Returns (loss, d loss/d w, d loss/d ctx_vecs). Computation
-    stays in the dtype of the inputs, so a float64 harness gets float64 math.
-    """
-    word_vec = np.asarray(word_vec)
-    ctx_vecs = np.asarray(ctx_vecs)
-    labels = np.asarray(labels, dtype=word_vec.dtype)
-    scores = ctx_vecs @ word_vec
-    probs = _stable_sigmoid(scores)
-    # -log s(x) = logaddexp(0, -x); -log s(-x) = logaddexp(0, x)
-    loss = float(
-        np.sum(labels * np.logaddexp(0.0, -scores) + (1.0 - labels) * np.logaddexp(0.0, scores))
-    )
-    residual = labels - probs
-    grad_word = -(ctx_vecs.T @ residual)
-    grad_ctx = -np.outer(residual, word_vec)
-    return loss, grad_word, grad_ctx
 
 
 def _sgd(

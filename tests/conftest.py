@@ -2,6 +2,7 @@ import math
 import multiprocessing
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from depctx.conllu import Token
@@ -69,6 +70,70 @@ def brute_force_spearman(xs, ys):
         raise ZeroDivisionError("zero rank variance")
     # cov/sqrt(vx*vy) with a single lossy step: the square root
     return float(cov) / math.sqrt(float(vx) * float(vy))
+
+
+def count_space(M: int, K: int) -> int:
+    """Configurations the full protocol considers: every pool subset plus the
+    non-pool 1-sets that still needed a probe evaluation."""
+    if not 0 <= K <= M:
+        raise ValueError(f"need 0 <= K <= M, got M={M}, K={K}")
+    return (2**K - 1) + (M - K)
+
+
+def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def pair_loss_and_grad(
+    word_vec: np.ndarray, ctx_vecs: np.ndarray, labels: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Loss and analytic gradients of one positive-plus-negatives update.
+
+    loss = -sum_i [ y_i log s(w.c_i) + (1 - y_i) log s(-w.c_i) ] with
+    s the sigmoid. Returns (loss, d loss/d w, d loss/d ctx_vecs). Computation
+    stays in the dtype of the inputs, so a float64 harness gets float64 math.
+    """
+    word_vec = np.asarray(word_vec)
+    ctx_vecs = np.asarray(ctx_vecs)
+    labels = np.asarray(labels, dtype=word_vec.dtype)
+    scores = ctx_vecs @ word_vec
+    probs = _stable_sigmoid(scores)
+    # -log s(x) = logaddexp(0, -x); -log s(-x) = logaddexp(0, x)
+    loss = float(
+        np.sum(labels * np.logaddexp(0.0, -scores) + (1.0 - labels) * np.logaddexp(0.0, scores))
+    )
+    residual = labels - probs
+    grad_word = -(ctx_vecs.T @ residual)
+    grad_ctx = -np.outer(residual, word_vec)
+    return loss, grad_word, grad_ctx
+
+
+def sentence_to_conllu(sentence: tuple[Token, ...]) -> str:
+    """Serialize a sentence back to a 10-column block (no trailing blank line)."""
+    lines = []
+    for tok in sentence:
+        lines.append(
+            "\t".join(
+                [
+                    str(tok.index),
+                    tok.form,
+                    tok.lemma,
+                    tok.upos,
+                    "_",
+                    "_",
+                    str(tok.head),
+                    tok.deprel,
+                    "_",
+                    "_",
+                ]
+            )
+        )
+    return "\n".join(lines)
 
 
 @pytest.fixture

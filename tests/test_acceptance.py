@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import brute_force_spearman
+from conftest import brute_force_spearman, count_space, pair_loss_and_grad
 from depctx import cli
 from depctx.extraction import (
     BagMappingTable,
@@ -27,11 +27,10 @@ from depctx.search import (
     Configuration,
     MemoizedFitness,
     build_pool,
-    count_space,
     lattice_steps,
     run_rounds,
 )
-from depctx.sgns import TrainerConfig, pair_loss_and_grad, train
+from depctx.sgns import TrainerConfig, train
 from depctx.evaluation import spearman
 
 

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import sentence_to_conllu
 from depctx import conllu
 from depctx.conllu import (
     Token,
     open_corpus,
     parse_conllu,
     read_corpus,
-    sentence_to_conllu,
 )
 
 
@@ -111,6 +111,13 @@ MALFORMED = {
     "self-headed": (
         "text", row("1", "a", "a", "X", "_", "_", "1", "dep"), "line 2: token 1 is its own head"
     ),
+    # int() reads "-00" as 0, which would make token 1 the root
+    "signed-zero-root": (
+        "text",
+        row("1", "a", "a", "X", "_", "_", "-00", "root") + "\n"
+        + row("2", "b", "b", "X", "_", "_", "1", "dep"),
+        "line 1: signed zero HEAD '-00'",
+    ),
     "nine-columns": (
         "text", row("1", "a", "a", "X", "_", "_", "0", "root", "_"),
         "line 1: expected 10 columns, got 9",
@@ -172,6 +179,10 @@ TOKEN_FAULTS = {
                            "non-numeric token ID '\u0662'"),
     "signed-head": (row("2", "b", "b", "X", "_", "_", "+1", "dep"), "non-numeric HEAD '+1'"),
     "spaced-head": (row("2", "b", "b", "X", "_", "_", " 1", "dep"), "non-numeric HEAD ' 1'"),
+    "empty-head": (row("2", "b", "b", "X", "_", "_", "", "dep"), "non-numeric HEAD ''"),
+    # int() reads it as 0, the root
+    "signed-zero-head": (row("2", "b", "b", "X", "_", "_", "-0", "dep"),
+                         "signed zero HEAD '-0'"),
     "empty-deprel": (row("2", "b", "b", "X", "_", "_", "1", ""), "empty DEPREL"),
     "invalid-utf8": (row("2", "b\udcfe", "b", "X", "_", "_", "1", "dep"),
                      "invalid UTF-8 (byte 0xfe)"),

@@ -1269,6 +1269,34 @@ def test_two_diverging_trainings_in_one_round_fail_alike_with_and_without_worker
     assert "acl: non-finite" in messages[0]
 
 
+@needs_fork
+def test_a_diverged_training_is_trained_once_and_keeps_its_rounds_results(tmp_path):
+    # subj, the largest probe, trains first in its round; its error comes
+    # back with the round's other results, so this process trains no
+    # configuration twice, on two CPUs none at all, and the search raises in
+    # tell order
+    real_train = sgns.train
+    messages, trainings = [], []
+    for cpus in (1, 2):
+        trained = []  # a worker appends to its own copy
+
+        def diverging_train(stream, config, trained=trained):
+            trained.append(stream.bags)
+            if stream.bags == ("subj",):
+                raise sgns.TrainingDivergedError("non-finite parameters during training")
+            return real_train(stream, config)
+
+        with pytest.raises(RuntimeError, match="fitness evaluation failed") as caught:
+            smoke_search(tmp_path / f"cpus{cpus}", cpus, train=diverging_train)
+        messages.append(str(caught.value))
+        trainings.append(trained)
+    assert messages[0] == messages[1]
+    assert "subj: non-finite" in messages[0]
+    one_cpu, two_cpus = trainings
+    assert ("subj",) in one_cpu and len(one_cpu) == len(set(one_cpu)) == 13
+    assert two_cpus == []
+
+
 def test_a_lone_untrained_configuration_trains_here(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     started = count_process_starts(monkeypatch)

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import count_space
 from depctx.search import (
     Configuration,
     FitnessCache,
@@ -11,7 +12,6 @@ from depctx.search import (
     _ask,
     _finish_search,
     build_pool,
-    count_space,
     lattice_steps,
     probe_trace,
     run_rounds,

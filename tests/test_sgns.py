@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import count_process_starts, needs_fork
+from conftest import count_process_starts, needs_fork, pair_loss_and_grad
 from depctx import sgns
 from depctx.sgns import (
     EmbeddingFormatError,
@@ -22,7 +22,6 @@ from depctx.sgns import (
     build_vocab,
     keep_probabilities,
     load_embeddings,
-    pair_loss_and_grad,
     save_embeddings,
     train,
 )
