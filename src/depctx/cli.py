@@ -92,10 +92,7 @@ def _experiment(args) -> pipeline.Experiment:
 def cmd_extract(args) -> int:
     exp = _experiment(args)
     kind = args.context_type
-    if kind == "deps":
-        manifest = exp.extract(force=args.force)
-    else:
-        manifest = exp.extract_window_pairs(kind, force=args.force)
+    manifest = exp.extract(kind, force=args.force)
     print(f"bags: {len(manifest.counts)}  pairs: {manifest.total()}  dir: {exp.bag_dir(kind)}")
     return EXIT_OK
 
@@ -104,7 +101,7 @@ def cmd_train(args) -> int:
     exp = _experiment(args)
     # a window baseline is a configuration of one bag, named by its kind
     kind = args.bags if args.bags in extraction.WINDOW_KINDS else "deps"
-    manifest = exp.extract() if kind == "deps" else exp.extract_window_pairs(kind)
+    manifest = exp.extract(kind)
     try:
         config = search.Configuration.from_string(args.bags)
     except ValueError as exc:

@@ -287,14 +287,9 @@ class Experiment:
         return _short_hash(["corpus"], list(self.cfg.corpus))
 
     def extraction_fingerprint(self, kind: str = "deps") -> str:
-        """Hash of the corpus bytes and of what ``kind``'s extraction reads:
-        the extraction settings and bag table for the dependency bags, the
-        window for a BOW or POSIT baseline. The corpus is read once."""
-        if kind == "deps":
-            settings = [_format_setting(v) for v in astuple(self.cfg.extraction_config())]
-            settings.append(repr(sorted(self.table.rules)))
-        else:
-            settings = [str(self.cfg.window)]
+        """Hash of the corpus bytes and of the settings that ``kind``'s
+        bags depend on (:meth:`_extraction`). The corpus is read once."""
+        settings = self._extraction(kind)[2]
         return _short_hash(["extraction", kind, self._corpus_hash, *settings])
 
     def trainer_fingerprint(self) -> str:
@@ -324,21 +319,27 @@ class Experiment:
 
     # -- extraction --
 
-    def _pairs_of(self, kind: str):
-        """The function from a sentence to its (bag, line) pairs in
-        ``kind``'s extraction, and the bags of that extraction. A kind other
-        than "deps" must be a window kind, and the window at least 1, or
-        this raises ValueError."""
+    def _extraction(self, kind: str):
+        """``kind``'s extraction: the function from a sentence to its (bag,
+        line) pairs, the bags it writes, and the formatted settings those bags
+        depend on, which are the extraction settings and bag table for "deps"
+        and the window for a BOW or POSIT kind. Another kind, or a window
+        under 1, raises ValueError."""
         if kind == "deps":
             config = self.cfg.extraction_config()
+            settings = [*map(_format_setting, astuple(config)), repr(sorted(self.table.rules))]
             pairs_of = partial(extraction.deps_pairs, self.table, config)
-            return pairs_of, extraction.effective_bags(self.table, config)
+            return pairs_of, extraction.effective_bags(self.table, config), settings
         extraction.check_window(kind, self.cfg.window)
-        return partial(extraction.window_pairs, kind, self.cfg.window), (kind,)
+        pairs_of = partial(extraction.window_pairs, kind, self.cfg.window)
+        return pairs_of, (kind,), [str(self.cfg.window)]
 
-    def _extract(self, kind: str, force: bool) -> extraction.Manifest:
-        """``kind``'s manifest: from its bag directory when an up-to-date one is
-        there and ``force`` is off, else from writing the directory afresh.
+    def extract(self, kind: str = "deps", force: bool = False) -> extraction.Manifest:
+        """The manifest of the dependency bags ("deps"), or of the BOW or
+        POSIT baseline, one bag named ``kind``: from its bag directory when
+        an up-to-date one is there and ``force`` is off, else from writing
+        the directory afresh. The dependency bags' manifest is kept as
+        :attr:`manifest`.
 
         The chunks are parsed and extracted in a :func:`workers.forked`
         block, whose tasks carry only their chunk; this process logs each
@@ -348,39 +349,37 @@ class Experiment:
         if not self.cfg.corpus:
             raise ExperimentConfigError("extract requires at least one corpus path")
         # a bad kind or window fails here, before any directory is named or made
-        pairs_of, bags = self._pairs_of(kind)
+        pairs_of, bags, _ = self._extraction(kind)
         fingerprint = self.extraction_fingerprint(kind)
         out = self.bag_dir(kind)
+        manifest = None
         if not force and (out / extraction.MANIFEST_NAME).exists():
             try:
                 manifest = extraction.Manifest.load(out)
             except RuntimeError:
                 logger.warning("discarding partial extraction output in %s", out)
-            else:
-                if manifest.meta.get("config_hash") == fingerprint:
-                    logger.info("extraction cache hit: %s", out)
-                    return manifest
-        logger.info("extracting to %s", out)
-        chunks = chain.from_iterable(map(conllu.read_chunks, self.cfg.corpus))
-        with workers.forked(partial(_chunk_texts, pairs_of, bags)) as run:
+        if manifest is not None and manifest.meta.get("config_hash") == fingerprint:
+            logger.info("extraction cache hit: %s", out)
+        else:
+            logger.info("extracting to %s", out)
+            chunks = chain.from_iterable(map(conllu.read_chunks, self.cfg.corpus))
+            with workers.forked(partial(_chunk_texts, pairs_of, bags)) as run:
 
-            def texts():
-                for text, skipped in run((chunk,) for chunk in chunks):
-                    for message in skipped:
-                        conllu.logger.warning(message)
-                    yield text
+                def texts():
+                    for text, skipped in run((chunk,) for chunk in chunks):
+                        for message in skipped:
+                            conllu.logger.warning(message)
+                        yield text
 
-            return extraction.write_bag_files(texts(), bags, out, fingerprint)
-
-    def extract(self, force: bool = False) -> extraction.Manifest:
-        """The dependency bags' manifest, extracting them unless cached."""
-        self.manifest = self._extract("deps", force)
-        return self.manifest
+                manifest = extraction.write_bag_files(texts(), bags, out, fingerprint)
+        if kind == "deps":
+            self.manifest = manifest
+        return manifest
 
     def extract_window_pairs(self, kind: str, force: bool = False) -> extraction.Manifest:
-        """The manifest of the BOW or POSIT baseline, one bag named ``kind``,
-        extracting it unless cached."""
-        return self._extract(kind, force)
+        """:meth:`extract` of a window kind, by the name the benchmark's
+        extract-corpus workload calls and traces (perfbench/workloads.py)."""
+        return self.extract(kind, force)
 
     @cached_property
     def manifest(self) -> extraction.Manifest:
@@ -419,7 +418,8 @@ class Experiment:
         The fitness calls that follow train none of them again, so every
         value is unchanged, and a failed training's fitness call raises its
         error, in tell order. If the workers fail, the fitness calls train
-        what is left in this process.
+        what is left of this round in this process, and the next round
+        forks new workers.
         """
         todo: dict[str, search.Configuration] = {}
         for fold, config in asks:
@@ -434,7 +434,7 @@ class Experiment:
             for config, trained in zip(configs, train((config,) for config in configs)):
                 self._trained[config.canonical] = trained
         except Exception as exc:
-            logger.debug("a round's workers failed: %r; the fitness calls train the rest", exc)
+            logger.warning("a round's workers failed: %r; this process trains the rest", exc)
 
     # -- fitness plumbing --
 

@@ -3,12 +3,20 @@
 Follows the word2vecf training semantics (sigmoid loss, negatives drawn
 from the context unigram distribution raised to a power, per-pair linear
 learning-rate decay, frequent-word subsampling on the word side,
-uniform/zero initialization) with one departure: pairs are updated in
-minibatches of BATCH_SIZE, each pair's gradient taken at the batch's
-starting parameters and the batch applying their sum, instead of one pair
-at a time. Each pair keeps its own negatives; a batch's updates reach the
-matrices as one dense GEMM per matrix over the rows the batch touches (the
-minibatch scheme of Ji et al. 2016, without their shared negatives).
+uniform/zero initialization) with three departures:
+- Pairs are updated in minibatches of BATCH_SIZE, each pair's gradient
+  taken at the batch's starting parameters and the batch applying their
+  sum, instead of one pair at a time. Each pair keeps its own negatives; a
+  batch's updates reach the matrices as one dense GEMM per matrix over the
+  rows the batch touches (the minibatch scheme of Ji et al. 2016, without
+  their shared negatives).
+- Subsampling keeps a pair with probability min(1, sqrt(t/f)), the formula
+  of Mikolov et al. 2013's paper; the word2vec C code, which word2vecf
+  copies, keeps it with sqrt(t/f) + t/f.
+- Pairs are trained in stream order, which for a configuration's
+  :class:`extraction.PairStream` is bag by bag in sorted bag-name order,
+  not corpus order; so the bag that sorts last trains at the lowest
+  learning rates of each epoch.
 Training reads the pair stream once and is one single-threaded pass over
 one seeded random stream, so a model is a pure function of the pair stream
 and the configuration. The stream is drawn one chunk of _CHUNK pairs at a
@@ -219,7 +227,9 @@ def _rank(
 
 
 def keep_probabilities(counts: np.ndarray, t: float) -> np.ndarray:
-    """Per-id keep probability min(1, sqrt(t / f)), f = count / total count."""
+    """Per-id keep probability min(1, sqrt(t / f)), f = count / total count:
+    the formula of Mikolov et al. 2013's paper, not the word2vec C code's
+    sqrt(t / f) + t / f, which word2vecf keeps."""
     freqs = counts / counts.sum()
     return np.minimum(1.0, np.sqrt(t / freqs))
 

@@ -44,8 +44,10 @@ def forked(fn):
     in forked workers, one per CPU, with at most two tasks per CPU submitted
     and not yet yielded; every other run calls ``fn`` here as its results
     are asked for. The workers fork at the block's first forking run and
-    serve its later ones; they inherit ``fn``, which is never pickled. When
-    the block ends, they are shut down and their pending tasks cancelled.
+    serve its later ones; they inherit ``fn``, which is never pickled. A
+    run that raises, as when a worker dies, shuts its workers down, and the
+    block's next forking run forks new ones. When the block ends, they are
+    shut down and their pending tasks cancelled.
     """
     pool = None
 
@@ -64,12 +66,18 @@ def forked(fn):
 
             pool = ProcessPoolExecutor(cpus, multiprocessing.get_context("fork"), _set_fn, (fn,))
         pending = deque()
-        for args in chain(head, jobs):
-            pending.append(pool.submit(_call, *args))
-            if len(pending) >= 2 * cpus:
+        try:
+            for args in chain(head, jobs):
+                pending.append(pool.submit(_call, *args))
+                if len(pending) >= 2 * cpus:
+                    yield pending.popleft().result()
+            while pending:
                 yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+        except Exception:
+            # a dead worker breaks its pool for good: the next run forks afresh
+            pool.shutdown(cancel_futures=True)
+            pool = None
+            raise
 
     try:
         yield run

@@ -158,19 +158,14 @@ def test_extract_fixture_produces_13_bags_quickly(tmp_path):
     assert (exp.bag_dir() / MANIFEST_NAME).exists()
 
 
-def extract_kind(exp, kind):
-    """Extract the dependency bags or a window baseline of an experiment."""
-    return exp.extract() if kind == "deps" else exp.extract_window_pairs(kind)
-
-
 @pytest.mark.parametrize("kind", ["deps", "bow"])
 def test_extract_rerun_is_a_cache_hit(tmp_path, caplog, kind):
     bag = "amod" if kind == "deps" else kind
     exp = Experiment(load_experiment_config(write_config(tmp_path)))
-    first = extract_kind(exp, kind)
+    first = exp.extract(kind)
     stamp = (exp.bag_dir(kind) / f"{bag}.pairs").stat().st_mtime_ns
     with caplog.at_level(logging.INFO, logger="depctx.pipeline"):
-        again = extract_kind(Experiment(exp.cfg), kind)
+        again = Experiment(exp.cfg).extract(kind)
     assert "cache hit" in caplog.text
     assert again.counts == first.counts
     assert (exp.bag_dir(kind) / f"{bag}.pairs").stat().st_mtime_ns == stamp
@@ -412,9 +407,9 @@ def test_corpus_hashed_once_per_experiment(tmp_path, monkeypatch):
 @pytest.mark.parametrize("kind", ["deps", "bow"])
 def test_partial_extraction_is_redone(tmp_path, kind):
     exp = Experiment(load_experiment_config(write_config(tmp_path)))
-    extract_kind(exp, kind)
+    exp.extract(kind)
     (exp.bag_dir(kind) / "_INCOMPLETE").write_text("crashed")
-    again = extract_kind(Experiment(exp.cfg), kind)
+    again = Experiment(exp.cfg).extract(kind)
     assert not (exp.bag_dir(kind) / "_INCOMPLETE").exists()
     assert sum(again.counts.values()) > 0
 
@@ -1163,6 +1158,24 @@ def smoke_search(tmp_path, cpus, classes="A,V,N", train=None):
     return written, trained
 
 
+def record_rounds(monkeypatch) -> list:
+    """Wrap ``Experiment.prefetch`` to record each search round: the
+    canonical forms its runs asked for, and the manifest pairs of each
+    configuration its prefetch trained, by canonical form."""
+    rounds = []
+    prefetch = Experiment.prefetch
+
+    def recording_prefetch(exp, train, asks):
+        before = set(exp._trained)
+        prefetch(exp, train, asks)
+        configs = {config.canonical: config for _, config in asks}
+        trained = {c: exp.manifest.total(configs[c].bags) for c in exp._trained.keys() - before}
+        rounds.append((set(configs), trained))
+
+    monkeypatch.setattr(Experiment, "prefetch", recording_prefetch)
+    return rounds
+
+
 @pytest.fixture(scope="module")
 def one_process_smoke(tmp_path_factory):
     return smoke_search(tmp_path_factory.mktemp("one-process"), cpus=1)
@@ -1215,19 +1228,39 @@ def test_search_writes_and_reads_no_model_files(tmp_path, monkeypatch):
 
 
 @needs_fork
-def test_dead_worker_leaves_the_training_to_this_process(tmp_path, one_process_smoke):
+def test_dead_worker_leaves_the_training_to_this_process(
+    tmp_path, one_process_smoke, monkeypatch
+):
+    # this process trains the rest of the round in which a worker died, and
+    # the next round forks new workers; the amod probe dies in the first round
     parent = os.getpid()
-    doomed = ("amod", "appos", "obj")
     real_train = sgns.train
+    rounds = record_rounds(monkeypatch)
+    for doomed in (("amod",), ("amod", "appos", "obj")):
 
-    def dying_train(stream, config):
-        if stream.bags == doomed and os.getpid() != parent:
-            os._exit(1)
-        return real_train(stream, config)
+        def dying_train(stream, config, doomed=doomed):
+            if stream.bags == doomed and os.getpid() != parent:
+                os._exit(1)
+            return real_train(stream, config)
 
-    written, trained_here = smoke_search(tmp_path, cpus=2, train=dying_train)
-    assert written == one_process_smoke[0]
-    assert doomed in trained_here
+        rounds.clear()
+        written, trained_here = smoke_search(tmp_path / doomed[-1], cpus=2, train=dying_train)
+        assert written == one_process_smoke[0]
+        assert doomed in trained_here
+        died = next(asked for asked, _ in rounds if "+".join(doomed) in asked)
+        here = {search.Configuration.from_bags(bags).canonical for bags in trained_here}
+        assert here <= died, sorted(here - died)
+
+
+def test_smoke_search_rounds_and_critical_path_are_pinned(tmp_path, monkeypatch):
+    # the critical path of a cold smoke search, the sum over its rounds of
+    # each round's largest training in manifest pairs, against all its pairs
+    rounds = record_rounds(monkeypatch)
+    smoke_search(tmp_path, cpus=1)
+    trained = [pairs for _, pairs in rounds]
+    assert [len(pairs) for pairs in trained] == [13, 5, 10, 9]
+    assert sum(max(pairs.values()) for pairs in trained) == 2218
+    assert sum(sum(pairs.values()) for pairs in trained) == 7906
 
 
 @needs_fork

@@ -35,7 +35,7 @@ def test_the_library_use_example_runs_on_the_bundled_fixture(tmp_path, monkeypat
     config.write_text(f"corpus = {corpus}\ncache_dir = {tmp_path / 'cache'}\n", encoding="utf-8")
     exp = Experiment(load_experiment_config(config))
     for kind, ours in (("deps", tmp_path / "bags"), ("bow", tmp_path / "bow")):
-        manifest = exp.extract() if kind == "deps" else exp.extract_window_pairs(kind)
+        manifest = exp.extract(kind)
         assert {p.name for p in ours.glob("*.pairs")} == {f"{b}.pairs" for b in manifest.counts}
         for path in ours.glob("*.pairs"):
             assert path.read_bytes() == (exp.bag_dir(kind) / path.name).read_bytes(), path.name

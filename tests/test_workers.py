@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,13 @@ def fail_on_two(index):
     if index == 2:
         raise ValueError(f"job {index} failed")
     return index
+
+
+def die_on_two(index):
+    """Kill the worker that runs job 2."""
+    if index == 2:
+        os._exit(1)
+    return where(index)
 
 
 def seeing_cpus(monkeypatch, cpus):
@@ -91,6 +99,16 @@ def test_two_forking_runs_in_one_block_share_one_process_per_cpu(two_cpus):
         assert list(run([(0,)])) == [(0, False)]
         assert list(run((i,) for i in range(4))) == [(i, True) for i in range(4)]
     assert len(two_cpus) == 2
+
+
+@needs_fork
+def test_a_run_after_a_dead_worker_forks_new_workers(two_cpus):
+    with workers.forked(die_on_two) as run:
+        with pytest.raises(BrokenExecutor):
+            list(run((i,) for i in range(4)))
+        assert list(run((i,) for i in (3, 4, 5))) == [(i, True) for i in (3, 4, 5)]
+    assert len(two_cpus) == 4
+    assert multiprocessing.active_children() == []
 
 
 @needs_fork
