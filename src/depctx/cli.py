@@ -99,26 +99,17 @@ def cmd_extract(args) -> int:
 
 def cmd_train(args) -> int:
     exp = _experiment(args)
-    # a window baseline is a configuration of one bag, named by its kind
-    kind = args.bags if args.bags in extraction.WINDOW_KINDS else "deps"
-    manifest = exp.extract(kind)
     try:
         config = search.Configuration.from_string(args.bags)
     except ValueError as exc:
         raise pipeline.ExperimentConfigError(str(exc)) from None
-    unknown = sorted(config.bags - manifest.counts.keys())
-    if unknown:
-        raise pipeline.ExperimentConfigError(
-            f"unknown bag label(s): {', '.join(unknown)}; "
-            f"the extracted bags are: {', '.join(sorted(manifest.counts))}"
-        )
-    # checked before SGD, which at paper scale takes minutes
+    # checked before extraction and SGD, which at paper scale take minutes
     out = Path(args.out)
     if not out.parent.is_dir():
         raise FileNotFoundError(f"cannot write {args.out}: {out.parent} is not a directory")
     if out.is_dir():
         raise IsADirectoryError(f"cannot write {args.out}: it is a directory")
-    stream = extraction.PairStream(exp.bag_dir(kind), config.bags, manifest)
+    stream = exp.pair_stream(config.bags)
     trainer = exp.cfg.trainer_config()
     vocab, word_ids, ctx_ids = sgns.encode(stream, trainer.min_count)
     # checked before SGD too: a token the text format cannot hold

@@ -70,6 +70,12 @@ def _check_rule(pattern: str, target: str) -> None:
             f"bad bag label in rule {pattern!r} -> {target!r}: conjlr and conjll are "
             f"reserved for the conj variants; map coordination arcs to {CONJ_ROUTE!r}"
         )
+    # a configuration of one bag so named is that window baseline
+    if target in WINDOW_KINDS:
+        raise ValueError(
+            f"bad bag label in rule {pattern!r} -> {target!r}: "
+            "bow and posit are reserved for the window baselines"
+        )
 
 
 class BagMappingTable:
@@ -381,8 +387,8 @@ class PairStream:
         if not self.bags:
             raise ValueError("empty configuration: at least one bag is required")
         self._length = manifest.total(self.bags)
-        for bag in self.bags:
-            path = self.bag_dir / f"{bag}{PAIR_FILE_SUFFIX}"
+        self._paths = [self.bag_dir / f"{bag}{PAIR_FILE_SUFFIX}" for bag in self.bags]
+        for bag, path in zip(self.bags, self._paths):
             if not path.exists():
                 raise FileNotFoundError(f"missing pair file for bag {bag!r}: {path}")
 
@@ -390,8 +396,7 @@ class PairStream:
         return self._length
 
     def __iter__(self) -> Iterator[tuple[str, str]]:
-        for bag in self.bags:
-            path = self.bag_dir / f"{bag}{PAIR_FILE_SUFFIX}"
+        for path in self._paths:
             with open(path, encoding="utf-8", newline="\n") as f:
                 for line in f:
                     word, _, context = line.rstrip("\n").partition("\t")

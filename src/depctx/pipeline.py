@@ -388,7 +388,18 @@ class Experiment:
     # -- training --
 
     def pair_stream(self, bags) -> extraction.PairStream:
-        return extraction.PairStream(self.bag_dir(), bags, self.manifest)
+        """The pairs of the configuration ``bags``: the BOW or POSIT baseline
+        when it is one bag named by that kind, else dependency bags."""
+        bags = set(bags)
+        (kind,) = bags if len(bags) == 1 and bags <= set(extraction.WINDOW_KINDS) else ("deps",)
+        manifest = self.manifest if kind == "deps" else self.extract(kind)
+        unknown = sorted(bags - manifest.counts.keys())
+        if unknown:
+            raise ExperimentConfigError(
+                f"unknown bag label(s): {', '.join(unknown)}; "
+                f"the extracted bags are: {', '.join(sorted(manifest.counts))}"
+            )
+        return extraction.PairStream(self.bag_dir(kind), bags, manifest)
 
     def train_configuration(
         self, config: search.Configuration

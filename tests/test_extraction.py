@@ -14,6 +14,7 @@ from depctx.extraction import (
     ExtractionConfig,
     Manifest,
     PairStream,
+    WINDOW_KINDS,
     bag_texts,
     collapse_prepositions,
     deps_pairs,
@@ -142,6 +143,12 @@ def test_table_rejects_labels_that_clash_with_names_or_paths(tmp_path, target):
             BagMappingTable.from_file(path)
     # the same characters in a rule's pattern are fine
     assert BagMappingTable([("a/b+c", "amod"), ("*", DISCARD)]).map_label("a/b+c") == "amod"
+
+
+@pytest.mark.parametrize("target", WINDOW_KINDS)
+def test_table_reserves_the_window_kinds(target):
+    with pytest.raises(ValueError, match="reserved for the window baselines"):
+        BagMappingTable([("amod", target), ("*", DISCARD)])
 
 
 # -- prepositional arc collapsing --

@@ -1079,6 +1079,37 @@ def test_cli_train_bow_baseline(tmp_path, monkeypatch):
     assert len(stream) == exp.extract_window_pairs("bow").total()
 
 
+def test_cli_train_checks_bags_and_out_before_any_extraction(tmp_path, capsys):
+    config = write_config(tmp_path)
+    cache = tmp_path / "cache"
+    missing = tmp_path / "nodir" / "v.txt"
+    for bags, out, code, message in [
+        ("amod+", tmp_path / "v.txt", 2, "empty bag label in configuration 'amod+'"),
+        ("", tmp_path / "v.txt", 2, "empty bag label in configuration ''"),
+        ("amod", missing, 1, f"cannot write {missing}: {missing.parent} is not a directory"),
+    ]:
+        assert cli.main(["train", "-c", str(config), "--bags", bags, "--out", str(out)]) == code
+        assert message in capsys.readouterr().err
+        assert not list(cache.glob("bags-*"))
+
+
+def test_pair_stream_of_a_window_kind_extracts_that_baseline(tmp_path):
+    exp = Experiment(load_experiment_config(write_config(tmp_path)))
+    stream = exp.pair_stream(["posit"])
+    assert (stream.bag_dir, stream.bags) == (exp.bag_dir("posit"), ("posit",))
+    assert len(stream) == extraction.Manifest.load(exp.bag_dir("posit")).total()
+    # no dependency bag is extracted for it
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == [exp.bag_dir("posit").name]
+
+
+def test_pair_stream_rejects_a_bag_the_extraction_did_not_write(tmp_path):
+    exp = Experiment(load_experiment_config(write_config(tmp_path)))
+    with pytest.raises(pipeline.ExperimentConfigError) as exc:
+        exp.pair_stream(["amod", "nosuch"])
+    extracted = ", ".join(sorted(BAG13))
+    assert str(exc.value) == f"unknown bag label(s): nosuch; the extracted bags are: {extracted}"
+
+
 def test_cli_extract_context_type_is_cached_and_forced(tmp_path, capsys):
     config = write_config(tmp_path)
     args = ["extract", "-c", str(config), "--context-type", "posit"]
