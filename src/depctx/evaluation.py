@@ -55,34 +55,47 @@ class WordPairDataset:
 
     @classmethod
     def load(cls, path: str | Path) -> "WordPairDataset":
-        """Read the tab-separated "word1 word2 score class" format (header line)."""
+        """Read the tab-separated "word1 word2 score class" format.
+
+        Line 1 is the header. A line 1 that reads as a pair is refused, since
+        a file without its header would silently lose its first pair.
+        """
         path = Path(path)
-        entries = []
         lines = path.read_text(encoding="utf-8").splitlines()
         if not lines:
             raise DatasetFormatError(f"{path}: empty dataset file")
+        try:
+            _parse_pair(lines[0])
+        except ValueError:
+            pass
+        else:
+            raise DatasetFormatError(f"{path}:1: expected the header line, got a pair")
+        entries = []
         for line_no, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise DatasetFormatError(
-                    f"{path}:{line_no}: expected 4 tab-separated fields, got {len(fields)}"
-                )
-            word1, word2, score_str, word_class = fields
             try:
-                score = float(score_str)
-            except ValueError:
-                raise DatasetFormatError(f"{path}:{line_no}: bad score {score_str!r}") from None
-            if not np.isfinite(score):
-                raise DatasetFormatError(f"{path}:{line_no}: non-finite score")
-            if word_class not in WORD_CLASSES:
-                raise DatasetFormatError(
-                    f"{path}:{line_no}: word class must be one of {WORD_CLASSES}, "
-                    f"got {word_class!r}"
-                )
-            entries.append(WordPair(word1.lower(), word2.lower(), score, word_class))
+                entries.append(_parse_pair(line))
+            except ValueError as exc:
+                raise DatasetFormatError(f"{path}:{line_no}: {exc}") from None
         return cls(tuple(entries))
+
+
+def _parse_pair(line: str) -> WordPair:
+    """One "word1 word2 score class" line; ValueError says what is wrong."""
+    fields = line.split("\t")
+    if len(fields) != 4:
+        raise ValueError(f"expected 4 tab-separated fields, got {len(fields)}")
+    word1, word2, score_str, word_class = fields
+    try:
+        score = float(score_str)
+    except ValueError:
+        raise ValueError(f"bad score {score_str!r}") from None
+    if not np.isfinite(score):
+        raise ValueError("non-finite score")
+    if word_class not in WORD_CLASSES:
+        raise ValueError(f"word class must be one of {WORD_CLASSES}, got {word_class!r}")
+    return WordPair(word1.lower(), word2.lower(), score, word_class)
 
 
 @dataclass(frozen=True)
@@ -279,10 +292,16 @@ def convert_simlex(src: str | Path, dest: str | Path) -> int:
             f"{src}: missing expected SimLex-999 columns in header: {lines[0]!r}"
         ) from None
     out_lines = ["word1\tword2\tscore\tclass"]
-    for line in lines[1:]:
+    needed = max(i_w1, i_w2, i_pos, i_score) + 1
+    for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         fields = line.split("\t")
+        if len(fields) < needed:
+            raise DatasetFormatError(
+                f"{src}:{line_no}: expected at least {needed} tab-separated fields, "
+                f"got {len(fields)}"
+            )
         out_lines.append(
             f"{fields[i_w1].lower()}\t{fields[i_w2].lower()}\t{fields[i_score]}\t{fields[i_pos]}"
         )

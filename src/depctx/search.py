@@ -203,7 +203,8 @@ def lattice_steps(
 
     Starting from the full pool configuration, each level asks, as one
     batch, for the children (origin minus one bag) of what the level above
-    kept, deduplicated by canonical form. A child qualifies when its fitness
+    kept, deduplicated by canonical form; the root's children, which every
+    strategy scores, are asked with the root. A child qualifies when its fitness
     is at least one of its origins'. ``alg1`` keeps every qualifying child,
     ``greedy`` the best of them alone (ties go to the earlier canonical form)
     and ``exhaustive`` every child, so it scores every subset of the pool;
@@ -225,7 +226,8 @@ def lattice_steps(
     values, trace = dict(per_bag_fitness), probe_trace(per_bag_fitness, pool)
 
     root = Configuration.from_bags(pool)
-    yield from _ask(values, [root])
+    # every strategy scores every child of the root, so they share its ask
+    yield from _ask(values, [root, *root.children()])
     trace.record(root, values[root.canonical], "root")
     frontier = [root]
     level = root.size

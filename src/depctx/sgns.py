@@ -8,8 +8,8 @@ uniform/zero initialization) with three departures:
   taken at the batch's starting parameters and the batch applying their
   sum, instead of one pair at a time. Each pair keeps its own negatives; a
   batch's updates reach the matrices as one dense GEMM per matrix over the
-  rows the batch touches (the minibatch scheme of Ji et al. 2016, without
-  their shared negatives).
+  rows the batch touches, by one rule for both matrices (the minibatch
+  scheme of Ji et al. 2016, without their shared negatives).
 - Subsampling keeps a pair with probability min(1, sqrt(t/f)), the formula
   of Mikolov et al. 2013's paper; the word2vec C code, which word2vecf
   copies, keeps it with sqrt(t/f) + t/f.
@@ -26,10 +26,9 @@ pairs, across epoch boundaries: a window is one chunk at paper scale, and
 about _CHUNK / n epochs for a stream of n < _CHUNK pairs. A window's plan
 finds the rows each batch touches by marking them in an array of flags when
 the window's key range is small next to its key count, as on the smoke
-search, and by sorting otherwise, as at paper scale; it also holds each
-batch's word counts, and a window's batch losses are summed in one
-reduction. Windows change no draw and no arithmetic, so no GEMM operand,
-and finiteness is still checked after each epoch.
+search, and by sorting otherwise, as at paper scale. Windows change no draw
+and no arithmetic, so no GEMM operand, and finiteness is still checked
+after each epoch.
 Matrices are float32.
 
 A model is saved as word2vec text, formatted in blocks of _ROWS_PER_BLOCK
@@ -353,15 +352,12 @@ def _windows(draws):
 def _train_window(W: np.ndarray, C: np.ndarray, window: list, learning_rate: float) -> list[float]:
     """Update W and C in place with every batch of the window's chunks, in
     order, checking finiteness at each epoch end (None); return each batch's
-    summed loss.
+    summed loss, the float64 ``.sum`` of its own losses.
 
     Batches of BATCH_SIZE kept pairs are cut inside each chunk. Everything
     that does not depend on W and C is done once for the window: the plans
     of both matrices (:func:`_plan`), the masked learning rates, and the
-    losses, from the scores the batches leave in one buffer. The full
-    batches' losses are summed in one reduction, a row per batch, and each
-    partial batch, which ends a chunk, alone; every sum is the float64
-    pairwise sum of the batch's own ``.sum``.
+    losses, from the scores the batches leave in one buffer.
     """
     chunks = [chunk for chunk in window if chunk is not None]
     bounds: list[tuple[int, int]] = []  # each batch's [start, stop) in the window
@@ -375,7 +371,7 @@ def _train_window(W: np.ndarray, C: np.ndarray, window: list, learning_rate: flo
         rows = np.concatenate([chunk.rows for chunk in chunks])
         lrs = np.concatenate([chunk.lrs for chunk in chunks])
         starts = np.array([start for start, _ in bounds] + [offset])
-        w_plans = _plan(words[:, None], starts, len(W), W.dtype)
+        w_plans = _plan(words[:, None], starts, len(W))
         c_plans = _plan(rows, starts, len(C))
         live = np.ones(rows.shape, dtype=bool)
         live[:, 1:] = rows[:, 1:] != rows[:, :1]
@@ -405,16 +401,7 @@ def _train_window(W: np.ndarray, C: np.ndarray, window: list, learning_rate: flo
         # -log s(x) = logaddexp(0, -x) = logaddexp(0, x) - x
         losses = np.logaddexp(0.0, scores) * live
         losses[:, 0] -= scores[:, 0]
-    full = np.diff(starts) == BATCH_SIZE
-    first_rows = starts[:-1][full]
-    # each full batch's losses as one row of the block
-    block = losses[first_rows[:, None] + np.arange(BATCH_SIZE)]
-    block = block.reshape(len(first_rows), BATCH_SIZE * rows.shape[1])
-    sums = np.empty(len(bounds))
-    sums[full] = block.sum(axis=1, dtype=np.float64)
-    for j in np.flatnonzero(~full).tolist():
-        sums[j] = losses[slice(*bounds[j])].sum(dtype=np.float64)
-    return sums.tolist()
+    return [float(losses[a:b].sum(dtype=np.float64)) for a, b in bounds]
 
 
 def _by_counting(span: int, n_keys: int) -> bool:
@@ -425,19 +412,14 @@ def _by_counting(span: int, n_keys: int) -> bool:
     return span <= n_keys * math.log2(n_keys)
 
 
-def _plan(
-    ids: np.ndarray, starts: np.ndarray, n_rows: int, dtype: np.dtype | None = None
-) -> list[tuple[np.ndarray, np.ndarray]]:
+def _plan(ids: np.ndarray, starts: np.ndarray, n_rows: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per batch, the (unique ids, bincount slots) that :func:`_scatter_add`
-    takes, from one pass over the window's ids; with a ``dtype``, the
-    (unique ids, counts) that :func:`_batch_step` takes instead.
+    takes, from one pass over the window's ids.
 
     Batch j holds the rows ``ids[starts[j]:starts[j + 1]]``. Its unique ids
     are sorted, as ``np.unique`` of the batch alone gives them, and the
     entry (b, k) of the batch goes to slot ``u * len(batch) + b``, where u
-    is the position of ``ids[b, k]`` among them. The counts are those slots
-    counted in ``dtype``, shaped (unique ids) x len(batch): the coefficients
-    of an update whose every coefficient is 1.
+    is the position of ``ids[b, k]`` among them.
 
     The keys ``batch * n_rows + id`` lie below ``span = batches * n_rows``.
     When ``span <= keys * log2(keys)`` (:func:`_by_counting`), as on
@@ -467,18 +449,9 @@ def _plan(
     local = inv.reshape(ids.shape) - first[batch][:, None]
     position = np.arange(len(ids)) - starts[batch]
     slots = local * sizes[batch][:, None] + position[:, None]
-    cuts = first.tolist()
-    uniq_of = [uniq[i:j] for i, j in zip(cuts, cuts[1:])]
-    if dtype is None:
-        flat, entry_cuts = slots.ravel(), (starts * ids.shape[1]).tolist()
-        return list(zip(uniq_of, [flat[i:j] for i, j in zip(entry_cuts, entry_cuts[1:])]))
-    # the batches' count matrices, one after another in one array
-    ends = np.cumsum(n_uniq * sizes)
-    begins = ends - n_uniq * sizes
-    counts = np.bincount((slots + begins[batch][:, None]).ravel(), minlength=ends[-1])
-    counts = counts.astype(dtype)
-    shapes = zip(begins.tolist(), ends.tolist(), n_uniq.tolist(), sizes.tolist())
-    return [(u, counts[i:j].reshape(n, size)) for u, (i, j, n, size) in zip(uniq_of, shapes)]
+    flat, cuts, entry_cuts = slots.ravel(), first.tolist(), (starts * ids.shape[1]).tolist()
+    pieces = zip(cuts, cuts[1:], entry_cuts, entry_cuts[1:])
+    return [(uniq[i:j], flat[k:m]) for i, j, k, m in pieces]
 
 
 def _batch_step(
@@ -499,10 +472,11 @@ def _batch_step(
     ``live_lrs`` holds each pair's learning rate where the row is live and 0
     where a negative equals the positive. Pair b's step on context row
     ``rows[b, j]`` is ``g[b, j] * W[words[b]]``, with ``g`` its rate-scaled
-    residual, so the context update is a sum of word vectors;
-    ``_scatter_add`` applies it, along the plan of :func:`_plan`, as one
-    GEMM instead of 1 + K rows per pair. ``w_plan`` holds the batch's unique
-    words and their counts per pair, so the word update is one GEMM too.
+    residual, so the context update is a sum of word vectors, and pair b's
+    step on its word row is ``grad_w[b]``, a sum of context vectors. Both
+    updates go through :func:`_scatter_add`, along the plans of :func:`_plan`,
+    each as one GEMM instead of a row update per entry: the word update with
+    every coefficient 1, the context update with ``g``.
     """
     w_vecs = W[words]
     c_vecs = C[rows]
@@ -511,21 +485,20 @@ def _batch_step(
     residual = labels - 1.0 / (1.0 + np.exp(-scores))
     g = np.multiply(residual, live_lrs, out=residual)
     grad_w = np.matmul(g[:, None, :], c_vecs)[:, 0]
-    uniq, counts = w_plan
-    W[uniq] += counts @ grad_w
+    _scatter_add(W, w_plan, None, grad_w)
     _scatter_add(C, c_plan, g.ravel(), w_vecs)
 
 
 def _scatter_add(
-    M: np.ndarray, plan: tuple[np.ndarray, np.ndarray], coef: np.ndarray, vecs: np.ndarray
+    M: np.ndarray, plan: tuple[np.ndarray, np.ndarray], coef: np.ndarray | None, vecs: np.ndarray
 ) -> None:
     """M[ids[b, j]] += coef[b, j] * vecs[b] for every (b, j), repeated ids summing.
 
     ``plan`` is the (unique ids, slots) of ``ids`` from :func:`_plan`. The
     coefficients are summed into one dense (unique ids) x B matrix, so the
-    whole update is a single GEMM over the distinct rows it touches. This is
-    the context update of :func:`_batch_step`; the word update, whose
-    coefficients are all 1, takes that matrix from its plan.
+    whole update is a single GEMM over the distinct rows it touches. With
+    ``coef`` None every coefficient is 1, and the matrix counts the slots,
+    as the word update of :func:`_batch_step` needs.
     """
     uniq, slots = plan
     B = len(vecs)

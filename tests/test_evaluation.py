@@ -432,6 +432,8 @@ HEADER = "word1\tword2\tscore\tclass\n"
         (HEADER + "a\tb\thigh\tA\n", "{path}:2: bad score 'high'"),
         (HEADER + "\na\tb\tnan\tA\n", "{path}:3: non-finite score"),
         (HEADER + "a\tb\tinf\tA\n", "{path}:2: non-finite score"),
+        # a file without its header, which would lose its first pair
+        ("a\tb\t1.0\tA\nc\td\t2.0\tV\n", "{path}:1: expected the header line, got a pair"),
     ],
 )
 def test_dataset_load_names_the_file_and_line_of_a_bad_row(tmp_path, text, message):
@@ -475,4 +477,16 @@ def test_convert_simlex_rejects_a_file_without_its_header(tmp_path, text, messag
     with pytest.raises(DatasetFormatError) as exc:
         convert_simlex(src, tmp_path / "converted.tsv")
     assert str(exc.value) == message.format(path=src)
+    assert not (tmp_path / "converted.tsv").exists()
+
+
+def test_convert_simlex_names_the_line_of_a_short_row(tmp_path):
+    src = tmp_path / "SimLex-999.txt"
+    src.write_text(
+        "word1\tword2\tPOS\tSimLex999\nold\tnew\tA\t1.58\n\nsmart\tA\t9.2\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(DatasetFormatError) as exc:
+        convert_simlex(src, tmp_path / "converted.tsv")
+    assert str(exc.value) == f"{src}:4: expected at least 4 tab-separated fields, got 3"
     assert not (tmp_path / "converted.tsv").exists()

@@ -1289,8 +1289,8 @@ def test_smoke_search_rounds_and_critical_path_are_pinned(tmp_path, monkeypatch)
     rounds = record_rounds(monkeypatch)
     smoke_search(tmp_path, cpus=1)
     trained = [pairs for _, pairs in rounds]
-    assert [len(pairs) for pairs in trained] == [13, 5, 10, 9]
-    assert sum(max(pairs.values()) for pairs in trained) == 2218
+    assert [len(pairs) for pairs in trained] == [13, 15, 9]
+    assert sum(max(pairs.values()) for pairs in trained) == 1532
     assert sum(sum(pairs.values()) for pairs in trained) == 7906
 
 

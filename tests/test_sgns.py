@@ -346,7 +346,7 @@ def test_batch_step_at_paper_shapes_matches_float64_reference():
     lrs = rng.uniform(0.01, 0.05, size=B)
     assert (rows[:, 1:] == rows[:, :1]).any() and len(np.unique(rows[:, 1:])) == 3
     # the batch's plans, masked rates, labels and score buffer, as _sgd makes them
-    (w_plan,) = sgns._plan(words[:, None], np.array([0, B]), len(W0), W0.dtype)
+    (w_plan,) = sgns._plan(words[:, None], np.array([0, B]), len(W0))
     (c_plan,) = sgns._plan(rows, np.array([0, B]), len(C0))
     live = np.ones(rows.shape, dtype=bool)
     live[:, 1:] = rows[:, 1:] != rows[:, :1]
@@ -386,15 +386,12 @@ def test_batch_step_at_paper_shapes_matches_float64_reference():
 
 
 def reference_plan(ids, starts):
-    """Each batch's unique ids, slots and float32 counts, from np.unique and
-    np.bincount of the batch alone."""
+    """Each batch's unique ids and slots, from np.unique of the batch alone."""
     for start, stop in zip(starts[:-1], starts[1:]):
         batch = ids[start:stop]
         B = len(batch)
         uniq, inv = np.unique(batch.ravel(), return_inverse=True)
-        slots = inv * B + np.repeat(np.arange(B), batch.shape[1])
-        counts = np.bincount(slots, minlength=len(uniq) * B).reshape(len(uniq), B)
-        yield uniq, slots, counts.astype(np.float32)
+        yield uniq, inv * B + np.repeat(np.arange(B), batch.shape[1])
 
 
 def plan_windows():
@@ -412,8 +409,8 @@ def plan_windows():
 
 
 def test_plan_sides_agree_with_per_batch_unique(monkeypatch):
-    """The counting and sorting sides of _plan give every batch the ids,
-    slots and counts of np.unique over the batch alone."""
+    """The counting and sorting sides of _plan give every batch the ids
+    and slots of np.unique over the batch alone."""
     rule = sgns._by_counting
     natural_sides = set()
     for sizes, width, n_rows in plan_windows():
@@ -425,15 +422,10 @@ def test_plan_sides_agree_with_per_batch_unique(monkeypatch):
         expected = list(reference_plan(ids, starts))
         for counting in (True, False):
             monkeypatch.setattr(sgns, "_by_counting", lambda span, n_keys: counting)
-            slot_plans = sgns._plan(ids, starts, n_rows)
-            count_plans = sgns._plan(ids, starts, n_rows, np.float32)
-            assert len(slot_plans) == len(count_plans) == len(sizes)
-            for (uniq, slots), (count_uniq, counts), (ref_uniq, ref_slots, ref_counts) in zip(
-                slot_plans, count_plans, expected
-            ):
-                assert np.array_equal(uniq, ref_uniq) and np.array_equal(count_uniq, ref_uniq)
-                assert np.array_equal(slots, ref_slots)
-                assert counts.dtype == np.float32 and np.array_equal(counts, ref_counts)
+            plans = sgns._plan(ids, starts, n_rows)
+            assert len(plans) == len(sizes)
+            for (uniq, slots), (ref_uniq, ref_slots) in zip(plans, expected):
+                assert np.array_equal(uniq, ref_uniq) and np.array_equal(slots, ref_slots)
     assert natural_sides == {True, False}
 
 
